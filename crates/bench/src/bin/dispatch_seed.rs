@@ -17,8 +17,8 @@ use mlo_core::{Engine, OptimizeRequest, StrategyId};
 use mlo_service::{BreakerMetadata, DispatchRow, DispatchTable};
 
 /// Strategies the replay races per instance.  Heuristic is excluded (it
-/// never proves anything, so "solved" would be vacuous) and the blocking
-/// portfolio variants subsume their members.
+/// never proves anything, so "solved" would be vacuous), and so is
+/// `portfolio`, an alias of `portfolio-steal`.
 const CANDIDATES: [StrategyId; 5] = [
     StrategyId::Enhanced,
     StrategyId::ForwardChecking,

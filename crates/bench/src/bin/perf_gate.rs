@@ -30,8 +30,8 @@
 //! fails if the scheduler stops sharding).
 //!
 //! A fifth group, `large`, is the zero-copy shared-data-model scenario: a
-//! large planted weighted network is cloned and sharded the way the
-//! portfolio does per solve, under a counting global allocator.  With
+//! large planted weighted network is cloned and split into mask-based
+//! domain shards under a counting global allocator.  With
 //! mask-based restriction a shard shares **every** constraint and weight
 //! table (and the compiled bitset kernel) with its parent; the audit fails
 //! the gate if a single table stops being shared.
@@ -87,9 +87,8 @@
 //! The harness emits `BENCH_10.json` (wall time, nodes explored, solution
 //! cost, speedup per entry) and **exits nonzero when any parallel run's
 //! solution cost differs from its single-thread baseline** — that cost
-//! parity is the determinism contract of `mlo_csp::solver::portfolio` and
-//! `mlo_csp::solver::steal`, and
-//! it is what CI gates on.  `--baseline` reads a previous `BENCH_<pr>.json`
+//! parity is the determinism contract of `mlo_csp::solver::steal`, and it
+//! is what CI gates on.  `--baseline` reads a previous `BENCH_<pr>.json`
 //! and embeds the old aggregate scaling speedup — plus the old
 //! single-thread table2+table3 wall time — next to the new numbers.  The
 //! deferred **wall-clock regression gate** is now on: when the baseline
@@ -566,9 +565,9 @@ struct LargeInstance {
 }
 
 /// The clone-elimination evidence: a large planted weighted network is
-/// cloned the way every portfolio member/batch job receives its handle, and
-/// sharded the way the weighted portfolio partitions domains — both under
-/// the counting allocator.  Before the shared-storage refactor each clone
+/// cloned the way every scheduler worker/batch job receives its handle,
+/// and split into mask-based domain shards — both under the counting
+/// allocator.  Before the shared-storage refactor each clone
 /// and shard deep-copied every pair table; since the mask-based restriction
 /// a clone allocates only the handle spine and a shard allocates only its
 /// domain-mask overlay — zero constraint or weight tables.
@@ -587,7 +586,7 @@ fn large_instance_group(threads: usize) -> LargeInstance {
     let constraints = network.constraint_count();
     let total_pair_entries: usize = network.constraints().iter().map(|c| c.pair_count()).sum();
 
-    // 1. Handle clones: what every portfolio member / batch job pays.  The
+    // 1. Handle clones: what every scheduler worker / batch job pays.  The
     //    result buffer is allocated outside the measurement so the counter
     //    sees only what the clones themselves allocate.
     const CLONES: usize = 1_000;
@@ -601,7 +600,7 @@ fn large_instance_group(threads: usize) -> LargeInstance {
     let clone_total_ms = start.elapsed().as_secs_f64() * 1e3;
     drop(handles);
 
-    // 2. Domain shards: what the weighted portfolio builds per solve.
+    // 2. Domain shards of the widest variable.
     let widest = network
         .variables()
         .max_by_key(|&v| network.domain(v).len())
@@ -802,8 +801,7 @@ fn propagation_group(threads: usize) -> Propagation {
     let bytes_per_revision = bytes_touched as f64 / revisions.max(1) as f64;
     let bytes_ok = bytes_touched > 0 && bytes_per_revision <= bytes_budget_per_revision as f64;
 
-    // Mask-based shard splits under the counting allocator: the weighted
-    // portfolio's per-solve partitioning step.
+    // Mask-based shard splits under the counting allocator.
     let widest = network
         .variables()
         .max_by_key(|&v| network.domain(v).len())

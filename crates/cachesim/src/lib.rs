@@ -48,7 +48,6 @@
 pub mod cache;
 pub mod config;
 pub mod hierarchy;
-pub mod prefetch;
 pub mod simulator;
 pub mod stats;
 pub mod trace;
@@ -56,7 +55,6 @@ pub mod trace;
 pub use cache::{AccessOutcome, Cache, CacheConfig};
 pub use config::MachineConfig;
 pub use hierarchy::{HierarchyOutcome, MemoryHierarchy};
-pub use prefetch::{PrefetchConfig, PrefetchStats, PrefetchingHierarchy};
 pub use simulator::{SimulationReport, Simulator};
 pub use stats::CacheStats;
 pub use trace::{MemoryAccess, TraceGenerator, TraceOptions};

@@ -135,7 +135,7 @@ impl NetworkSummary {
 /// once.
 ///
 /// Every cached artifact is `Arc`-backed (see `mlo_layout` / `mlo_csp`), so
-/// handing it to a strategy, a portfolio member or a batch job shares
+/// handing it to a strategy, a scheduler worker or a batch job shares
 /// storage instead of copying tables.  The weighted-network cache is a
 /// small LRU capped by the session's
 /// [`weighted_cache_cap`](Session::weighted_cache_cap), so long-lived
@@ -189,7 +189,7 @@ impl PreparedProgram {
 
     /// The compiled execution kernel of the cached network (forced on
     /// first use, then cached inside the shared network storage: every
-    /// strategy, portfolio member and weighted derivation of this program
+    /// strategy, scheduler worker and weighted derivation of this program
     /// reuses the identical `Arc`).
     pub fn kernel(&self, program: &Program) -> Arc<mlo_csp::BitKernel> {
         Arc::clone(self.network(program).kernel())
@@ -229,7 +229,7 @@ impl PreparedProgram {
     /// network (dense weight matrices + aggregates, see
     /// `mlo_csp::bitset::WeightKernel`), forced on first use and cached
     /// inside the shared weight spine: every weighted request served out of
-    /// a warm session — and every portfolio member it fans out to — reuses
+    /// a warm session — and every scheduler worker it fans out to — reuses
     /// the identical compiled kernel (`Arc::ptr_eq`-verifiable).
     pub fn weight_kernel(
         &self,
@@ -805,8 +805,8 @@ impl Session {
     /// independently a success or a typed error — one failed request never
     /// poisons the batch.  Jobs against the same program share this
     /// session's prepared networks, and the workers are the same pool the
-    /// `portfolio` strategy races on (nested use is deadlock-free: waiters
-    /// help drain the pool's queue).
+    /// work-stealing strategies fan out over (nested use is deadlock-free:
+    /// waiters help drain the pool's queue).
     ///
     /// Requests that ask for a cache-simulation evaluation run it as a
     /// *separate pool job*: the solve phase frees its worker as soon as the
@@ -982,7 +982,7 @@ impl Session {
 mod tests {
     use super::*;
     use crate::request::{EvaluationOptions, SearchBudget};
-    use crate::strategy::SchemeStrategy;
+    use crate::strategy::{SchemeStrategy, PROBE_NODES};
     use mlo_benchmarks::Benchmark;
     use mlo_cachesim::MachineConfig;
     use mlo_layout::quality::{assignment_score, ideal_score};
@@ -1216,8 +1216,8 @@ mod tests {
     #[test]
     fn optimize_many_through_the_pool_matches_sequential_results() {
         // Force the pooled batch path (a 1-core machine would otherwise
-        // take the sequential shortcut) and include the portfolio strategy
-        // so batch jobs submit nested portfolio work to the same pool.
+        // take the sequential shortcut) and include the portfolio strategy,
+        // whose scheduler runs inside a batch job on the same pool.
         let engine = Engine::builder().parallelism(4).build();
         let session = engine.session();
         let programs: Vec<_> = [Benchmark::MedIm04, Benchmark::Track]
@@ -1426,38 +1426,28 @@ mod tests {
 
     #[test]
     fn small_instances_fall_back_to_sequential_parallelism() {
-        // Every paper benchmark completes the sequential probe within the
-        // default node budget, so a parallel request must (a) return the
-        // identical result to both the probe-disabled parallel path and
-        // the parallelism(1) path, and (b) do the sequential amount of
+        // Every paper benchmark completes the sequential probe, so a
+        // parallel request must return the identical result to the
+        // parallelism(1) path and do exactly the sequential amount of
         // search work (the BENCH_3 symptom was parallel node counts an
         // order of magnitude above sequential ones).
         let engine = Engine::builder().parallelism(4).build();
         let session = engine.session();
         let program = Benchmark::MedIm04.program();
         let options = Benchmark::MedIm04.candidate_options();
-        for strategy in ["portfolio", "weighted"] {
+        for strategy in ["portfolio", "portfolio-steal", "weighted"] {
             let request = OptimizeRequest::strategy(strategy)
                 .candidates(options)
                 .seed(7);
             let adaptive = session.optimize(&program, &request).unwrap();
-            let forced = session
-                .optimize(
-                    &program,
-                    &request
-                        .clone()
-                        .with_budget(SearchBudget::new().parallel_threshold(0)),
-                )
-                .unwrap();
             let sequential = session
                 .optimize(
                     &program,
                     &request.clone().with_budget(SearchBudget::new().workers(1)),
                 )
                 .unwrap();
-            assert_eq!(adaptive.assignment, forced.assignment, "{strategy}");
             assert_eq!(adaptive.assignment, sequential.assignment, "{strategy}");
-            assert_eq!(adaptive.satisfiable, forced.satisfiable);
+            assert_eq!(adaptive.satisfiable, sequential.satisfiable, "{strategy}");
             let adaptive_nodes = adaptive.search_stats.unwrap().nodes_visited;
             let sequential_nodes = sequential.search_stats.unwrap().nodes_visited;
             assert_eq!(
@@ -1465,23 +1455,47 @@ mod tests {
                 "{strategy}: the probe must do exactly the sequential work"
             );
         }
-        // The probe-limit arithmetic itself.
-        let request = OptimizeRequest::strategy("portfolio")
-            .candidates(options)
-            .with_budget(SearchBudget::new().nodes(10));
+    }
+
+    #[test]
+    fn the_scheduler_probe_moves_to_the_pool_only_when_its_node_budget_runs_out() {
+        // PHP(7) needs far more nodes than the probe allows and PHP(4) far
+        // fewer: only the first is re-run, on a pool of the requested
+        // width, and both verdicts are proofs.
+        let session = Engine::builder().parallelism(2).build().session();
+        let program = Benchmark::MxM.program();
+        let options = Benchmark::MxM.candidate_options();
+        let request = OptimizeRequest::strategy("portfolio-steal").candidates(options);
         let prepared = session.prepared(&program, &options);
-        let limits = SearchLimits::default().with_node_limit(10);
-        let ctx = StrategyContext::new(&session.inner, &program, &prepared, &request, limits);
-        assert_eq!(ctx.parallelism(), 4);
-        assert_eq!(
-            ctx.parallel_threshold(),
-            OptimizeRequest::DEFAULT_PARALLEL_THRESHOLD
+        let ctx = StrategyContext::new(
+            &session.inner,
+            &program,
+            &prepared,
+            &request,
+            SearchLimits::none(),
         );
-        assert_eq!(
-            ctx.probe_limits().node_limit,
-            Some(10),
-            "the request's own tighter budget wins"
-        );
+        for (holes, expected_runs) in [(7, 2), (4, 1)] {
+            let network = mlo_csp::random::pigeonhole_network(holes);
+            let runs = Mutex::new(Vec::new());
+            let report = ctx.run_scheduler(
+                SearchLimits::none(),
+                |scheduler, limits| {
+                    let report = scheduler.solve_detailed(&network, limits, None);
+                    runs.lock()
+                        .unwrap()
+                        .push((limits.node_limit, report.telemetry.workers));
+                    report
+                },
+                |report| report.result.hit_node_limit,
+            );
+            let runs = runs.into_inner().unwrap();
+            assert_eq!(runs.len(), expected_runs, "PHP({holes})");
+            assert_eq!(runs[0], (Some(PROBE_NODES), 1), "the probe runs alone");
+            if expected_runs == 2 {
+                assert_eq!(runs[1], (None, 2), "the re-run uses the pool");
+            }
+            assert!(report.result.proves_unsatisfiable(), "PHP({holes})");
+        }
     }
 
     #[test]
@@ -1659,37 +1673,53 @@ mod tests {
 
     #[test]
     fn portfolio_strategy_is_thread_count_invariant() {
-        // The builtin portfolio must return the identical assignment and
-        // satisfiability proof at 1, 2 and 8 workers for a fixed seed —
-        // the property the CI perf gate relies on.
+        // Every parallelism-aware strategy must return the identical
+        // assignment, satisfiability proof and fallback at 1, 2 and 4
+        // workers for a fixed seed — the property the CI perf gate relies
+        // on.  The random program is one where a sequential probe with a
+        // different search order than the parallel path picked a different
+        // (equally valid) assignment at 2 and 4 workers than at 1.
         let engine = Engine::builder().parallelism(4).build();
         let session = engine.session();
-        let program = Benchmark::MedIm04.program();
-        let request = OptimizeRequest::strategy("portfolio")
-            .candidates(Benchmark::MedIm04.candidate_options())
-            .seed(2024);
-        let baseline = session
-            .optimize(
-                &program,
-                &request.clone().with_budget(SearchBudget::new().workers(1)),
-            )
-            .unwrap();
-        assert_eq!(baseline.satisfiable, Some(true));
-        for workers in [2usize, 8] {
-            let report = session
-                .optimize(
-                    &program,
-                    &request
-                        .clone()
-                        .with_budget(SearchBudget::new().workers(workers)),
-                )
-                .unwrap();
-            assert_eq!(
-                report.assignment, baseline.assignment,
-                "assignment changed at {workers} workers"
-            );
-            assert_eq!(report.satisfiable, baseline.satisfiable);
-            assert_eq!(report.fallback, baseline.fallback);
+        let random = mlo_benchmarks::random_program(&mlo_benchmarks::RandomProgramSpec {
+            arrays: 14,
+            nests: 12,
+            extent: 32,
+            reads_per_nest: 1,
+            seed: 18,
+        });
+        let cases = [
+            (
+                Benchmark::MedIm04.program(),
+                Benchmark::MedIm04.candidate_options(),
+                2024,
+            ),
+            (random, mlo_layout::CandidateOptions::default(), 5),
+        ];
+        for (program, candidates, seed) in &cases {
+            for strategy in ["portfolio", "portfolio-steal", "weighted"] {
+                let request = OptimizeRequest::strategy(strategy)
+                    .candidates(*candidates)
+                    .seed(*seed);
+                let run = |workers: usize| {
+                    session
+                        .optimize(
+                            program,
+                            &request
+                                .clone()
+                                .with_budget(SearchBudget::new().workers(workers)),
+                        )
+                        .unwrap()
+                };
+                let baseline = run(1);
+                for workers in [2usize, 4] {
+                    let report = run(workers);
+                    let case = format!("{strategy} on {} at {workers} workers", program.name());
+                    assert_eq!(report.assignment, baseline.assignment, "{case}");
+                    assert_eq!(report.satisfiable, baseline.satisfiable, "{case}");
+                    assert_eq!(report.fallback, baseline.fallback, "{case}");
+                }
+            }
         }
     }
 

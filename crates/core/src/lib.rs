@@ -35,26 +35,21 @@
 //!          report.fallback);
 //! ```
 //!
-//! # The typed request surface (0.3 API redesign)
+//! # The typed request surface
 //!
-//! Two request knobs became typed values in 0.3 (the PR-1 `Optimizer`
-//! facade, deprecated since the engine API landed, was removed in the same
-//! redesign):
+//! Two request knobs are typed values:
 //!
-//! * **[`StrategyId`]** replaces the bare-string strategy name.  The nine
-//!   built-ins are enum arms (`StrategyId::Enhanced`, ...); user-registered
-//!   strategies go through [`StrategyId::Custom`].  String call sites keep
-//!   working — `OptimizeRequest::strategy("enhanced")` parses via
-//!   `From<&str>` — and [`StrategyRegistry::resolve`] is the typed lookup
-//!   (the old `get(&str)` is deprecated).
-//! * **[`SearchBudget`]** gathers the four budget knobs (`nodes`,
-//!   `deadline`, `parallelism`, `parallel_threshold`) into one `Copy`
-//!   value carried as [`OptimizeRequest::budget`].  Attach one with
+//! * **[`StrategyId`]** names the strategy.  The nine built-ins are enum
+//!   arms (`StrategyId::Enhanced`, ...); user-registered strategies go
+//!   through [`StrategyId::Custom`].  String call sites keep working —
+//!   `OptimizeRequest::strategy("enhanced")` parses via `From<&str>` — and
+//!   [`StrategyRegistry::resolve`] is the typed lookup.
+//! * **[`SearchBudget`]** gathers the three budget knobs (`nodes`,
+//!   `deadline`, `parallelism`) into one `Copy` value carried as
+//!   [`OptimizeRequest::budget`].  Attach one with
 //!   [`OptimizeRequest::with_budget`] (chainable) or the non-consuming
 //!   [`OptimizeRequest::set_budget`] / [`OptimizeRequest::budget_mut`]
-//!   family; the old per-knob setters (`node_limit`, `time_limit`,
-//!   `parallelism`, `parallel_threshold`) still compile but are
-//!   `#[deprecated]` forwarders.
+//!   family.
 //!
 //! Serving layers on top of sessions get two more seams:
 //! [`Session::optimize_with_hooks`] attaches [`SolveHooks`] (cooperative

@@ -24,8 +24,7 @@ pub use crate::strategy::{
 pub use mlo_benchmarks::{Benchmark, RandomProgramSpec};
 pub use mlo_cachesim::{MachineConfig, SimulationReport, Simulator, TraceOptions};
 pub use mlo_csp::{
-    ConstraintNetwork, ParallelBranchAndBound, ParallelPortfolioSearch, Scheme, SearchEngine,
-    SearchLimits, SearchStats, WorkerPool,
+    ConstraintNetwork, Scheme, SearchEngine, SearchLimits, SearchStats, StealScheduler, WorkerPool,
 };
 pub use mlo_ir::{AccessBuilder, ArrayId, LoopTransform, Program, ProgramBuilder};
 pub use mlo_layout::{CandidateOptions, CandidateSet, Hyperplane, Layout, LayoutAssignment};

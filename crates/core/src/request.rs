@@ -40,7 +40,8 @@ pub enum StrategyId {
     Weighted,
     /// Min-conflicts local search with restarts.
     LocalSearch,
-    /// The parallel portfolio race of diverse schemes and seeds.
+    /// An alias of [`StrategyId::PortfolioSteal`], kept for existing
+    /// callers (reports name it `portfolio`).
     Portfolio,
     /// The work-stealing dynamic shard search.
     PortfolioSteal,
@@ -221,24 +222,17 @@ pub struct SearchBudget {
     /// parallelism; `Some(1)` = single-threaded).
     ///
     /// For searches that complete within their budgets, changing this knob
-    /// never changes the *result*: portfolio strategies return the same
-    /// solution and cost at every thread count for a fixed seed (see
-    /// `mlo_csp::solver::portfolio`), so it is purely a latency/throughput
-    /// trade-off.  A run truncated by a node limit or deadline returns the
-    /// best answer found in time, which — like any budget-cut search — is
-    /// not guaranteed identical across thread counts.
+    /// never changes the *result*: those strategies run on
+    /// [`mlo_csp::StealScheduler`], which returns the same solution and
+    /// cost at every worker count, so it is purely a latency/throughput
+    /// trade-off.  An instance the scheduler finishes alone within a small
+    /// node budget never touches the pool at all.  A run truncated by a
+    /// deadline, or by a node limit the pool shares, returns the best
+    /// answer found in time, which — like any budget-cut search — is not
+    /// guaranteed identical across thread counts.
     ///
     /// [`EngineBuilder::parallelism`]: crate::engine::EngineBuilder::parallelism
     pub parallelism: Option<usize>,
-    /// Adaptive-parallelism threshold, in search nodes: a
-    /// parallelism-aware strategy first runs its *sequential* path under
-    /// this node budget and only escalates to the parallel machinery when
-    /// the budget is exhausted, so small instances stop paying
-    /// worker-dispatch overhead.  The escalation never changes the result.
-    /// `None` = the strategy default,
-    /// [`OptimizeRequest::DEFAULT_PARALLEL_THRESHOLD`]; `Some(0)` disables
-    /// the probe (always parallel when `parallelism > 1`).
-    pub parallel_threshold: Option<u64>,
 }
 
 impl SearchBudget {
@@ -262,13 +256,6 @@ impl SearchBudget {
     /// Sets the solver parallelism (clamped to at least one worker).
     pub fn workers(mut self, workers: usize) -> Self {
         self.parallelism = Some(workers.max(1));
-        self
-    }
-
-    /// Overrides the adaptive-parallelism probe budget in nodes (`0`
-    /// always runs the parallel path, `u64::MAX` effectively never does).
-    pub fn parallel_threshold(mut self, threshold: u64) -> Self {
-        self.parallel_threshold = Some(threshold);
         self
     }
 }
@@ -322,14 +309,6 @@ impl Default for OptimizeRequest {
 }
 
 impl OptimizeRequest {
-    /// The default adaptive-parallelism probe budget, in search nodes.
-    /// Every paper benchmark completes sequentially within a few thousand
-    /// nodes on the bitset kernel (well under a millisecond — BENCH_3
-    /// measured 0.24–0.75x "speedups" when those solves were raced across
-    /// workers anyway), while the workloads that benefit from the
-    /// portfolio burn through this budget almost immediately.
-    pub const DEFAULT_PARALLEL_THRESHOLD: u64 = 50_000;
-
     /// A request running the given strategy with default knobs.  Accepts a
     /// [`StrategyId`] or (via `From<&str>`) a name.
     pub fn strategy(id: impl Into<StrategyId>) -> Self {
@@ -412,47 +391,6 @@ impl OptimizeRequest {
         self
     }
 
-    /// Sets the node budget.
-    #[deprecated(
-        since = "0.3.0",
-        note = "budget knobs moved into `SearchBudget`: use `with_budget(SearchBudget::new().nodes(n))` or `budget_mut().nodes`"
-    )]
-    pub fn node_limit(mut self, limit: u64) -> Self {
-        self.budget.nodes = Some(limit);
-        self
-    }
-
-    /// Sets the wall-clock budget.
-    #[deprecated(
-        since = "0.3.0",
-        note = "budget knobs moved into `SearchBudget`: use `with_budget(SearchBudget::new().deadline(d))` or `budget_mut().deadline`"
-    )]
-    pub fn time_limit(mut self, limit: Duration) -> Self {
-        self.budget.deadline = Some(limit);
-        self
-    }
-
-    /// Sets the solver parallelism for this request (clamped to at least
-    /// one worker).
-    #[deprecated(
-        since = "0.3.0",
-        note = "budget knobs moved into `SearchBudget`: use `with_budget(SearchBudget::new().workers(n))` or `budget_mut().parallelism`"
-    )]
-    pub fn parallelism(mut self, workers: usize) -> Self {
-        self.budget.parallelism = Some(workers.max(1));
-        self
-    }
-
-    /// Overrides the adaptive-parallelism probe budget in nodes.
-    #[deprecated(
-        since = "0.3.0",
-        note = "budget knobs moved into `SearchBudget`: use `with_budget(SearchBudget::new().parallel_threshold(t))` or `budget_mut().parallel_threshold`"
-    )]
-    pub fn parallel_threshold(mut self, threshold: u64) -> Self {
-        self.budget.parallel_threshold = Some(threshold);
-        self
-    }
-
     /// Makes the request fail with a typed error instead of falling back to
     /// the heuristic layouts.
     pub fn fail_instead_of_fallback(mut self) -> Self {
@@ -495,8 +433,7 @@ mod tests {
                 SearchBudget::new()
                     .nodes(10)
                     .deadline(Duration::from_millis(5))
-                    .workers(0)
-                    .parallel_threshold(0),
+                    .workers(0),
             )
             .fail_instead_of_fallback()
             .evaluate(EvaluationOptions::date05());
@@ -506,7 +443,6 @@ mod tests {
         assert_eq!(r.budget.nodes, Some(10));
         assert_eq!(r.budget.deadline, Some(Duration::from_millis(5)));
         assert_eq!(r.budget.parallelism, Some(1), "parallelism clamps to one");
-        assert_eq!(r.budget.parallel_threshold, Some(0));
         assert_eq!(r.fallback, FallbackPolicy::Error);
         assert!(r.evaluation.is_some());
         assert!(!r.allows_fallback(FallbackReason::Unsatisfiable));
@@ -532,20 +468,6 @@ mod tests {
         assert!(r.evaluation.is_some());
         assert_eq!(r.budget.nodes, Some(77));
         assert_eq!(r.budget.parallelism, Some(2));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_budget_setters_forward_into_the_budget() {
-        let r = OptimizeRequest::strategy("base")
-            .node_limit(10)
-            .time_limit(Duration::from_millis(5))
-            .parallelism(0)
-            .parallel_threshold(3);
-        assert_eq!(r.budget.nodes, Some(10));
-        assert_eq!(r.budget.deadline, Some(Duration::from_millis(5)));
-        assert_eq!(r.budget.parallelism, Some(1));
-        assert_eq!(r.budget.parallel_threshold, Some(3));
     }
 
     #[test]

@@ -15,10 +15,8 @@ use crate::engine::{PreparedProgram, SessionInner, SolveHooks};
 use crate::error::{FallbackReason, OptimizeError};
 use crate::request::{OptimizeRequest, StrategyId};
 use mlo_csp::{
-    BranchAndBound, CancelToken, Coop, IncumbentObserver, MinConflicts, NetworkSearch,
-    ParallelBranchAndBound, ParallelPortfolioSearch, Scheme as CspScheme, SearchEngine,
-    SearchLimits, SearchStats, SharedIncumbent, SolveResult, StealScheduler, WeightedNetwork,
-    WorkerPool,
+    CancelToken, IncumbentObserver, MinConflicts, NetworkSearch, Scheme as CspScheme, SearchEngine,
+    SearchLimits, SearchStats, SolveResult, StealScheduler, WeightedNetwork, WorkerPool,
 };
 use mlo_ir::Program;
 use mlo_layout::{
@@ -28,6 +26,12 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::fmt;
 use std::sync::Arc;
+
+/// Node budget of the sequential probe [`StrategyContext::run_scheduler`]
+/// runs before fanning a search out over the worker pool.  Every paper
+/// benchmark completes within a few thousand nodes, while the instances
+/// that gain from parallel search burn through this budget almost at once.
+pub(crate) const PROBE_NODES: u64 = 50_000;
 
 /// Everything a strategy may consult while determining layouts.
 ///
@@ -102,44 +106,43 @@ impl<'a> StrategyContext<'a> {
             .max(1)
     }
 
-    /// The adaptive-parallelism probe budget in search nodes: the request
-    /// budget's
-    /// [`parallel_threshold`](crate::SearchBudget::parallel_threshold)
-    /// or the default.  Parallelism-aware strategies run their sequential
-    /// path under this budget first and fan out only when it is exhausted
-    /// ([`StrategyContext::probe_limits`] builds the capped limits);
-    /// `0` disables the probe.
-    pub fn parallel_threshold(&self) -> u64 {
-        self.request
-            .budget
-            .parallel_threshold
-            .unwrap_or(OptimizeRequest::DEFAULT_PARALLEL_THRESHOLD)
-    }
-
-    /// Whether the adaptive sequential probe pays off under the given
-    /// effective node budget: when the request's own budget is at or below
-    /// the probe threshold, a probe that fails would escalate to a
-    /// parallel run of the *identical* budget — doubling the work for
-    /// nothing — so the probe is only worthwhile while the threshold is
-    /// the binding limit.
-    pub fn probe_is_worthwhile(&self, effective_node_limit: Option<u64>) -> bool {
-        let threshold = self.parallel_threshold();
-        threshold > 0 && effective_node_limit.is_none_or(|own| own > threshold)
-    }
-
-    /// The request limits with the node budget tightened to the adaptive
-    /// probe threshold.  A probe cut off by this node budget escalates to
-    /// the parallel path (which re-applies the request's own limits); any
-    /// other probe outcome — solved, proven unsatisfiable, deadline — is
-    /// final and identical to what the parallel path would return.
-    pub fn probe_limits(&self) -> SearchLimits {
-        let limits = self.limits();
-        SearchLimits {
-            node_limit: Some(limits.node_limit.map_or(self.parallel_threshold(), |own| {
-                own.min(self.parallel_threshold())
-            })),
-            deadline: limits.deadline,
+    /// Runs `search` on a [`StealScheduler`] — the one engine behind the
+    /// `weighted`, `portfolio` and `portfolio-steal` strategies — with the
+    /// request's incumbent observer attached.
+    ///
+    /// At `parallelism() > 1` the scheduler first runs alone on the calling
+    /// thread under a [`PROBE_NODES`] budget, and re-runs on the session's
+    /// pool only when that budget runs out (`ran_out_of_nodes`; a deadline
+    /// or a cancellation is final).  Small instances thus never pay for
+    /// pool dispatch, and because the scheduler's answer does not depend on
+    /// its worker count, the strategy's answer does not either.  A request
+    /// whose own node budget is no larger than the probe's runs on the
+    /// calling thread alone.
+    pub(crate) fn run_scheduler<R>(
+        &self,
+        limits: SearchLimits,
+        search: impl Fn(&StealScheduler, &SearchLimits) -> R,
+        ran_out_of_nodes: impl Fn(&R) -> bool,
+    ) -> R {
+        let mut scheduler = StealScheduler::new();
+        if let Some(observer) = self.incumbent_observer() {
+            scheduler = scheduler.observe_incumbent(observer.clone());
         }
+        let parallelism = self.parallelism();
+        if parallelism > 1 && limits.node_limit.is_none_or(|own| own > PROBE_NODES) {
+            let probe_limits = SearchLimits {
+                node_limit: Some(PROBE_NODES),
+                ..limits
+            };
+            let probe = search(&scheduler, &probe_limits);
+            if !ran_out_of_nodes(&probe) {
+                return probe;
+            }
+            scheduler = scheduler
+                .with_pool(self.worker_pool())
+                .parallelism(parallelism);
+        }
+        search(&scheduler, &limits)
     }
 
     /// Whether this request's strategy consulted the constraint network
@@ -399,7 +402,7 @@ impl LayoutStrategy for SchemeStrategy {
 }
 
 /// Weighted constraints solved with branch and bound (the paper's first
-/// future direction).
+/// future direction) on the work-stealing scheduler.
 #[derive(Debug, Clone)]
 pub struct WeightedStrategy {
     /// How constraint weights are derived from nest costs.
@@ -435,49 +438,15 @@ impl LayoutStrategy for WeightedStrategy {
         let weighted = ctx.weighted_network(&self.weights);
         let mut limits = ctx.limits();
         limits.node_limit = Some(limits.node_limit.unwrap_or(self.default_node_limit));
-        let parallelism = ctx.parallelism();
-        let result = if parallelism > 1 {
-            // Portfolio branch and bound: helper shards/probes feed the
-            // shared incumbent, the exhaustive primary returns the answer —
-            // identical to the single-thread solution, sooner.  The
-            // adaptive sequential probe lives inside the portfolio now
-            // (`ParallelBranchAndBound::parallel_threshold`): the primary
-            // runs alone under the threshold budget and only instances
-            // that exhaust it pay for parallel dispatch.  A zero threshold
-            // (probe not worthwhile: the request's own budget is no larger)
-            // disables the probe rather than re-running the same budget.
-            let threshold = if ctx.probe_is_worthwhile(limits.node_limit) {
-                ctx.parallel_threshold()
-            } else {
-                0
-            };
-            let mut bnb = ParallelBranchAndBound::new(BranchAndBound::new())
-                .with_pool(ctx.worker_pool())
-                .parallelism(parallelism)
-                .seed(ctx.request().seed)
-                .parallel_threshold(threshold);
-            if let Some(token) = ctx.cancel_token() {
-                bnb = bnb.cancel_token(token.clone());
-            }
-            if let Some(observer) = ctx.incumbent_observer() {
-                bnb = bnb.observe_incumbent(observer.clone());
-            }
-            bnb.optimize_detailed(&weighted, &limits).result
-        } else {
-            // Sequential branch and bound through the cooperation hooks:
-            // with no hooks attached this is exactly `optimize_with`; an
-            // observed incumbent never changes the result (the solver's own
-            // bound dominates the shared strict-< prune when it feeds the
-            // incumbent itself).
-            let shared = ctx
-                .incumbent_observer()
-                .map(|observer| SharedIncumbent::observed(observer.clone()));
-            let hooks = Coop {
-                incumbent: shared.as_ref(),
-                cancel: ctx.cancel_token(),
-            };
-            BranchAndBound::new().optimize_coop(&weighted, &limits, &hooks)
-        };
+        let result = ctx.run_scheduler(
+            limits,
+            |scheduler, limits| {
+                scheduler
+                    .optimize_detailed(&weighted, limits, ctx.cancel_token())
+                    .result
+            },
+            |result| result.hit_node_limit && !result.hit_deadline && !result.cancelled,
+        );
         match result.solution {
             Some(solution) => Ok(StrategyOutcome::Solved {
                 assignment: ctx.assignment_from_solution(&solution),
@@ -553,29 +522,12 @@ impl LayoutStrategy for LocalSearchStrategy {
     }
 }
 
-/// The parallel portfolio strategy: diverse solver configurations racing
-/// on the session's worker pool (the tentpole of the scaling roadmap).
+/// `portfolio`: a registry alias of [`PortfolioStealStrategy`].
 ///
-/// The portfolio members are `mlo-csp`'s canonical diverse roster
-/// ([`ParallelPortfolioSearch::diverse`]): the three deterministic schemes
-/// followed by seeded base-scheme members and a local-search member.  The
-/// request's [`parallelism`](OptimizeRequest::parallelism) knob caps how
-/// many race concurrently; the *result* is identical at every setting (the
-/// winner is the lowest-index member that finds a solution, decided only
-/// after every lower member completes), so batch pipelines can tune
-/// latency without re-validating outputs.
-#[derive(Debug, Clone, Copy)]
-pub struct PortfolioStrategy {
-    /// Number of seeded base-scheme members in the race (plus one
-    /// local-search member when nonzero).
-    pub randomized: usize,
-}
-
-impl Default for PortfolioStrategy {
-    fn default() -> Self {
-        PortfolioStrategy { randomized: 4 }
-    }
-}
+/// The name predates the work-stealing scheduler and stays so that
+/// existing requests keep resolving; reports still name it `portfolio`.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct PortfolioStrategy;
 
 impl LayoutStrategy for PortfolioStrategy {
     fn name(&self) -> &str {
@@ -583,57 +535,20 @@ impl LayoutStrategy for PortfolioStrategy {
     }
 
     fn description(&self) -> &str {
-        "parallel race of diverse schemes and seeds (thread-count-independent result)"
+        "alias of portfolio-steal"
     }
 
     fn determine(&self, ctx: &StrategyContext<'_>) -> Result<StrategyOutcome, OptimizeError> {
-        let network = ctx.network().network();
-        let parallelism = ctx.parallelism();
-        // Adaptive sequential probe: member 0 of the diverse race is the
-        // deterministic enhanced scheme, and the race's
-        // lowest-index-winner rule makes its verdict final — so running it
-        // alone under the probe budget either decides the whole race
-        // sequentially (every paper benchmark does) or proves the instance
-        // big enough to be worth fanning out.  Skipped when the request's
-        // own node budget is no larger than the threshold: a failed probe
-        // would escalate to a race under the identical budget.
-        if parallelism > 1 && ctx.probe_is_worthwhile(ctx.limits().node_limit) {
-            let probe_limits = ctx.probe_limits();
-            let engine = SearchEngine::with_scheme(CspScheme::Enhanced);
-            let mut rng = ctx.rng();
-            let probe = match ctx.cancel_token() {
-                Some(token) => engine.solve_cancellable(network, &mut rng, &probe_limits, token),
-                None => engine.solve_with(network, &mut rng, &probe_limits),
-            };
-            if !probe.hit_node_limit || probe.cancelled {
-                return Ok(ctx.outcome_from_solve(probe));
-            }
-            // Budget exhausted without a verdict: fall through to the race.
-        }
-        let mut search = ParallelPortfolioSearch::diverse(self.randomized).parallelism(parallelism);
-        if parallelism > 1 {
-            search = search.with_pool(ctx.worker_pool());
-        }
-        if let Some(token) = ctx.cancel_token() {
-            search = search.cancel_token(token.clone());
-        }
-        let mut rng = ctx.rng();
-        let result = search.search(network, &mut rng, &ctx.limits());
-        Ok(ctx.outcome_from_solve(result))
+        PortfolioStealStrategy.determine(ctx)
     }
 }
 
 /// Work-stealing dynamic shard search: one search tree, partitioned
 /// across the session's worker pool and re-partitioned on the fly as
-/// workers go idle.
-///
-/// Where [`PortfolioStrategy`] races redundant solvers — which only pays
-/// off on satisfiable instances, because every racer must walk the whole
-/// tree to prove unsatisfiability — `portfolio-steal` shards the tree
-/// itself, so *UNSAT proofs* and exhaustive tails parallelize too.  The
-/// merge contract is deterministic (the lowest-canonical-index solution
-/// wins every race), so the reported solution is identical at every
-/// thread count.
+/// workers go idle, so *UNSAT proofs* and exhaustive tails parallelize
+/// too.  The merge contract is deterministic (the lowest-canonical-key
+/// solution wins), so the reported solution is identical at every thread
+/// count.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PortfolioStealStrategy;
 
@@ -648,31 +563,15 @@ impl LayoutStrategy for PortfolioStealStrategy {
 
     fn determine(&self, ctx: &StrategyContext<'_>) -> Result<StrategyOutcome, OptimizeError> {
         let network = ctx.network().network();
-        let parallelism = ctx.parallelism();
-        // Same adaptive sequential probe as `portfolio`: paper-sized
-        // instances are decided by the enhanced scheme within the probe
-        // budget and never pay for parallel dispatch.  Skipped when the
-        // request's own node budget is no larger than the threshold.
-        if parallelism > 1 && ctx.probe_is_worthwhile(ctx.limits().node_limit) {
-            let probe_limits = ctx.probe_limits();
-            let engine = SearchEngine::with_scheme(CspScheme::Enhanced);
-            let mut rng = ctx.rng();
-            let probe = match ctx.cancel_token() {
-                Some(token) => engine.solve_cancellable(network, &mut rng, &probe_limits, token),
-                None => engine.solve_with(network, &mut rng, &probe_limits),
-            };
-            if !probe.hit_node_limit || probe.cancelled {
-                return Ok(ctx.outcome_from_solve(probe));
-            }
-            // Budget exhausted without a verdict: shard the tree.
-        }
-        let mut scheduler = StealScheduler::new().parallelism(parallelism);
-        if parallelism > 1 {
-            scheduler = scheduler.with_pool(ctx.worker_pool());
-        }
-        let result = scheduler
-            .solve_detailed(network, &ctx.limits(), ctx.cancel_token())
-            .result;
+        let result = ctx.run_scheduler(
+            ctx.limits(),
+            |scheduler, limits| {
+                scheduler
+                    .solve_detailed(network, limits, ctx.cancel_token())
+                    .result
+            },
+            |result| result.hit_node_limit && !result.hit_deadline && !result.cancelled,
+        );
         Ok(ctx.outcome_from_solve(result))
     }
 }
@@ -707,7 +606,7 @@ impl StrategyRegistry {
         registry.register(Arc::new(SchemeStrategy::full_propagation()));
         registry.register(Arc::new(WeightedStrategy::default()));
         registry.register(Arc::new(LocalSearchStrategy::default()));
-        registry.register(Arc::new(PortfolioStrategy::default()));
+        registry.register(Arc::new(PortfolioStrategy));
         registry.register(Arc::new(PortfolioStealStrategy));
         registry
     }
@@ -732,15 +631,6 @@ impl StrategyRegistry {
             .iter()
             .find(|e| e.name() == id.as_str())
             .cloned()
-    }
-
-    /// Looks a strategy up by bare name.
-    #[deprecated(
-        since = "0.3.0",
-        note = "strategy lookup is typed now: use `resolve(&StrategyId::from(name))`"
-    )]
-    pub fn get(&self, name: &str) -> Option<Arc<dyn LayoutStrategy>> {
-        self.resolve(&StrategyId::from(name))
     }
 
     /// The registered names, in registration order.
@@ -809,11 +699,6 @@ mod tests {
         assert!(registry.resolve(&StrategyId::Portfolio).is_some());
         assert!(registry.resolve(&StrategyId::PortfolioSteal).is_some());
         assert!(registry.resolve(&StrategyId::custom("nope")).is_none());
-        #[allow(deprecated)]
-        {
-            assert!(registry.get("enhanced").is_some());
-            assert!(registry.get("nope").is_none());
-        }
     }
 
     #[test]

@@ -20,9 +20,9 @@
 //!   * the **enhanced scheme** (most-constraining variable ordering,
 //!     least-constraining value ordering, conflict-directed backjumping),
 //!   * optional **forward checking** and **AC-3** preprocessing,
-//! * [`solver::portfolio`] — parallel portfolio search: racing diverse
-//!   solver configurations and sharded branch and bound over an internally
-//!   managed worker pool, with thread-count-independent results,
+//! * [`solver::steal`] — the work-stealing scheduler: one search tree
+//!   (satisfy, count or branch and bound) sharded across a worker pool,
+//!   with thread-count-independent results,
 //! * [`weighted`] — weighted constraint networks solved with branch and
 //!   bound (the paper's "give weights to constraints" future direction),
 //! * [`bitset`] — the word-packed execution kernel every solver hot path
@@ -70,7 +70,6 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod analysis;
 pub mod assignment;
 pub mod bitset;
 pub mod constraint;
@@ -83,7 +82,6 @@ pub mod solver;
 pub mod sync;
 pub mod weighted;
 
-pub use analysis::NetworkProfile;
 pub use assignment::{Assignment, Solution};
 pub use bitset::{
     bit_constraint_compiles, weight_constraint_compiles, BitConstraint, BitDomains, BitKernel,
@@ -93,16 +91,14 @@ pub use constraint::BinaryConstraint;
 pub use domain::Domain;
 pub use fault::{FaultAction, FaultError, FaultPlan, FaultTrigger};
 pub use network::{ConstraintNetwork, NetworkStorage, VarId};
-pub use solver::portfolio::{ParallelBranchAndBound, WeightedPortfolioReport};
 pub use solver::{
-    CancelToken, Enumerator, IncumbentObserver, JobPanic, MinConflicts, NetworkSearch,
-    ParallelPortfolioSearch, PortfolioMember, PortfolioReport, Scheme, SearchEngine, SearchLimits,
-    SearchStats, SharedIncumbent, SoftAc3, SoftMark, SolveResult, StealCountReport,
-    StealOptimizeReport, StealReport, StealScheduler, StealSolveReport, ValueOrdering,
-    VariableOrdering, Wipeout, WorkerPool,
+    CancelToken, Enumerator, IncumbentObserver, JobPanic, MinConflicts, NetworkSearch, Scheme,
+    SearchEngine, SearchLimits, SearchStats, SharedIncumbent, SoftAc3, SoftMark, SolveResult,
+    StealCountReport, StealOptimizeReport, StealReport, StealScheduler, StealSolveReport,
+    ValueOrdering, VariableOrdering, Wipeout, WorkerPool,
 };
 pub use sync::{lock_or_recover, read_or_recover, write_or_recover};
-pub use weighted::{BnbOrder, BranchAndBound, Coop, WeightedNetwork};
+pub use weighted::{BranchAndBound, WeightedNetwork};
 
 use std::fmt;
 use std::hash::Hash;

@@ -8,7 +8,7 @@
 //! (`add_variable`, `add_constraint`, ...) are copy-on-write — they mutate
 //! in place while the handle is unique (the normal building phase) and make
 //! a private copy only when the storage is shared.  This is what lets the
-//! parallel portfolio hand the same network to every racing member, and
+//! work-stealing scheduler hand the same network to every worker, and
 //! batch sessions cache one network per program, without any per-solve
 //! cloning.
 //!
@@ -17,10 +17,9 @@
 //! name, domain, constraint and adjacency table, by pointer — plus a tiny
 //! [`DomainMask`] overlay recording which value indices are live.  Nothing
 //! is remapped: a restricted view keeps the original domain indices (dead
-//! ones simply never appear in solver iterations), so domain sharding — the
-//! portfolio's space-partitioning primitive — allocates a few mask words
-//! per split and **zero pair entries**, independent of the pair-table
-//! volume.
+//! ones simply never appear in solver iterations), so domain sharding
+//! allocates a few mask words per split and **zero pair entries**,
+//! independent of the pair-table volume.
 //!
 //! # The execution kernel
 //!
@@ -588,9 +587,9 @@ impl<V: Value> ConstraintNetwork<V> {
     /// order is irrelevant) of original domain indices, and solutions of
     /// the view report the same indices the parent would.  Restricting an
     /// already-restricted view intersects the masks (again in original
-    /// indices).  This is the sharding primitive of the portfolio solver:
-    /// partitioning one variable's live values across views partitions the
-    /// whole search space at the cost of a few mask words per shard.
+    /// indices).  This is a sharding primitive: partitioning one variable's
+    /// live values across views partitions the whole search space at the
+    /// cost of a few mask words per shard.
     ///
     /// A restriction that keeps the full domain returns a plain clone
     /// ([`ConstraintNetwork::mask`] stays `None`).

@@ -126,7 +126,7 @@ pub fn satisfiable_network(spec: &RandomNetworkSpec) -> (ConstraintNetwork<usize
 ///
 /// With `planted_bonus` well above `noise_levels` the planted assignment is
 /// the unique optimum, which makes these instances ideal for exercising
-/// (and perf-gating) branch-and-bound portfolios: integer weights keep
+/// (and perf-gating) parallel branch and bound: integer weights keep
 /// every weight sum exact, so results are bit-comparable across thread
 /// counts.
 pub fn planted_weighted_network(

@@ -14,8 +14,8 @@
 //! hash tables are never touched after the kernel is built.
 
 use super::ac3::ac3_kernel;
+use super::incumbent::CancelToken;
 use super::ordering::{order_values, select_variable};
-use super::portfolio::CancelToken;
 use super::{Ac3Outcome, SearchEngine, SearchLimits, SearchStats, SolveResult};
 use crate::assignment::{Assignment, Solution};
 use crate::bitset::{BitDomains, BitKernel};

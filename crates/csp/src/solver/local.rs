@@ -13,7 +13,7 @@ use crate::assignment::{Assignment, Solution};
 use crate::bitset::BitKernel;
 use crate::network::{ConstraintNetwork, VarId};
 use crate::simd;
-use crate::solver::portfolio::CancelToken;
+use crate::solver::CancelToken;
 use crate::solver::{NetworkSearch, SearchLimits, SearchStats, SolveResult};
 use crate::Value;
 use rand::rngs::StdRng;
@@ -102,8 +102,8 @@ impl MinConflicts {
     }
 
     /// Like [`MinConflicts::solve_with`], but additionally polls a
-    /// [`CancelToken`] so a portfolio can abort the walk when another member
-    /// wins; an aborted run reports [`SolveResult::cancelled`].
+    /// [`CancelToken`] so the caller can abort the walk; an aborted run
+    /// reports [`SolveResult::cancelled`].
     pub fn solve_cancellable<V: Value>(
         &self,
         network: &ConstraintNetwork<V>,

@@ -16,25 +16,22 @@
 mod ac3;
 mod engine;
 mod enumerate;
+mod incumbent;
 mod local;
 mod ordering;
 pub mod pool;
-pub mod portfolio;
 pub mod soft_ac3;
 pub mod steal;
 
 pub use ac3::{ac3, ac3_kernel, Ac3Outcome};
 pub use enumerate::{EnumerationResult, Enumerator};
+pub use incumbent::{CancelToken, IncumbentObserver, SharedIncumbent};
 pub use local::MinConflicts;
 pub use ordering::{
     best_live_weight, order_values, select_variable, weighted_value_order, ValueOrdering,
     VariableOrdering,
 };
 pub use pool::{JobPanic, WorkerPool};
-pub use portfolio::{
-    CancelToken, IncumbentObserver, ParallelPortfolioSearch, PortfolioMember, PortfolioReport,
-    SharedIncumbent,
-};
 pub use soft_ac3::{SoftAc3, SoftMark, Wipeout};
 pub use steal::{
     StealCountReport, StealOptimizeReport, StealReport, StealScheduler, StealSolveReport,
@@ -83,7 +80,7 @@ impl SearchLimits {
 /// The narrow search seam: one entry point every solver backend implements.
 ///
 /// `mlo-core` layout strategies are written against this trait, so custom
-/// backends (portfolio solvers, randomized restarts, external SAT bridges)
+/// backends (parallel schedulers, randomized restarts, external SAT bridges)
 /// can slot in by implementing a single method.  The caller owns the RNG —
 /// identical requests replay identical random orderings — and the limits,
 /// so one backend value can serve many differently-budgeted requests.
@@ -183,8 +180,7 @@ pub struct SolveResult<V> {
     pub hit_node_limit: bool,
     /// Whether the search was cut off by the wall-clock deadline.
     pub hit_deadline: bool,
-    /// Whether the search was aborted by a [`CancelToken`] (portfolio
-    /// members losing the race report this).
+    /// Whether the search was aborted by a [`CancelToken`].
     pub cancelled: bool,
 }
 
@@ -353,9 +349,9 @@ impl SearchEngine {
     }
 
     /// Like [`SearchEngine::solve_with`], but additionally polls a
-    /// [`CancelToken`]: when another portfolio member wins the race, the
-    /// token aborts this search at the next poll point and the result comes
-    /// back with [`SolveResult::cancelled`] set.
+    /// [`CancelToken`]: once the token fires, this search aborts at the next
+    /// poll point and the result comes back with [`SolveResult::cancelled`]
+    /// set.
     pub fn solve_cancellable<V: Value>(
         &self,
         network: &ConstraintNetwork<V>,

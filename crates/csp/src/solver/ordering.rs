@@ -23,9 +23,8 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 
 /// Score assigned to a value with no live support on some open constraint
-/// (a value that cannot appear in any solution sorts last); shared with
-/// the portfolio's weight-guided greedy probe.
-pub(crate) const UNSUPPORTED_PENALTY: f64 = -1.0e12;
+/// (a value that cannot appear in any solution sorts last).
+const UNSUPPORTED_PENALTY: f64 = -1.0e12;
 
 /// The best dense weight `value` (of the endpoint `edge` belongs to) can
 /// still realize against a **live** partner value on `edge`'s constraint —

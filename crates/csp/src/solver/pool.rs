@@ -1,15 +1,15 @@
 //! A small, self-contained worker-thread pool (std::thread + channels).
 //!
-//! The portfolio solver and `mlo-core`'s batch machinery both need to fan
-//! work out over threads without pulling in an external executor (the
-//! vendored dependency set is fixed).  [`WorkerPool`] is the shared
+//! The work-stealing scheduler and `mlo-core`'s batch machinery both need
+//! to fan work out over threads without pulling in an external executor
+//! (the vendored dependency set is fixed).  [`WorkerPool`] is the shared
 //! substrate: a fixed set of worker threads draining one injector channel of
 //! boxed jobs.
 //!
 //! Three properties matter for the callers in this workspace:
 //!
 //! * **Nested submission must not deadlock.**  A batch job running *on* a
-//!   pool worker may itself submit portfolio-member jobs to the same pool
+//!   pool worker may itself submit scheduler-worker jobs to the same pool
 //!   and block on their results.  Blocking callers therefore help out: while
 //!   waiting they call [`WorkerPool::help_run_one`], which pops and runs a
 //!   pending job inline instead of sleeping, so the queue always drains even

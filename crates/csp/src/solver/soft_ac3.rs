@@ -37,7 +37,7 @@
 //! A value is deleted when `ub(x, v) <= local` or `ub(x, v) < shared`,
 //! where `local` is the caller's own best (ties cannot improve it) and
 //! `shared` is the cooperative incumbent (strict `<`, preserving the
-//! portfolio/steal tie contracts: anything *at* the shared bound is still
+//! scheduler's tie contract: anything *at* the shared bound is still
 //! explored, so the canonical tie-break never depends on propagation
 //! timing).
 //!

@@ -1,11 +1,11 @@
 //! Work-stealing dynamic shard search over the shared [`WorkerPool`].
 //!
-//! The static portfolio ([`super::portfolio`]) races *whole* solvers against
-//! each other, which parallelizes nothing when the answer requires visiting
-//! the entire tree: an UNSAT proof, a full enumeration count, or the tail of
-//! a branch-and-bound run all cost the same wall clock no matter how many
-//! redundant racers are running.  [`StealScheduler`] instead splits the
-//! search tree itself and keeps every worker busy on a *disjoint* shard:
+//! Racing *whole* solvers against each other parallelizes nothing when the
+//! answer requires visiting the entire tree: an UNSAT proof, a full
+//! enumeration count, or the tail of a branch-and-bound run all cost the
+//! same wall clock no matter how many redundant racers are running.
+//! [`StealScheduler`] instead splits the search tree itself and keeps every
+//! worker busy on a *disjoint* shard:
 //!
 //! * **Frames.**  A unit of work is a *frame*: the trail of value indices
 //!   assigned along the canonical variable order plus a `[lo, hi)` range of
@@ -45,8 +45,8 @@
 //! schedule — pruning reach depends on when the incumbent improves — but
 //! the returned solution, cost and count never do.
 
+use super::incumbent::{CancelToken, IncumbentObserver, SharedIncumbent};
 use super::pool::WorkerPool;
-use super::portfolio::{CancelToken, IncumbentObserver, SharedIncumbent};
 use super::{NetworkSearch, SearchLimits, SearchStats, SolveResult};
 use crate::assignment::{Assignment, Solution};
 use crate::bitset::{BitKernel, KernelEdge, WeightKernel};

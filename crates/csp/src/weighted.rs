@@ -24,19 +24,15 @@
 //! [`BitKernel`](crate::BitKernel)) and recompiled **incrementally** — a
 //! `set_weight` rebuilds only the touched constraint's aggregates, reusing
 //! every other compiled matrix by pointer.  All weighted hot paths (branch
-//! and bound, the portfolio's greedy probes, the weighted value ordering)
+//! and bound, the work-stealing scheduler, the weighted value ordering)
 //! read it directly: no hash probe survives on the optimizing path.
 
 use crate::assignment::{Assignment, Solution};
 use crate::bitset::{KernelEdge, WeightKernel, WeightTable};
 use crate::network::{ConstraintNetwork, VarId};
-use crate::solver::portfolio::{CancelToken, SharedIncumbent};
 use crate::solver::weighted_value_order;
 use crate::solver::{SearchLimits, SearchStats, SoftAc3};
 use crate::Value;
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -48,23 +44,6 @@ const DEADLINE_POLL_MASK: u64 = 0x7F;
 struct Cutoff {
     node: bool,
     deadline: bool,
-    cancelled: bool,
-}
-
-/// Cooperation hooks for portfolio branch and bound: a shared incumbent
-/// bound published across members, and a cancellation token.
-///
-/// Pruning against the *shared* bound is strict (`<`), never `<=`: a
-/// subtree that could still *tie* the incumbent is always explored.  That
-/// discipline is what makes the portfolio's reported solution independent
-/// of when foreign bounds arrive — and therefore of the thread count (see
-/// [`crate::solver::portfolio`]).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct Coop<'a> {
-    /// Best solution weight found by any cooperating member, if sharing.
-    pub incumbent: Option<&'a SharedIncumbent>,
-    /// Cooperative cancellation, if racing.
-    pub cancel: Option<&'a CancelToken>,
 }
 
 /// The shared tables behind a [`WeightedNetwork`]: one optional dense
@@ -341,7 +320,7 @@ impl<V: Value> WeightedNetwork<V> {
     /// endpoint), so the cost is `O(edges of the assignment)`, not
     /// `O(constraints)` — and each weight is one dense read.  The summation
     /// order (ascending variable, adjacency order) is fixed, so equal
-    /// assignments produce bit-equal sums on every portfolio member.
+    /// assignments produce bit-equal sums on every worker.
     pub fn assignment_weight(&self, assignment: &Assignment) -> f64 {
         let kernel = self.network.kernel();
         let weights = self.weight_kernel();
@@ -381,7 +360,8 @@ pub struct OptimizeResult<V> {
     pub hit_node_limit: bool,
     /// Whether the search was cut off by the wall-clock deadline.
     pub hit_deadline: bool,
-    /// Whether the search was aborted by a [`CancelToken`].
+    /// Whether the search was aborted by a
+    /// [`CancelToken`](crate::CancelToken).
     pub cancelled: bool,
 }
 
@@ -393,31 +373,19 @@ impl<V: Value> OptimizeResult<V> {
     }
 }
 
-/// How branch and bound orders the variables it instantiates.
+/// Depth-first branch and bound over a [`WeightedNetwork`], instantiating
+/// the most-constrained variables first (tightest bound early).
 ///
-/// Diverse orders are what make a branch-and-bound *portfolio* effective:
-/// an order that is pathological for one instance is usually excellent for
-/// another, and with a shared incumbent every member benefits from the
-/// first good solution any order stumbles on.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum BnbOrder {
-    /// Most-constrained variables first (tightest bound early); the
-    /// classic default.
-    #[default]
-    MostConstrainedFirst,
-    /// Variable declaration order.
-    Canonical,
-    /// A seeded random shuffle (deterministic per seed).
-    Shuffled(u64),
-}
-
-/// Depth-first branch and bound over a [`WeightedNetwork`].
+/// This is the sequential reference the work-stealing scheduler's
+/// optimize mode is tested against: at any worker count
+/// [`StealScheduler::optimize`](crate::StealScheduler::optimize) reaches
+/// the same optimum weight.  On a weight tie the two may keep different
+/// optima: branch and bound keeps the first in its value order, the
+/// scheduler the one with the lowest canonical key.
 #[derive(Debug, Clone)]
 pub struct BranchAndBound {
     /// Give up after visiting this many nodes (`None` = unlimited).
     pub node_limit: Option<u64>,
-    /// Variable instantiation order.
-    pub order: BnbOrder,
     /// Run the soft-AC-3 weighted bound-consistency propagator
     /// ([`SoftAc3`]) at every node (default: on).  Results are identical
     /// either way — propagation only cuts subtrees that cannot change the
@@ -430,7 +398,6 @@ impl Default for BranchAndBound {
     fn default() -> Self {
         BranchAndBound {
             node_limit: None,
-            order: BnbOrder::default(),
             propagate: true,
         }
     }
@@ -440,12 +407,6 @@ impl BranchAndBound {
     /// Creates a branch-and-bound optimizer with no node limit.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Sets the variable instantiation order.
-    pub fn order(mut self, order: BnbOrder) -> Self {
-        self.order = order;
-        self
     }
 
     /// Toggles soft-AC-3 propagation (see the `propagate` field).
@@ -471,19 +432,6 @@ impl BranchAndBound {
         weighted: &WeightedNetwork<V>,
         limits: &SearchLimits,
     ) -> OptimizeResult<V> {
-        self.optimize_coop(weighted, limits, &Coop::default())
-    }
-
-    /// Finds the maximum-weight solution while cooperating with other
-    /// portfolio members: improvements are published to (and pruning reads
-    /// from) the shared incumbent, and the cancel token aborts the search
-    /// when the race is decided.
-    pub fn optimize_coop<V: Value>(
-        &self,
-        weighted: &WeightedNetwork<V>,
-        limits: &SearchLimits,
-        coop: &Coop<'_>,
-    ) -> OptimizeResult<V> {
         let start = Instant::now();
         let network = weighted.network();
         let mut stats = SearchStats::default();
@@ -493,16 +441,7 @@ impl BranchAndBound {
         let mut cutoff = Cutoff::default();
 
         let mut order: Vec<VarId> = network.variables().collect();
-        match self.order {
-            // Most-constrained-first keeps the bound tight early.
-            BnbOrder::MostConstrainedFirst => {
-                order.sort_by_key(|&v| std::cmp::Reverse(network.constraints_of(v).len()));
-            }
-            BnbOrder::Canonical => {}
-            BnbOrder::Shuffled(seed) => {
-                order.shuffle(&mut StdRng::seed_from_u64(seed));
-            }
-        }
+        order.sort_by_key(|&v| std::cmp::Reverse(network.constraints_of(v).len()));
 
         // The execution kernels (shared, compiled at most once per storage /
         // spine) and the live values of every variable — on a mask-based
@@ -576,12 +515,10 @@ impl BranchAndBound {
             .collect();
 
         let ctx = BnbContext {
-            weighted,
             kernel: &kernel,
             weights: &weights,
             live,
             limits,
-            coop,
             order,
             earlier,
             max_pair_weight,
@@ -632,14 +569,14 @@ impl BranchAndBound {
             elapsed: start.elapsed(),
             hit_node_limit: cutoff.node,
             hit_deadline: cutoff.deadline,
-            cancelled: cutoff.cancelled,
+            cancelled: false,
         }
     }
 
     #[allow(clippy::too_many_arguments)]
-    fn recurse<V: Value>(
+    fn recurse(
         &self,
-        ctx: &BnbContext<'_, V>,
+        ctx: &BnbContext<'_>,
         depth: usize,
         assignment: &mut Assignment,
         weight_so_far: f64,
@@ -649,7 +586,7 @@ impl BranchAndBound {
         stats: &mut SearchStats,
         cutoff: &mut Cutoff,
     ) {
-        if cutoff.node || cutoff.deadline || cutoff.cancelled {
+        if cutoff.node || cutoff.deadline {
             return;
         }
         if let Some(limit) = ctx.limits.node_limit {
@@ -665,25 +602,11 @@ impl BranchAndBound {
                     return;
                 }
             }
-            if let Some(cancel) = ctx.coop.cancel {
-                if cancel.is_cancelled() {
-                    cutoff.cancelled = true;
-                    return;
-                }
-            }
         }
-        let weighted = ctx.weighted;
         if depth == ctx.order.len() {
             if weight_so_far > *best_weight {
                 *best_weight = weight_so_far;
                 *best_assignment = Some(assignment.clone());
-                if let Some(incumbent) = ctx.coop.incumbent {
-                    // Publish the *canonically* recomputed weight: every
-                    // member sums constraint contributions in the same
-                    // (variable, adjacency) order, so equal solutions
-                    // publish bit-equal bounds regardless of search order.
-                    incumbent.offer(weighted.assignment_weight(assignment));
-                }
             }
             return;
         }
@@ -705,17 +628,7 @@ impl BranchAndBound {
                 .sum();
             if weight_so_far + optimistic <= *best_weight {
                 stats.prunings += 1;
-                return; // prune: cannot beat this member's own incumbent
-            }
-            if let Some(incumbent) = ctx.coop.incumbent {
-                // Strictly below the shared bound: cannot even tie the best
-                // solution found anywhere, so nothing reportable lives here.
-                // (Strict `<` — ties must be explored — keeps the final
-                // solution independent of bound-arrival timing.)
-                if weight_so_far + optimistic < incumbent.get() {
-                    stats.prunings += 1;
-                    return;
-                }
+                return; // prune: cannot beat the incumbent
             }
         }
 
@@ -774,18 +687,19 @@ impl BranchAndBound {
             assignment.assign(var, value);
             // Propagate-then-branch: record the assignment in the soft
             // state (reclassify + forward-check), then run the bound-
-            // consistency fixpoint against both incumbents.  Either step
+            // consistency fixpoint against the incumbent.  Either step
             // failing proves the subtree cannot improve the result.
             let mut soft_mark = None;
             if let Some(soft_state) = soft.as_mut() {
                 let mark = soft_state.mark();
-                let shared = ctx
-                    .coop
-                    .incumbent
-                    .map_or(f64::NEG_INFINITY, SharedIncumbent::get);
                 let ok = soft_state.assign(var, value).is_ok()
                     && soft_state
-                        .propagate(weight_so_far + gained, *best_weight, shared, stats)
+                        .propagate(
+                            weight_so_far + gained,
+                            *best_weight,
+                            f64::NEG_INFINITY,
+                            stats,
+                        )
                         .is_ok();
                 if !ok {
                     stats.prunings += 1;
@@ -816,16 +730,14 @@ impl BranchAndBound {
 }
 
 /// The per-run inputs of one branch-and-bound search, bundled so the
-/// recursion carries one reference instead of eight.
-struct BnbContext<'a, V> {
-    weighted: &'a WeightedNetwork<V>,
+/// recursion carries one reference instead of seven.
+struct BnbContext<'a> {
     kernel: &'a crate::bitset::BitKernel,
     /// The compiled dense weight matrices + aggregates.
     weights: &'a WeightKernel,
     /// Live values of every variable (mask-aware, best potential first).
     live: Vec<Vec<usize>>,
     limits: &'a SearchLimits,
-    coop: &'a Coop<'a>,
     order: Vec<VarId>,
     /// Per-depth assigned-prefix edge lists (`order`-filtered kernel
     /// adjacency, same edge order).

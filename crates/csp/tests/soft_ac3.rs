@@ -7,11 +7,11 @@
 //!   better completions *and* ties must survive, which is what keeps the
 //!   canonical tie-break independent of bound-arrival timing), and
 //! * **transparency** — every weighted search path (sequential
-//!   [`BranchAndBound`], the work-stealing scheduler at 1/2/4/8 workers,
-//!   and the cooperative portfolio) reports a bit-identical
-//!   `best_weight` and the identical winning assignment with propagation
-//!   on and off: the propagator may only remove subtrees the bound proves
-//!   dead, never change what is found.
+//!   [`BranchAndBound`] and the work-stealing scheduler at 1/2/4/8
+//!   workers) reports a bit-identical `best_weight` and the identical
+//!   winning assignment with propagation on and off: the propagator may
+//!   only remove subtrees the bound proves dead, never change what is
+//!   found.
 //!
 //! The trailing `#[ignore]`d variants sweep the same properties at a
 //! 256-case count; CI runs them in the ignored-proptests job via
@@ -20,8 +20,8 @@
 use mlo_csp::random::{planted_weighted_network, RandomNetworkSpec};
 use mlo_csp::solver::SearchStats;
 use mlo_csp::{
-    Assignment, BranchAndBound, ParallelBranchAndBound, SearchLimits, SoftAc3, StealScheduler,
-    VarId, WeightedNetwork, WorkerPool,
+    Assignment, BranchAndBound, SearchLimits, SoftAc3, StealScheduler, VarId, WeightedNetwork,
+    WorkerPool,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -132,13 +132,14 @@ fn assert_no_good_deleted(
 
 /// The transparency property: on every weighted search path the optimum
 /// weight is bit-identical with propagation on and off, and within each
-/// engine family (sequential branch and bound, the steal scheduler at
-/// every worker count, the cooperative portfolio) the winning assignment
-/// is identical too.  Winners are only compared within a family: each
-/// engine visits leaves in its own deterministic order, so two engines
-/// may canonically break a weight tie differently — but flipping
-/// propagation (or the steal worker count) must never change a given
-/// engine's pick.
+/// engine (sequential branch and bound, the steal scheduler at every
+/// worker count) the winning assignment is identical too.  Winners are
+/// only compared within an engine: on a weight tie, branch and bound keeps
+/// the first optimum in its value order while the scheduler keeps the
+/// lowest canonical key (value indices along the search order), and on
+/// these noise-dominant instances the two picks do differ now and then —
+/// but flipping propagation (or the steal worker count) must never change
+/// a given engine's pick.
 fn assert_on_off_identical(weighted: &WeightedNetwork<usize>) {
     fn values(solution: &Option<mlo_csp::Solution<usize>>) -> Option<Vec<usize>> {
         solution.as_ref().map(|s| s.values().to_vec())
@@ -184,31 +185,6 @@ fn assert_on_off_identical(weighted: &WeightedNetwork<usize>) {
                 workers,
                 propagation
             );
-        }
-    }
-    let mut portfolio_reference = None;
-    for propagation in [false, true] {
-        let report = ParallelBranchAndBound::default()
-            .propagation(propagation)
-            .with_pool(Arc::new(WorkerPool::new(4)))
-            .parallelism(4)
-            .optimize_detailed(weighted, &SearchLimits::none());
-        prop_assert!(report.optimal);
-        prop_assert_eq!(
-            report.result.best_weight.to_bits(),
-            optimum_bits,
-            "portfolio diverged (propagation: {})",
-            propagation
-        );
-        let winner = values(&report.result.solution);
-        if let Some(reference) = &portfolio_reference {
-            prop_assert_eq!(
-                reference,
-                &winner,
-                "portfolio: propagation changed the winner"
-            );
-        } else {
-            portfolio_reference = Some(winner);
         }
     }
 }

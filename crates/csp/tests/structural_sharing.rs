@@ -1,21 +1,18 @@
 //! Structural-sharing and view-correctness tests for the Arc-backed
 //! network representation and its mask-based restricted views.
 //!
-//! Three properties are pinned down here:
+//! Two properties are pinned down here:
 //!
 //! 1. clones and restricted views *share* storage (`Arc::ptr_eq`) instead
 //!    of copying tables — a mask-based view shares **every** table and the
 //!    compiled kernel, carrying only a domain-mask overlay,
 //! 2. a restricted **view** solves exactly like a from-scratch
 //!    **materialized** restriction (property-tested over random networks,
-//!    node counts included),
-//! 3. the portfolio determinism contract survives the refactor: identical
-//!    solutions at 1/2/4/8 threads.
+//!    node counts included).
 
 use mlo_csp::random::{planted_weighted_network, satisfiable_network, RandomNetworkSpec};
 use mlo_csp::{
-    BranchAndBound, ConstraintNetwork, ParallelBranchAndBound, ParallelPortfolioSearch, Scheme,
-    SearchEngine, SearchLimits, VarId, WeightedNetwork, WorkerPool,
+    BranchAndBound, ConstraintNetwork, Scheme, SearchEngine, SearchLimits, VarId, WeightedNetwork,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -211,84 +208,6 @@ proptest! {
         prop_assert_eq!(
             from_view.solution.as_ref().map(|s| s.values().to_vec()),
             from_scratch.solution.as_ref().map(|s| s.values().to_vec())
-        );
-    }
-}
-
-#[test]
-fn satisfiability_race_is_thread_count_invariant_post_refactor() {
-    let spec = RandomNetworkSpec {
-        variables: 16,
-        domain_size: 4,
-        density: 0.4,
-        tightness: 0.35,
-        seed: 23,
-    };
-    let (net, _) = satisfiable_network(&spec);
-    let limits = SearchLimits::none();
-    let mut rng = StdRng::seed_from_u64(4242);
-    let baseline = ParallelPortfolioSearch::diverse(3)
-        .parallelism(1)
-        .solve_detailed(&net, &mut rng, &limits);
-    let pool = Arc::new(WorkerPool::new(4));
-    for threads in [2usize, 4, 8] {
-        let mut rng = StdRng::seed_from_u64(4242);
-        let report = ParallelPortfolioSearch::diverse(3)
-            .with_pool(Arc::clone(&pool))
-            .parallelism(threads)
-            .solve_detailed(&net, &mut rng, &limits);
-        assert_eq!(
-            report.winner, baseline.winner,
-            "winner at {threads} threads"
-        );
-        assert_eq!(
-            report.result.solution.as_ref().map(|s| s.values().to_vec()),
-            baseline
-                .result
-                .solution
-                .as_ref()
-                .map(|s| s.values().to_vec()),
-            "solution at {threads} threads"
-        );
-    }
-}
-
-#[test]
-fn weighted_portfolio_is_thread_count_invariant_post_refactor() {
-    // The shard helpers now run on restricted *views*; the exhaustive
-    // primary's answer must still be bit-identical at every thread count.
-    let spec = RandomNetworkSpec {
-        variables: 12,
-        domain_size: 4,
-        density: 0.5,
-        tightness: 0.3,
-        seed: 31,
-    };
-    let (weighted, _) = planted_weighted_network(&spec, 50.0, 10);
-    let limits = SearchLimits::none();
-    let baseline = ParallelBranchAndBound::default()
-        .parallelism(1)
-        .optimize_detailed(&weighted, &limits);
-    assert!(baseline.optimal);
-    let pool = Arc::new(WorkerPool::new(4));
-    for threads in [2usize, 4, 8] {
-        let report = ParallelBranchAndBound::default()
-            .with_pool(Arc::clone(&pool))
-            .parallelism(threads)
-            .optimize_detailed(&weighted, &limits);
-        assert!(report.optimal);
-        assert_eq!(
-            report.canonical_weight, baseline.canonical_weight,
-            "weight at {threads} threads"
-        );
-        assert_eq!(
-            report.result.solution.as_ref().map(|s| s.values().to_vec()),
-            baseline
-                .result
-                .solution
-                .as_ref()
-                .map(|s| s.values().to_vec()),
-            "solution at {threads} threads"
         );
     }
 }

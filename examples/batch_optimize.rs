@@ -9,7 +9,7 @@
 //!
 //! Programs are submitted as `Arc` handles through
 //! [`Session::optimize_many_shared`], the zero-copy batch entry point:
-//! every job and every portfolio member borrows the same shared storage —
+//! every job and every scheduler worker borrows the same shared storage —
 //! nothing is cloned on the way to the workers.
 //!
 //! ```text

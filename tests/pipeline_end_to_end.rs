@@ -342,8 +342,40 @@ fn batch_results_match_sequential_results() {
 }
 
 #[test]
+fn weighted_strategy_matches_plain_branch_and_bound_on_the_paper_programs() {
+    // The `weighted` strategy runs on the work-stealing scheduler; on every
+    // paper program it must pick the layouts sequential branch and bound
+    // picks (`mlo_layout::weighted_assignment`), and agree on whether the
+    // network is satisfiable at all (MxM's is not).
+    let session = Engine::new().session();
+    for benchmark in Benchmark::all() {
+        let program = benchmark.program();
+        let candidates = benchmark.candidate_options();
+        let report = session
+            .optimize(
+                &program,
+                &OptimizeRequest::strategy(StrategyId::Weighted).candidates(candidates),
+            )
+            .expect("weighted requests fall back instead of failing");
+        let oracle = mlo_layout::weighted_assignment(
+            &program,
+            &candidates,
+            &mlo_layout::WeightOptions::default(),
+        );
+        assert_eq!(
+            report.satisfiable,
+            Some(oracle.satisfiable),
+            "{benchmark:?}"
+        );
+        if oracle.satisfiable {
+            assert_eq!(report.assignment, oracle.assignment, "{benchmark:?}");
+        }
+    }
+}
+
+#[test]
 fn typed_and_string_strategy_requests_agree() {
-    // The 0.3 typed surface and the string-parsing compatibility path must
+    // The typed surface and the string-parsing compatibility path must
     // resolve to the identical strategy and produce the identical report.
     let program = figure2_program(16);
     let typed = Engine::new()
@@ -355,8 +387,4 @@ fn typed_and_string_strategy_requests_agree() {
     assert_eq!(typed.assignment, stringly.assignment);
     assert_eq!(typed.satisfiable, stringly.satisfiable);
     assert_eq!(typed.strategy, StrategyId::Enhanced.as_str());
-    // The deprecated budget setters keep forwarding into SearchBudget.
-    #[allow(deprecated)]
-    let forwarded = OptimizeRequest::strategy("enhanced").node_limit(7);
-    assert_eq!(forwarded.budget.nodes, Some(7));
 }
