@@ -4,8 +4,11 @@
 //! ```text
 //! cargo run -p mlo-bench --release --bin perf_gate -- \
 //!     [--threads N] [--out BENCH_10.json] [--baseline BENCH_9.json] \
-//!     [--min-speedup X] [--wall-margin 0.25] [--no-wall-gate]
+//!     [--min-speedup X] [--wall-margin 0.25] [--no-wall-gate] [--only GROUP]
 //! ```
+//!
+//! `--only GROUP` runs a single group; a name outside [`GROUPS`] is
+//! rejected with the list of valid groups and a nonzero exit.
 //!
 //! Four benchmark groups run **at 1 worker and at N workers with the same
 //! fixed seeds**:
@@ -29,25 +32,16 @@
 //! steals single-threaded, **nonzero** steals at N workers — the gate
 //! fails if the scheduler stops sharding).
 //!
-//! A fifth group, `large`, is the zero-copy shared-data-model scenario: a
-//! large planted weighted network is cloned and split into mask-based
-//! domain shards under a counting global allocator.  With
-//! mask-based restriction a shard shares **every** constraint and weight
-//! table (and the compiled bitset kernel) with its parent; the audit fails
-//! the gate if a single table stops being shared.
-//!
-//! A sixth, `propagation`, is the bitset-kernel microbench: steady-state
+//! A fifth, `propagation`, is the bitset-kernel microbench: steady-state
 //! AC-3 revision throughput on the compiled kernel (revisions/second —
 //! each revision is one lane-wide AND support sweep of a constraint arc),
 //! batched so per-batch wall-clock variance is reported alongside the
 //! aggregate, plus the kernel's **bytes-touched-per-revision** audit: the
 //! measured bytes per revision must stay within the ceiling the padded
 //! lane layout implies (a cache-blocking regression fails the gate even
-//! when wall clock hides it), and the allocation cost of a mask-based
-//! domain shard split, which must copy **zero pair entries** (the gate
-//! fails otherwise).
+//! when wall clock hides it).
 //!
-//! A seventh, `weighted`, is the sharded branch-and-bound scenario:
+//! A sixth, `weighted`, is the sharded branch-and-bound scenario:
 //! *noise-dominant* planted instances (noise above the planted bonus, so
 //! the search is real and the bound has to work) through the
 //! work-stealing scheduler's branch and bound, reporting wall clock, node
@@ -55,11 +49,10 @@
 //! the optima bit-comparable.  It rides with the incremental-recompilation
 //! audit — a `set_weight` must recompile exactly one weight matrix (and
 //! zero bit-matrices), a hard-constraint merge must recompile exactly one
-//! bit-matrix, untouched compiled matrices must be reused by pointer, and
-//! a weighted shard split must copy **zero dense weight entries**.  Any
-//! audit violation fails the gate.
+//! bit-matrix, and untouched compiled matrices must be reused by pointer.
+//! Any audit violation fails the gate.
 //!
-//! An eighth, `service`, exercises the `mlo-service` front-end: a
+//! A seventh, `service`, exercises the `mlo-service` front-end: a
 //! fixed-seed burst of duplicate-heavy requests through the queued
 //! submission path (reporting throughput and the coalescing hit rate), the
 //! same burst through a tightly bounded intake (reporting the admission
@@ -68,7 +61,7 @@
 //! `Session::optimize` call at the same worker count (the gate fails
 //! otherwise).
 //!
-//! A ninth, `faults`, exercises the fault-injection resilience layer: the
+//! An eighth, `faults`, exercises the fault-injection resilience layer: the
 //! disarmed failpoint cost on the hot path, a single injected
 //! `engine.solve` panic that must recover through the service's
 //! retry/fallback ladder as a degraded report (`ladder_ok`), and an
@@ -78,29 +71,31 @@
 //! The weighted group additionally carries a **node-budget gate**: with
 //! the weighted bound-consistency propagator (`SoftAc3`) on every search
 //! path, each noise instance's node count must stay at or below 25% of
-//! its pre-propagation `BENCH_9` baseline.  The per-instance budget and
-//! the run's `bound_deletions` counters are emitted next to the node
-//! counts, and `weighted_nodes_ok` is a hard gate — a propagation
-//! regression that re-inflates the tree fails CI even when wall clock
-//! hides it.
+//! its pre-propagation `BENCH_9` baseline, and each instance's
+//! single-thread run must report nonzero `bound_deletions` (the propagator
+//! actually fired).  The per-instance budget and the `bound_deletions`
+//! counters are emitted next to the node counts, and `weighted_nodes_ok`
+//! is a hard gate — a propagation regression that re-inflates the tree
+//! fails CI even when wall clock hides it.
 //!
 //! The harness emits `BENCH_10.json` (wall time, nodes explored, solution
-//! cost, speedup per entry) and **exits nonzero when any parallel run's
-//! solution cost differs from its single-thread baseline** — that cost
-//! parity is the determinism contract of `mlo_csp::solver::steal`, and it
-//! is what CI gates on.  `--baseline` reads a previous `BENCH_<pr>.json`
-//! and embeds the old aggregate scaling speedup — plus the old
-//! single-thread table2+table3 wall time — next to the new numbers.  The
-//! deferred **wall-clock regression gate** is now on: when the baseline
-//! artifact carries a single-thread wall time, this run's table2+table3
-//! single-thread wall clock must stay within `--wall-margin` (default
-//! ±25%, the characterized runner noise) of it, or the gate fails
-//! (`--no-wall-gate` reverts to trend-tracking only); `--min-speedup`
-//! optionally turns the aggregate `scaling_speedup` into a hard failure
-//! too — enforced only when the runner actually has `--threads` cores
-//! (the emitted `cores` field records what was available; on a smaller
-//! machine an exhaustive N-worker run cannot beat 1 worker by physics,
-//! and the speedup line measures scheduling overhead instead).
+//! cost, speedup per entry) and **exits nonzero when any gate fails**: a
+//! parallel run's solution cost differing from its single-thread baseline
+//! (the determinism contract of `mlo_csp::solver::steal`), or any audit
+//! above.  The exit code is the only thing CI gates on.  `--baseline`
+//! reads a previous `BENCH_<pr>.json` and embeds the old aggregate scaling
+//! speedup — plus the old single-thread table2+table3 wall time — next to
+//! the new numbers.  The deferred **wall-clock regression gate** is now
+//! on: when the baseline artifact carries a single-thread wall time, this
+//! run's table2+table3 single-thread wall clock must stay within
+//! `--wall-margin` (default ±25%, the characterized runner noise) of it,
+//! or the gate fails (`--no-wall-gate` reverts to trend-tracking only);
+//! `--min-speedup` optionally turns the aggregate `scaling_speedup` into a
+//! hard failure too — enforced only when the runner actually has
+//! `--threads` cores (the emitted `cores` field records what was
+//! available; on a smaller machine an exhaustive N-worker run cannot beat
+//! 1 worker by physics, and the speedup line measures scheduling overhead
+//! instead).
 
 use mlo_benchmarks::Benchmark;
 use mlo_core::{Engine, EvaluationOptions, OptimizeRequest, SearchBudget, TextTable};
@@ -113,94 +108,14 @@ use mlo_csp::{
 };
 use mlo_layout::quality::assignment_score;
 use mlo_service::{MloService, ServiceConfig};
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::HashSet;
 use std::fmt::Write as _;
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 /// Fixed seed for every request (the gate is meaningless without one).
 const SEED: u64 = 0x0DA7_E205;
-
-/// Bytes currently live, total bytes ever allocated and the high-water
-/// mark, maintained by [`CountingAllocator`].
-static LIVE_BYTES: AtomicUsize = AtomicUsize::new(0);
-static TOTAL_BYTES: AtomicUsize = AtomicUsize::new(0);
-static PEAK_BYTES: AtomicUsize = AtomicUsize::new(0);
-
-/// A system-allocator wrapper counting every allocation, so the `large`
-/// group can report real bytes-per-clone and peak-allocation numbers
-/// instead of estimates.
-struct CountingAllocator;
-
-/// Records a successful allocation of `size` bytes.
-fn record_alloc(size: usize) {
-    let live = LIVE_BYTES.fetch_add(size, Ordering::Relaxed) + size;
-    TOTAL_BYTES.fetch_add(size, Ordering::Relaxed);
-    PEAK_BYTES.fetch_max(live, Ordering::Relaxed);
-}
-
-// SAFETY: delegates every operation (including realloc/alloc_zeroed, so the
-// in-place-growth and calloc fast paths survive) to the system allocator
-// unchanged; the atomics only observe sizes.
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let ptr = System.alloc(layout);
-        if !ptr.is_null() {
-            record_alloc(layout.size());
-        }
-        ptr
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        let ptr = System.alloc_zeroed(layout);
-        if !ptr.is_null() {
-            record_alloc(layout.size());
-        }
-        ptr
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let new_ptr = System.realloc(ptr, layout, new_size);
-        if !new_ptr.is_null() {
-            // Only growth counts toward the total; the live count follows
-            // the size delta in either direction.
-            let old_size = layout.size();
-            if new_size >= old_size {
-                let live = LIVE_BYTES.fetch_add(new_size - old_size, Ordering::Relaxed)
-                    + (new_size - old_size);
-                TOTAL_BYTES.fetch_add(new_size - old_size, Ordering::Relaxed);
-                PEAK_BYTES.fetch_max(live, Ordering::Relaxed);
-            } else {
-                LIVE_BYTES.fetch_sub(old_size - new_size, Ordering::Relaxed);
-            }
-        }
-        new_ptr
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout);
-        LIVE_BYTES.fetch_sub(layout.size(), Ordering::Relaxed);
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAllocator = CountingAllocator;
-
-/// Runs `f` and reports `(result, bytes allocated, peak live-byte growth)`.
-fn measure_alloc<T>(f: impl FnOnce() -> T) -> (T, usize, usize) {
-    let total_before = TOTAL_BYTES.load(Ordering::Relaxed);
-    let live_before = LIVE_BYTES.load(Ordering::Relaxed);
-    PEAK_BYTES.store(live_before, Ordering::Relaxed);
-    let out = f();
-    let allocated = TOTAL_BYTES.load(Ordering::Relaxed) - total_before;
-    let peak_growth = PEAK_BYTES
-        .load(Ordering::Relaxed)
-        .saturating_sub(live_before);
-    (out, allocated, peak_growth)
-}
 
 /// One benchmark measured at 1 and N workers.
 struct Entry {
@@ -228,6 +143,18 @@ impl Entry {
     }
 }
 
+/// Every group `--only` can select, in run order.
+const GROUPS: [&str; 8] = [
+    "table2",
+    "table3",
+    "unsat",
+    "enumerate",
+    "propagation",
+    "weighted",
+    "service",
+    "faults",
+];
+
 struct Config {
     threads: usize,
     out: String,
@@ -241,7 +168,9 @@ struct Config {
     only: Option<String>,
 }
 
-fn parse_args() -> Config {
+/// Parses the command line (program name already skipped); an error
+/// message means the gate must not run.
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Config, String> {
     let mut config = Config {
         threads: 4,
         out: "BENCH_10.json".to_string(),
@@ -251,44 +180,47 @@ fn parse_args() -> Config {
         no_wall_gate: false,
         only: None,
     };
-    let mut args = std::env::args().skip(1);
+    let mut args = args.into_iter();
     while let Some(arg) = args.next() {
-        let mut value = |flag: &str| {
-            args.next()
-                .unwrap_or_else(|| panic!("{flag} requires a value"))
-        };
         match arg.as_str() {
-            "--threads" => {
-                config.threads = value("--threads")
-                    .parse()
-                    .expect("--threads takes a number")
-            }
-            "--out" => config.out = value("--out"),
-            "--baseline" => config.baseline = Some(value("--baseline")),
+            "--threads" => config.threads = flag_value(&mut args, "--threads")?,
+            "--out" => config.out = flag_value(&mut args, "--out")?,
+            "--baseline" => config.baseline = Some(flag_value(&mut args, "--baseline")?),
             "--no-baseline" => config.baseline = None,
-            "--min-speedup" => {
-                config.min_speedup = value("--min-speedup")
-                    .parse()
-                    .expect("--min-speedup takes a number")
-            }
-            "--wall-margin" => {
-                config.wall_margin = value("--wall-margin")
-                    .parse()
-                    .expect("--wall-margin takes a number")
-            }
+            "--min-speedup" => config.min_speedup = flag_value(&mut args, "--min-speedup")?,
+            "--wall-margin" => config.wall_margin = flag_value(&mut args, "--wall-margin")?,
             "--no-wall-gate" => config.no_wall_gate = true,
-            "--only" => config.only = Some(value("--only")),
+            "--only" => {
+                let group: String = flag_value(&mut args, "--only")?;
+                if !GROUPS.contains(&group.as_str()) {
+                    return Err(format!(
+                        "unknown group {group:?} for --only (valid groups: {})",
+                        GROUPS.join(", ")
+                    ));
+                }
+                config.only = Some(group);
+            }
             other => {
-                panic!(
+                return Err(format!(
                     "unknown argument {other:?} \
                      (try --threads/--out/--baseline/--no-baseline/--min-speedup/\
                      --wall-margin/--no-wall-gate/--only)"
-                )
+                ))
             }
         }
     }
     config.threads = config.threads.max(2);
-    config
+    Ok(config)
+}
+
+/// Takes and parses the value following `flag`.
+fn flag_value<T: std::str::FromStr>(
+    args: &mut impl Iterator<Item = String>,
+    flag: &str,
+) -> Result<T, String> {
+    let text = args.next().ok_or(format!("{flag} requires a value"))?;
+    text.parse()
+        .map_err(|_| format!("{flag} got an invalid value {text:?}"))
 }
 
 /// Pulls one top-level numeric field out of a previous `BENCH_<pr>.json`.
@@ -540,140 +472,6 @@ fn enumerate_group(threads: usize, pool: &Arc<WorkerPool>, totals: &mut StealTot
         .collect()
 }
 
-/// Metrics of the `large` zero-copy scenario: what cloning and sharding a
-/// large network costs under the Arc-backed shared data model.
-struct LargeInstance {
-    variables: usize,
-    constraints: usize,
-    allowed_pairs: usize,
-    build_ms: f64,
-    clones: usize,
-    clone_total_ms: f64,
-    clone_bytes_per_clone: usize,
-    shards_built: usize,
-    shard_build_ms: f64,
-    shard_alloc_bytes: usize,
-    shard_peak_alloc_bytes: usize,
-    shared_constraint_tables: usize,
-    rebuilt_constraint_tables: usize,
-    rebuilt_pair_entries: usize,
-    total_pair_entries: usize,
-    /// Every shard shares **every** table with the parent (mask-based
-    /// restriction rebuilds nothing) — the structural invariant the gate
-    /// enforces.
-    sharing_ok: bool,
-}
-
-/// The clone-elimination evidence: a large planted weighted network is
-/// cloned the way every scheduler worker/batch job receives its handle,
-/// and split into mask-based domain shards — both under the counting
-/// allocator.  Before the shared-storage refactor each clone
-/// and shard deep-copied every pair table; since the mask-based restriction
-/// a clone allocates only the handle spine and a shard allocates only its
-/// domain-mask overlay — zero constraint or weight tables.
-fn large_instance_group(threads: usize) -> LargeInstance {
-    let spec = RandomNetworkSpec {
-        variables: 100,
-        domain_size: 6,
-        density: 0.4,
-        tightness: 0.25,
-        seed: 5_2025,
-    };
-    let start = Instant::now();
-    let (weighted, _) = planted_weighted_network(&spec, 80.0, 8);
-    let build_ms = start.elapsed().as_secs_f64() * 1e3;
-    let network = weighted.network();
-    let constraints = network.constraint_count();
-    let total_pair_entries: usize = network.constraints().iter().map(|c| c.pair_count()).sum();
-
-    // 1. Handle clones: what every scheduler worker / batch job pays.  The
-    //    result buffer is allocated outside the measurement so the counter
-    //    sees only what the clones themselves allocate.
-    const CLONES: usize = 1_000;
-    let mut handles = Vec::with_capacity(CLONES);
-    let start = Instant::now();
-    let (_, clone_bytes, _) = measure_alloc(|| {
-        for _ in 0..CLONES {
-            handles.push(weighted.clone());
-        }
-    });
-    let clone_total_ms = start.elapsed().as_secs_f64() * 1e3;
-    drop(handles);
-
-    // 2. Domain shards of the widest variable.
-    let widest = network
-        .variables()
-        .max_by_key(|&v| network.domain(v).len())
-        .expect("non-empty network");
-    let width = network.domain(widest).len();
-    let shard_count = threads.clamp(2, width);
-    let indices: Vec<usize> = (0..width).collect();
-    let start = Instant::now();
-    let (shards, shard_alloc_bytes, shard_peak_alloc_bytes) = measure_alloc(|| {
-        let mut shards = Vec::new();
-        for block in 0..shard_count {
-            let lo = block * width / shard_count;
-            let hi = ((block + 1) * width / shard_count).min(width);
-            if lo < hi {
-                shards.push(
-                    weighted
-                        .restricted(widest, &indices[lo..hi])
-                        .expect("shard indices are in range"),
-                );
-            }
-        }
-        shards
-    });
-    let shard_build_ms = start.elapsed().as_secs_f64() * 1e3;
-
-    // 3. Structural-sharing audit: a mask-based shard must share *every*
-    //    constraint and weight table (and the compiled kernel) with the
-    //    parent — the restriction lives entirely in the domain mask.
-    let mut shared_constraint_tables = 0usize;
-    let mut rebuilt_constraint_tables = 0usize;
-    let mut rebuilt_pair_entries = 0usize;
-    let mut sharing_ok = true;
-    for shard in &shards {
-        for ci in 0..constraints {
-            let shared = Arc::ptr_eq(
-                network.constraint_handle(ci),
-                shard.network().constraint_handle(ci),
-            ) && weighted.shares_weight_table(shard, ci);
-            if shared {
-                shared_constraint_tables += 1;
-            } else {
-                rebuilt_constraint_tables += 1;
-                rebuilt_pair_entries += shard.network().constraint(ci).pair_count();
-                sharing_ok = false;
-            }
-        }
-        if !shard.network().shares_storage(network)
-            || !Arc::ptr_eq(network.kernel(), shard.network().kernel())
-        {
-            sharing_ok = false;
-        }
-    }
-
-    LargeInstance {
-        variables: spec.variables,
-        constraints,
-        allowed_pairs: total_pair_entries,
-        build_ms,
-        clones: CLONES,
-        clone_total_ms,
-        clone_bytes_per_clone: clone_bytes / CLONES,
-        shards_built: shards.len(),
-        shard_build_ms,
-        shard_alloc_bytes,
-        shard_peak_alloc_bytes,
-        shared_constraint_tables,
-        rebuilt_constraint_tables,
-        rebuilt_pair_entries,
-        total_pair_entries: total_pair_entries * shards.len(),
-        sharing_ok,
-    }
-}
-
 /// Metrics of the `propagation` bitset-kernel microbench.
 struct Propagation {
     variables: usize,
@@ -707,21 +505,11 @@ struct Propagation {
     /// Whether the measured bytes per revision stayed within the budget —
     /// the cache-blocking regression gate.
     bytes_ok: bool,
-    /// Mask-based shard splits measured under the counting allocator.
-    shard_splits: usize,
-    shard_alloc_bytes: usize,
-    shard_bytes_per_split: usize,
-    /// Pair entries copied across all splits — the headline number, which
-    /// must be exactly zero for mask-based views.
-    shard_pair_entries_allocated: usize,
-    /// Every split shares all tables + kernel and carries a mask.
-    masks_ok: bool,
 }
 
 /// The propagation-throughput scenario: steady-state AC-3 revisions per
-/// second on the compiled kernel, plus the allocation bill of mask-based
-/// domain shard splits (which must copy zero pair entries).
-fn propagation_group(threads: usize) -> Propagation {
+/// second on the compiled kernel.
+fn propagation_group() -> Propagation {
     let spec = RandomNetworkSpec {
         variables: 100,
         domain_size: 6,
@@ -801,46 +589,6 @@ fn propagation_group(threads: usize) -> Propagation {
     let bytes_per_revision = bytes_touched as f64 / revisions.max(1) as f64;
     let bytes_ok = bytes_touched > 0 && bytes_per_revision <= bytes_budget_per_revision as f64;
 
-    // Mask-based shard splits under the counting allocator.
-    let widest = network
-        .variables()
-        .max_by_key(|&v| network.domain(v).len())
-        .expect("non-empty network");
-    let width = network.domain(widest).len();
-    let shard_count = threads.clamp(2, width);
-    let indices: Vec<usize> = (0..width).collect();
-    let (shards, shard_alloc_bytes, _) = measure_alloc(|| {
-        let mut shards = Vec::new();
-        for block in 0..shard_count {
-            let lo = block * width / shard_count;
-            let hi = ((block + 1) * width / shard_count).min(width);
-            if lo < hi {
-                shards.push(
-                    weighted
-                        .restricted(widest, &indices[lo..hi])
-                        .expect("shard indices are in range"),
-                );
-            }
-        }
-        shards
-    });
-    let mut shard_pair_entries_allocated = 0usize;
-    let mut masks_ok = true;
-    for shard in &shards {
-        for ci in 0..constraints {
-            let shared = Arc::ptr_eq(
-                network.constraint_handle(ci),
-                shard.network().constraint_handle(ci),
-            ) && weighted.shares_weight_table(shard, ci);
-            if !shared {
-                shard_pair_entries_allocated += shard.network().constraint(ci).pair_count();
-                masks_ok = false;
-            }
-        }
-        masks_ok &= shard.network().mask().is_some();
-        masks_ok &= Arc::ptr_eq(network.kernel(), shard.network().kernel());
-    }
-
     Propagation {
         variables: spec.variables,
         constraints,
@@ -858,11 +606,6 @@ fn propagation_group(threads: usize) -> Propagation {
         bytes_per_revision,
         bytes_budget_per_revision,
         bytes_ok,
-        shard_splits: shards.len(),
-        shard_alloc_bytes,
-        shard_bytes_per_split: shard_alloc_bytes / shards.len().max(1),
-        shard_pair_entries_allocated,
-        masks_ok,
     }
 }
 
@@ -900,18 +643,20 @@ impl WeightedEntry {
     }
 
     /// The node-budget gate: both the single-thread and the N-worker run
-    /// must stay within the propagation budget.
+    /// must stay within the propagation budget, and the single-thread run
+    /// must show the propagator fired (nonzero bound deletions).
     fn nodes_ok(&self) -> bool {
-        self.nodes_1t <= self.node_budget && self.nodes_nt <= self.node_budget
+        self.nodes_1t <= self.node_budget
+            && self.nodes_nt <= self.node_budget
+            && self.bound_deletions_1t > 0
     }
 }
 
 /// The incremental-recompilation audit of the weighted kernel: exact
 /// per-constraint compile counts around a `set_weight` patch and a
 /// hard-constraint merge (measured single-threaded via the process-wide
-/// compile counters), pointer-reuse checks for every untouched compiled
-/// matrix, and the dense-entry bill of a weighted shard split (which must
-/// be zero).
+/// compile counters) and pointer-reuse checks for every untouched compiled
+/// matrix.
 struct WeightedAudit {
     /// Weight matrices recompiled by one `set_weight` (must be exactly 1).
     weight_recompiles_on_set_weight: u64,
@@ -921,10 +666,6 @@ struct WeightedAudit {
     bit_recompiles_on_merge: u64,
     /// Every untouched compiled matrix (bit and weight) reused by pointer.
     untouched_matrices_reused: bool,
-    /// Dense weight entries copied by a weighted domain-shard split (0).
-    shard_dense_entries_copied: usize,
-    /// The shard shares the whole weight spine + compiled kernels.
-    shard_shares_weight_kernel: bool,
     ok: bool,
 }
 
@@ -1027,9 +768,6 @@ fn weighted_group(
         .collect()
 }
 
-/// Runs the incremental-recompilation audit (see [`WeightedAudit`]).  Must
-/// run while no other thread is compiling kernels: the compile counters are
-/// process-wide.
 /// Results of the `service` group: queued throughput, coalescing,
 /// admission shedding and the served-vs-direct determinism audit.
 struct ServiceGroup {
@@ -1304,6 +1042,9 @@ fn print_faults(faults: &Option<FaultsGroup>) {
     );
 }
 
+/// Runs the incremental-recompilation audit (see [`WeightedAudit`]).  Must
+/// run while no other thread is compiling kernels: the compile counters are
+/// process-wide.
 fn weighted_audit() -> WeightedAudit {
     let spec = RandomNetworkSpec {
         variables: 40,
@@ -1375,42 +1116,15 @@ fn weighted_audit() -> WeightedAudit {
         );
     }
 
-    // 3. A weighted shard split: the whole weight spine (dense tables and
-    //    compiled kernel) is shared by pointer — zero dense entries copied.
-    let widest = network
-        .variables()
-        .max_by_key(|&v| network.domain(v).len())
-        .expect("non-empty network");
-    let width = network.domain(widest).len();
-    let keep: Vec<usize> = (0..width / 2).collect();
-    let shard = weighted
-        .restricted(widest, &keep)
-        .expect("shard indices are in range");
-    // A spine-sharing shard holds the parent's tables by pointer: zero
-    // dense entries of its own.  If sharing ever broke, the shard's whole
-    // table volume is what a split would have copied.
-    let shard_dense_entries_copied = if weighted.shares_weight_spine(&shard) {
-        0
-    } else {
-        shard.dense_entries()
-    };
-    let shard_shares_weight_kernel = weighted.shares_weight_spine(&shard)
-        && Arc::ptr_eq(&weight_kernel, shard.weight_kernel())
-        && Arc::ptr_eq(&bit_kernel, shard.network().kernel());
-
     let ok = weight_recompiles_on_set_weight == 1
         && bit_recompiles_on_set_weight == 0
         && bit_recompiles_on_merge == 1
-        && untouched_matrices_reused
-        && shard_dense_entries_copied == 0
-        && shard_shares_weight_kernel;
+        && untouched_matrices_reused;
     WeightedAudit {
         weight_recompiles_on_set_weight,
         bit_recompiles_on_set_weight,
         bit_recompiles_on_merge,
         untouched_matrices_reused,
-        shard_dense_entries_copied,
-        shard_shares_weight_kernel,
         ok,
     }
 }
@@ -1461,9 +1175,8 @@ fn print_weighted(entries: &[WeightedEntry], audit: &Option<WeightedAudit>) {
             a.bit_recompiles_on_merge
         );
         println!(
-            "    untouched matrices reused: {}; shard dense entries copied: {}; \
-             shard shares kernels: {}",
-            a.untouched_matrices_reused, a.shard_dense_entries_copied, a.shard_shares_weight_kernel
+            "    untouched matrices reused: {}",
+            a.untouched_matrices_reused
         );
         println!("    audit: {}", if a.ok { "ok" } else { "VIOLATED" });
     }
@@ -1501,47 +1214,6 @@ fn print_propagation(propagation: &Option<Propagation>) {
         p.bytes_per_revision,
         p.bytes_budget_per_revision,
         if p.bytes_ok { "ok" } else { "VIOLATED" }
-    );
-    println!(
-        "  mask shards: {} splits, {} bytes total ({} bytes/split), {} pair entries copied",
-        p.shard_splits,
-        p.shard_alloc_bytes,
-        p.shard_bytes_per_split,
-        p.shard_pair_entries_allocated
-    );
-    println!(
-        "  mask audit: {}",
-        if p.masks_ok { "ok" } else { "VIOLATED" }
-    );
-}
-
-fn print_large(large: &Option<LargeInstance>) {
-    let Some(l) = large else { return };
-    println!("\nlarge — zero-copy shared data model (counting allocator)");
-    println!(
-        "  instance: {} vars, {} constraints, {} allowed pairs (built in {:.1}ms)",
-        l.variables, l.constraints, l.allowed_pairs, l.build_ms
-    );
-    println!(
-        "  clones: {} handles in {:.2}ms, {} bytes/clone (a deep copy would move \
-         >= {} pair entries each)",
-        l.clones, l.clone_total_ms, l.clone_bytes_per_clone, l.allowed_pairs
-    );
-    println!(
-        "  shards: {} views in {:.2}ms, {} bytes allocated (peak +{}), \
-         {} tables shared / {} rebuilt ({} of {} pair entries copied)",
-        l.shards_built,
-        l.shard_build_ms,
-        l.shard_alloc_bytes,
-        l.shard_peak_alloc_bytes,
-        l.shared_constraint_tables,
-        l.rebuilt_constraint_tables,
-        l.rebuilt_pair_entries,
-        l.total_pair_entries,
-    );
-    println!(
-        "  sharing audit: {}",
-        if l.sharing_ok { "ok" } else { "VIOLATED" }
     );
 }
 
@@ -1597,13 +1269,19 @@ fn print_group(title: &str, entries: &[Entry]) {
 }
 
 fn main() -> ExitCode {
-    let config = parse_args();
+    let config = match parse_args(std::env::args().skip(1)) {
+        Ok(config) => config,
+        Err(message) => {
+            eprintln!("perf_gate: {message}");
+            return ExitCode::from(2);
+        }
+    };
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
     println!(
-        "perf_gate: portfolio vs single-thread baseline at {} workers \
-         ({cores} core(s) available, seed {SEED:#x})",
+        "perf_gate: every group at 1 worker vs {} workers, plus determinism \
+         and kernel audits ({cores} core(s) available, seed {SEED:#x})",
         config.threads
     );
     if cores < config.threads {
@@ -1638,8 +1316,7 @@ fn main() -> ExitCode {
     } else {
         Vec::new()
     };
-    let large = wanted("large").then(|| large_instance_group(config.threads));
-    let propagation = wanted("propagation").then(|| propagation_group(config.threads));
+    let propagation = wanted("propagation").then(propagation_group);
     let weighted = if wanted("weighted") {
         weighted_group(config.threads, &pool, &mut steal_totals)
     } else {
@@ -1669,7 +1346,6 @@ fn main() -> ExitCode {
         "enumerate — work-stealing full enumeration (cost = exact solution count)",
         &enumerate,
     );
-    print_large(&large);
     print_propagation(&propagation);
     print_weighted(&weighted, &audit);
     print_service(&service);
@@ -1709,10 +1385,6 @@ fn main() -> ExitCode {
         .chain(&enumerate)
         .all(Entry::cost_match)
         && weighted.iter().all(WeightedEntry::cost_match);
-    let sharing_ok = large.as_ref().is_none_or(|l| l.sharing_ok);
-    let masks_ok = propagation
-        .as_ref()
-        .is_none_or(|p| p.masks_ok && p.shard_pair_entries_allocated == 0);
     let bytes_ok = propagation.as_ref().is_none_or(|p| p.bytes_ok);
     let weighted_ok = audit.as_ref().is_none_or(|a| a.ok);
     let weighted_nodes_ok = weighted.iter().all(WeightedEntry::nodes_ok);
@@ -1857,69 +1529,7 @@ fn main() -> ExitCode {
             a.untouched_matrices_reused
         )
         .unwrap();
-        writeln!(
-            json,
-            "    \"shard_dense_entries_copied\": {},",
-            a.shard_dense_entries_copied
-        )
-        .unwrap();
-        writeln!(
-            json,
-            "    \"shard_shares_weight_kernel\": {},",
-            a.shard_shares_weight_kernel
-        )
-        .unwrap();
         writeln!(json, "    \"ok\": {}", a.ok).unwrap();
-        writeln!(json, "  }},").unwrap();
-    }
-    if let Some(l) = &large {
-        writeln!(json, "  \"large\": {{").unwrap();
-        writeln!(json, "    \"variables\": {},", l.variables).unwrap();
-        writeln!(json, "    \"constraints\": {},", l.constraints).unwrap();
-        writeln!(json, "    \"allowed_pairs\": {},", l.allowed_pairs).unwrap();
-        writeln!(json, "    \"build_ms\": {:.3},", l.build_ms).unwrap();
-        writeln!(json, "    \"clones\": {},", l.clones).unwrap();
-        writeln!(json, "    \"clone_total_ms\": {:.3},", l.clone_total_ms).unwrap();
-        writeln!(
-            json,
-            "    \"clone_bytes_per_clone\": {},",
-            l.clone_bytes_per_clone
-        )
-        .unwrap();
-        writeln!(json, "    \"shards_built\": {},", l.shards_built).unwrap();
-        writeln!(json, "    \"shard_build_ms\": {:.3},", l.shard_build_ms).unwrap();
-        writeln!(json, "    \"shard_alloc_bytes\": {},", l.shard_alloc_bytes).unwrap();
-        writeln!(
-            json,
-            "    \"shard_peak_alloc_bytes\": {},",
-            l.shard_peak_alloc_bytes
-        )
-        .unwrap();
-        writeln!(
-            json,
-            "    \"shared_constraint_tables\": {},",
-            l.shared_constraint_tables
-        )
-        .unwrap();
-        writeln!(
-            json,
-            "    \"rebuilt_constraint_tables\": {},",
-            l.rebuilt_constraint_tables
-        )
-        .unwrap();
-        writeln!(
-            json,
-            "    \"rebuilt_pair_entries\": {},",
-            l.rebuilt_pair_entries
-        )
-        .unwrap();
-        writeln!(
-            json,
-            "    \"total_pair_entries\": {},",
-            l.total_pair_entries
-        )
-        .unwrap();
-        writeln!(json, "    \"sharing_ok\": {}", l.sharing_ok).unwrap();
         writeln!(json, "  }},").unwrap();
     }
     if let Some(p) = &propagation {
@@ -1955,22 +1565,7 @@ fn main() -> ExitCode {
             p.bytes_budget_per_revision
         )
         .unwrap();
-        writeln!(json, "    \"bytes_ok\": {},", p.bytes_ok).unwrap();
-        writeln!(json, "    \"shard_splits\": {},", p.shard_splits).unwrap();
-        writeln!(json, "    \"shard_alloc_bytes\": {},", p.shard_alloc_bytes).unwrap();
-        writeln!(
-            json,
-            "    \"shard_bytes_per_split\": {},",
-            p.shard_bytes_per_split
-        )
-        .unwrap();
-        writeln!(
-            json,
-            "    \"shard_pair_entries_allocated\": {},",
-            p.shard_pair_entries_allocated
-        )
-        .unwrap();
-        writeln!(json, "    \"masks_ok\": {}", p.masks_ok).unwrap();
+        writeln!(json, "    \"bytes_ok\": {}", p.bytes_ok).unwrap();
         writeln!(json, "  }},").unwrap();
     }
     if let Some(s) = &service {
@@ -2063,13 +1658,7 @@ fn main() -> ExitCode {
         writeln!(json, "  \"single_thread_wall_ms\": {single_thread_ms:.3},").unwrap();
     }
     writeln!(json, "  \"scaling_speedup\": {scaling_speedup:.3},").unwrap();
-    if large.is_some() {
-        // Only claim an audit verdict when the audit actually ran (--only
-        // can skip the large group; skipped must not read as passed).
-        writeln!(json, "  \"sharing_ok\": {sharing_ok},").unwrap();
-    }
     if propagation.is_some() {
-        writeln!(json, "  \"masks_ok\": {masks_ok},").unwrap();
         writeln!(json, "  \"propagation_bytes_ok\": {bytes_ok},").unwrap();
     }
     if let Some(ratio) = propagation_improvement {
@@ -2107,20 +1696,6 @@ fn main() -> ExitCode {
         );
         return ExitCode::FAILURE;
     }
-    if !sharing_ok {
-        eprintln!(
-            "perf_gate FAILED: a restricted view stopped sharing its tables \
-             (see the large-instance sharing audit above)"
-        );
-        return ExitCode::FAILURE;
-    }
-    if !masks_ok {
-        eprintln!(
-            "perf_gate FAILED: a mask-based shard split copied pair entries or \
-             dropped table/kernel sharing (see the propagation audit above)"
-        );
-        return ExitCode::FAILURE;
-    }
     if !bytes_ok {
         eprintln!(
             "perf_gate FAILED: the propagation kernel touched more bytes per \
@@ -2132,16 +1707,17 @@ fn main() -> ExitCode {
     if !weighted_ok {
         eprintln!(
             "perf_gate FAILED: the incremental-recompilation audit was violated \
-             (a mutation recompiled more than the touched constraint, or a \
-             weighted shard split copied dense entries — see the weighted audit above)"
+             (a mutation recompiled more than the touched constraint — see the \
+             weighted audit above)"
         );
         return ExitCode::FAILURE;
     }
     if !weighted_nodes_ok {
         eprintln!(
             "perf_gate FAILED: a weighted instance's node count blew its \
-             propagation budget (25% of the pre-SoftAc3 BENCH_9 baseline — \
-             see the node-budget column above)"
+             propagation budget (25% of the pre-SoftAc3 BENCH_9 baseline), or \
+             its single-thread run deleted no value by bound consistency (see \
+             the node-budget and deletions columns above)"
         );
         return ExitCode::FAILURE;
     }
@@ -2193,4 +1769,42 @@ fn main() -> ExitCode {
     }
     println!("perf_gate passed: cost parity holds across thread counts");
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Config, String> {
+        parse_args(args.iter().map(|arg| arg.to_string()))
+    }
+
+    #[test]
+    fn only_accepts_every_group_and_rejects_unknown_names() {
+        for group in GROUPS {
+            let config = parse(&["--only", group]).expect("a known group parses");
+            assert_eq!(config.only.as_deref(), Some(group));
+        }
+        // A typo, a removed group and an empty name must not run zero
+        // groups and pass vacuously.
+        for unknown in ["large", "tabel2", ""] {
+            let error = parse(&["--only", unknown])
+                .err()
+                .expect("unknown group is rejected");
+            assert!(
+                GROUPS.iter().all(|group| error.contains(group)),
+                "the error lists every valid group: {error}"
+            );
+        }
+    }
+
+    #[test]
+    fn malformed_arguments_are_errors() {
+        assert!(parse(&["--only"]).is_err());
+        assert!(parse(&["--threads", "four"]).is_err());
+        assert!(parse(&["--bogus"]).is_err());
+        let config = parse(&["--threads", "1", "--no-baseline"]).expect("valid flags parse");
+        assert_eq!(config.threads, 2, "at least two workers");
+        assert!(config.baseline.is_none());
+    }
 }

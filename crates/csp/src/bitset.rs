@@ -9,9 +9,8 @@
 //!
 //! The [`BitKernel`] is the *execution* form the network compiles itself
 //! into, lazily and at most once per storage (the handle is cached inside
-//! the shared [`crate::NetworkStorage`], so clones, restricted views and
-//! session-cached networks all reuse the identical kernel —
-//! `Arc::ptr_eq`-verifiable):
+//! the shared [`crate::NetworkStorage`], so clones and session-cached
+//! networks all reuse the identical kernel — `Arc::ptr_eq`-verifiable):
 //!
 //! * every constraint becomes a pair of **bit-matrices** ([`BitConstraint`]):
 //!   for each value of one endpoint, a row of `u64` words whose set bits are
@@ -25,12 +24,6 @@
 //!   checking is `live &= row`, wipeout detection is a zero test, and
 //!   saving/restoring a domain is a copy of a handful of words.
 //!
-//! [`DomainMask`] is the persistent overlay behind mask-based restricted
-//! views ([`crate::ConstraintNetwork::restricted`]): a tiny sorted list of
-//! `(variable, bit-mask)` entries that the solvers intersect into their
-//! initial live domains.  A domain shard therefore allocates a few words —
-//! never a pair table.
-//!
 //! # The weighted kernel
 //!
 //! [`WeightKernel`] is the weighted counterpart of [`BitKernel`]: per
@@ -40,10 +33,9 @@
 //! aggregates** over the allowed pairs ([`WeightConstraint`]), which give
 //! branch and bound its optimistic upper bounds and the weighted value
 //! ordering its O(1) scores.  It is compiled lazily, at most once per
-//! weighted spine (see [`crate::WeightedNetwork`]), and shared by clones,
-//! restricted views and domain shards; a `set_weight` recompiles **only the
-//! touched constraint's** aggregates, reusing every other
-//! [`WeightConstraint`] by pointer.
+//! weighted spine (see [`crate::WeightedNetwork`]), and shared by clones; a
+//! `set_weight` recompiles **only the touched constraint's** aggregates,
+//! reusing every other [`WeightConstraint`] by pointer.
 //!
 //! # Incremental recompilation
 //!
@@ -341,8 +333,8 @@ pub struct KernelEdge {
 /// domains.
 ///
 /// Built once per [`crate::NetworkStorage`] (see
-/// [`crate::ConstraintNetwork::kernel`]) and shared by every clone and
-/// restricted view of the network.
+/// [`crate::ConstraintNetwork::kernel`]) and shared by every clone of the
+/// network.
 #[derive(Debug)]
 pub struct BitKernel {
     shape: Arc<DomainShape>,
@@ -576,17 +568,6 @@ impl BitKernel {
             words,
         }
     }
-
-    /// [`BitKernel::full_domains`] with an optional [`DomainMask`] overlay
-    /// already intersected in — the starting point of every solver run on a
-    /// (possibly restricted) network.
-    pub fn masked_domains(&self, mask: Option<&DomainMask>) -> BitDomains {
-        let mut domains = self.full_domains();
-        if let Some(mask) = mask {
-            mask.apply(&mut domains);
-        }
-        domains
-    }
 }
 
 /// Dense per-constraint weight matrix in both orientations, mirroring the
@@ -677,12 +658,6 @@ impl WeightTable {
             self.rev[value * self.first_size + other]
         }
     }
-
-    /// Number of dense entries held across both orientations (the audit
-    /// metric behind "zero dense entries copied on a shard split").
-    pub fn dense_entries(&self) -> usize {
-        self.fwd.len() + self.rev.len()
-    }
 }
 
 /// One constraint of a [`WeightKernel`]: the (shared) dense weight table
@@ -691,8 +666,7 @@ impl WeightTable {
 /// The aggregates are what the weighted solvers lean on: `row_max` answers
 /// "the best weight this value can still gain on this constraint" in O(1)
 /// while the partner's domain is unpruned, and [`WeightConstraint::max_allowed`]
-/// is the per-constraint optimistic bound of branch and bound on an
-/// unrestricted network.
+/// is the per-constraint optimistic bound of branch and bound.
 #[derive(Debug)]
 pub struct WeightConstraint {
     /// Shared by pointer with the builder-side spine; `None` when every
@@ -814,8 +788,7 @@ impl WeightConstraint {
 /// reuses every other matrix by pointer.
 ///
 /// Built lazily at most once per weighted spine (see
-/// [`crate::WeightedNetwork::weight_kernel`]) and shared by clones,
-/// restricted views and domain shards.
+/// [`crate::WeightedNetwork::weight_kernel`]) and shared by clones.
 #[derive(Debug)]
 pub struct WeightKernel {
     default_weight: f64,
@@ -1195,137 +1168,6 @@ impl BitDomains {
     }
 }
 
-/// One masked variable of a [`DomainMask`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct MaskEntry {
-    var: usize,
-    /// Live-value words (`padded_words(domain_size)` of them, matching the
-    /// kernel's lane-aligned spans).
-    words: Box<[u64]>,
-    /// Popcount of `words`, cached.
-    live: usize,
-}
-
-/// A sparse live-domain overlay: the entire state of a mask-based
-/// restricted view.
-///
-/// Only restricted variables have entries (a variable without one is fully
-/// live), so a single-variable domain shard is one entry of a few words —
-/// independent of how many pair entries the network's constraints hold.
-/// Value indices are *original* domain indices: a mask never remaps.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct DomainMask {
-    /// Sorted by variable index.
-    entries: Vec<MaskEntry>,
-}
-
-impl DomainMask {
-    /// A mask restricting nothing.
-    pub fn new() -> Self {
-        DomainMask::default()
-    }
-
-    /// Whether no variable is restricted.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// The variables this mask restricts, in ascending order.
-    pub fn masked_variables(&self) -> impl Iterator<Item = VarId> + '_ {
-        self.entries.iter().map(|e| VarId::new(e.var))
-    }
-
-    fn entry(&self, var: usize) -> Option<&MaskEntry> {
-        self.entries
-            .binary_search_by_key(&var, |e| e.var)
-            .ok()
-            .map(|i| &self.entries[i])
-    }
-
-    /// Intersects the mask of `var` (domain size `domain_size`) with the
-    /// set of `keep` indices.
-    ///
-    /// # Errors
-    ///
-    /// Returns the offending index when `keep` mentions an index outside
-    /// the domain or mentions the same index twice.
-    pub fn restrict(
-        &mut self,
-        var: VarId,
-        domain_size: usize,
-        keep: &[usize],
-    ) -> Result<(), usize> {
-        let width = padded_words(domain_size);
-        let mut words = vec![0u64; width].into_boxed_slice();
-        for &index in keep {
-            if index >= domain_size {
-                return Err(index);
-            }
-            let bit = 1u64 << (index % WORD_BITS);
-            if words[index / WORD_BITS] & bit != 0 {
-                return Err(index);
-            }
-            words[index / WORD_BITS] |= bit;
-        }
-        match self.entries.binary_search_by_key(&var.index(), |e| e.var) {
-            Ok(i) => {
-                let entry = &mut self.entries[i];
-                for (w, &k) in entry.words.iter_mut().zip(words.iter()) {
-                    *w &= k;
-                }
-                entry.live = entry.words.iter().map(|w| w.count_ones() as usize).sum();
-            }
-            Err(i) => {
-                let live = words.iter().map(|w| w.count_ones() as usize).sum();
-                self.entries.insert(
-                    i,
-                    MaskEntry {
-                        var: var.index(),
-                        words,
-                        live,
-                    },
-                );
-            }
-        }
-        Ok(())
-    }
-
-    /// Number of live values of `var`, given its full domain size.
-    pub fn live_count(&self, var: VarId, domain_size: usize) -> usize {
-        self.entry(var.index()).map_or(domain_size, |e| e.live)
-    }
-
-    /// Whether `var` carries a mask entry (i.e. its domain was restricted;
-    /// a variable without an entry is fully live).
-    pub fn is_masked(&self, var: VarId) -> bool {
-        self.entry(var.index()).is_some()
-    }
-
-    /// Whether value `index` of `var` is live under this mask.
-    pub fn is_live(&self, var: VarId, index: usize) -> bool {
-        match self.entry(var.index()) {
-            Some(e) => e.words[index / WORD_BITS] >> (index % WORD_BITS) & 1 == 1,
-            None => true,
-        }
-    }
-
-    /// The live values of `var` in ascending index order, given its full
-    /// domain size.
-    pub fn live_values(&self, var: VarId, domain_size: usize) -> Vec<usize> {
-        match self.entry(var.index()) {
-            Some(e) => set_bits(&e.words),
-            None => (0..domain_size).collect(),
-        }
-    }
-
-    /// Intersects this mask into a live-domain working set.
-    pub fn apply(&self, domains: &mut BitDomains) {
-        for entry in &self.entries {
-            domains.intersect(VarId::new(entry.var), &entry.words);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1401,37 +1243,5 @@ mod tests {
         let empty_row = vec![0u64; row.len()];
         live.intersect(b, &empty_row);
         assert!(live.is_empty(b));
-    }
-
-    #[test]
-    fn domain_mask_restricts_and_intersects() {
-        let mut mask = DomainMask::new();
-        assert!(mask.is_empty());
-        let v = VarId::new(0);
-        mask.restrict(v, 5, &[0, 3, 4]).unwrap();
-        assert_eq!(mask.live_count(v, 5), 3);
-        assert!(mask.is_live(v, 3));
-        assert!(!mask.is_live(v, 1));
-        // A second restriction intersects.
-        mask.restrict(v, 5, &[3, 1]).unwrap();
-        assert_eq!(mask.live_values(v, 5), vec![3]);
-        // Unmasked variables are fully live.
-        assert_eq!(mask.live_values(VarId::new(1), 2), vec![0, 1]);
-        assert_eq!(mask.masked_variables().collect::<Vec<_>>(), vec![v]);
-        // Errors: out of range and duplicates.
-        assert_eq!(mask.restrict(v, 5, &[9]), Err(9));
-        assert_eq!(mask.restrict(v, 5, &[2, 2]), Err(2));
-    }
-
-    #[test]
-    fn mask_applies_to_domains() {
-        let kernel = kernel_2x((4, 3), &[(0, 0)]);
-        let mut mask = DomainMask::new();
-        mask.restrict(VarId::new(0), 4, &[1, 2]).unwrap();
-        let live = kernel.masked_domains(Some(&mask));
-        assert_eq!(live.live_values(VarId::new(0)), vec![1, 2]);
-        assert_eq!(live.count(VarId::new(1)), 3);
-        let unmasked = kernel.masked_domains(None);
-        assert_eq!(unmasked.count(VarId::new(0)), 4);
     }
 }

@@ -27,8 +27,8 @@
 //!   bound (the paper's "give weights to constraints" future direction),
 //! * [`bitset`] — the word-packed execution kernel every solver hot path
 //!   runs on: per-constraint bit-matrices, per-value support counts,
-//!   mask-based domain restriction (allocation-free domain shards) and the
-//!   dense [`WeightKernel`] the weighted hot paths read (no hash probe on
+//!   word-packed live domains ([`BitDomains`]) and the dense
+//!   [`WeightKernel`] the weighted hot paths read (no hash probe on
 //!   the optimizing path, incremental recompilation on mutation),
 //! * [`random`] — reproducible random-network generators for tests and
 //!   scaling benchmarks.
@@ -85,7 +85,7 @@ pub mod weighted;
 pub use assignment::{Assignment, Solution};
 pub use bitset::{
     bit_constraint_compiles, weight_constraint_compiles, BitConstraint, BitDomains, BitKernel,
-    DomainMask, KernelEdge, LiveRowMax, WeightConstraint, WeightKernel, WeightTable,
+    KernelEdge, LiveRowMax, WeightConstraint, WeightKernel, WeightTable,
 };
 pub use constraint::BinaryConstraint;
 pub use domain::Domain;

@@ -12,22 +12,13 @@
 //! batch sessions cache one network per program, without any per-solve
 //! cloning.
 //!
-//! [`ConstraintNetwork::restricted`] produces a **mask-based view**: the
-//! restricted network shares the *entire* storage with its parent — every
-//! name, domain, constraint and adjacency table, by pointer — plus a tiny
-//! [`DomainMask`] overlay recording which value indices are live.  Nothing
-//! is remapped: a restricted view keeps the original domain indices (dead
-//! ones simply never appear in solver iterations), so domain sharding
-//! allocates a few mask words per split and **zero pair entries**,
-//! independent of the pair-table volume.
-//!
 //! # The execution kernel
 //!
 //! Solvers do not probe the `HashSet` pair tables: the network lazily
 //! compiles itself into a [`BitKernel`] (word-packed bit-matrices plus
 //! per-value support counts, see [`crate::bitset`]) cached inside the
-//! shared storage.  Clones, restricted views and session-cached networks
-//! all reuse the identical kernel (`Arc::ptr_eq`-verifiable through
+//! shared storage.  Clones and session-cached networks all reuse the
+//! identical kernel (`Arc::ptr_eq`-verifiable through
 //! [`ConstraintNetwork::kernel`]).  Copy-on-write mutations recompile the
 //! kernel **incrementally**: adding or extending a constraint rebuilds only
 //! that constraint's bit-matrix and support counts (adding a variable
@@ -35,7 +26,7 @@
 //! builder-heavy workloads no longer pay a full recompilation per tweak.
 
 use crate::assignment::Assignment;
-use crate::bitset::{BitKernel, DomainMask};
+use crate::bitset::BitKernel;
 use crate::constraint::BinaryConstraint;
 use crate::domain::Domain;
 use crate::{CspError, Value};
@@ -77,8 +68,8 @@ impl From<usize> for VarId {
 /// Storage is structural-sharing friendly at two granularities: the whole
 /// struct lives behind one `Arc` (so network clones are free and
 /// [`ConstraintNetwork::shares_storage`] can assert wholesale sharing), and
-/// each domain / constraint table is individually `Arc`'d (so restricted
-/// views share every entry the restriction does not touch).
+/// each domain / constraint table is individually `Arc`'d (so a
+/// copy-on-write fork shares every table its mutation does not touch).
 #[derive(Debug)]
 pub struct NetworkStorage<V> {
     names: Arc<Vec<String>>,
@@ -126,9 +117,6 @@ impl<V: Clone> Clone for NetworkStorage<V> {
 #[derive(Debug, Clone)]
 pub struct ConstraintNetwork<V> {
     storage: Arc<NetworkStorage<V>>,
-    /// Live-domain overlay of a restricted view (`None` = every value of
-    /// every domain is live).
-    mask: Option<Arc<DomainMask>>,
 }
 
 impl<V: Value> Default for ConstraintNetwork<V> {
@@ -142,7 +130,6 @@ impl<V: Value> ConstraintNetwork<V> {
     pub fn new() -> Self {
         ConstraintNetwork {
             storage: Arc::new(NetworkStorage::empty()),
-            mask: None,
         }
     }
 
@@ -156,9 +143,7 @@ impl<V: Value> ConstraintNetwork<V> {
     }
 
     /// Whether `self` and `other` share their entire storage (the
-    /// post-clone state — no table was copied).  Restricted views share
-    /// storage with their parent too: only their
-    /// [`ConstraintNetwork::mask`] differs.
+    /// post-clone state — no table was copied).
     pub fn shares_storage(&self, other: &Self) -> bool {
         Arc::ptr_eq(&self.storage, &other.storage)
     }
@@ -205,10 +190,8 @@ impl<V: Value> ConstraintNetwork<V> {
     /// bit-matrices and support counts, see [`crate::bitset`]), building it
     /// on first use and caching it inside the shared storage.
     ///
-    /// Every handle over the same storage — clones, restricted views,
-    /// session-cached networks — returns the *same* `Arc` (verify with
-    /// `Arc::ptr_eq`); a restricted view differs from its parent only in
-    /// its [`ConstraintNetwork::mask`].
+    /// Every handle over the same storage — clones, session-cached
+    /// networks — returns the *same* `Arc` (verify with `Arc::ptr_eq`).
     pub fn kernel(&self) -> &Arc<BitKernel> {
         self.storage.kernel.get_or_init(|| {
             Arc::new(BitKernel::build(
@@ -217,50 +200,6 @@ impl<V: Value> ConstraintNetwork<V> {
                 &self.storage.adjacency,
             ))
         })
-    }
-
-    /// The live-domain mask of a restricted view (`None` when every value
-    /// is live — the network is not a restriction).
-    pub fn mask(&self) -> Option<&Arc<DomainMask>> {
-        self.mask.as_ref()
-    }
-
-    /// Number of *live* values of `var`: the full domain size unless a
-    /// restriction masked some values off.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the id is out of range.
-    pub fn live_count(&self, var: VarId) -> usize {
-        let full = self.storage.domains[var.index()].len();
-        match &self.mask {
-            Some(mask) => mask.live_count(var, full),
-            None => full,
-        }
-    }
-
-    /// The live value indices of `var` in ascending order (original domain
-    /// indices — masks never remap).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the id is out of range.
-    pub fn live_values(&self, var: VarId) -> Vec<usize> {
-        let full = self.storage.domains[var.index()].len();
-        match &self.mask {
-            Some(mask) => mask.live_values(var, full),
-            None => (0..full).collect(),
-        }
-    }
-
-    /// Whether value `index` of `var` is live under this network's mask.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the id is out of range.
-    pub fn is_live(&self, var: VarId, index: usize) -> bool {
-        index < self.storage.domains[var.index()].len()
-            && self.mask.as_ref().is_none_or(|m| m.is_live(var, index))
     }
 
     /// Adds a variable with the given name and domain values; returns its id.
@@ -496,16 +435,18 @@ impl<V: Value> ConstraintNetwork<V> {
     }
 
     /// The total search-space measure the paper's Table 1 calls *domain
-    /// size*: the sum of the (live) domain sizes of all variables.
+    /// size*: the sum of the domain sizes of all variables.
     pub fn total_domain_size(&self) -> usize {
-        self.variables().map(|v| self.live_count(v)).sum()
+        self.storage.domains.iter().map(|d| d.len()).sum()
     }
 
-    /// The number of leaves of the naive search tree (product of live
-    /// domain sizes), as `f64` because it overflows quickly.
+    /// The number of leaves of the naive search tree (product of domain
+    /// sizes), as `f64` because it overflows quickly.
     pub fn search_space_size(&self) -> f64 {
-        self.variables()
-            .map(|v| self.live_count(v) as f64)
+        self.storage
+            .domains
+            .iter()
+            .map(|d| d.len() as f64)
             .product()
     }
 
@@ -560,11 +501,6 @@ impl<V: Value> ConstraintNetwork<V> {
                     domain_size: self.domain(var).len(),
                 });
             }
-            // A masked-off value can never be part of a solution of the
-            // restricted view.
-            if !self.is_live(var, value) {
-                return Ok(false);
-            }
         }
         for c in &self.storage.constraints {
             let a = assignment.get(c.first()).expect("complete");
@@ -574,54 +510,6 @@ impl<V: Value> ConstraintNetwork<V> {
             }
         }
         Ok(true)
-    }
-
-    /// Builds a **mask-based view** of the network with the domain of `var`
-    /// restricted to the given value indices.
-    ///
-    /// The view shares the *entire* storage with `self` — every domain,
-    /// constraint and adjacency table, and the compiled
-    /// [`ConstraintNetwork::kernel`] — and carries only a small
-    /// [`DomainMask`] overlay.  No pair entry is copied or remapped:
-    /// **value indices are preserved**, so `keep` is treated as a set (its
-    /// order is irrelevant) of original domain indices, and solutions of
-    /// the view report the same indices the parent would.  Restricting an
-    /// already-restricted view intersects the masks (again in original
-    /// indices).  This is a sharding primitive: partitioning one variable's
-    /// live values across views partitions the whole search space at the
-    /// cost of a few mask words per shard.
-    ///
-    /// A restriction that keeps the full domain returns a plain clone
-    /// ([`ConstraintNetwork::mask`] stays `None`).
-    ///
-    /// # Errors
-    ///
-    /// * [`CspError::UnknownVariable`] when `var` is out of range,
-    /// * [`CspError::ValueIndexOutOfRange`] when `keep` mentions an index
-    ///   outside the domain of `var`, or mentions the same index twice (a
-    ///   duplicate usually indicates a buggy shard split).
-    pub fn restricted(&self, var: VarId, keep: &[usize]) -> crate::Result<ConstraintNetwork<V>> {
-        self.check_var(var)?;
-        let domain_size = self.storage.domains[var.index()].len();
-        let mut mask = match &self.mask {
-            Some(existing) => (**existing).clone(),
-            None => DomainMask::new(),
-        };
-        mask.restrict(var, domain_size, keep)
-            .map_err(|index| CspError::ValueIndexOutOfRange {
-                variable: var,
-                index,
-                domain_size,
-            })?;
-        // The identity restriction changes nothing: stay mask-free (or keep
-        // the existing mask untouched).
-        if keep.len() == domain_size && self.mask.is_none() {
-            return Ok(self.clone());
-        }
-        Ok(ConstraintNetwork {
-            storage: Arc::clone(&self.storage),
-            mask: Some(Arc::new(mask)),
-        })
     }
 
     /// Materializes an index assignment into the underlying values.
@@ -772,60 +660,6 @@ mod tests {
     }
 
     #[test]
-    fn restriction_partitions_the_search_space() {
-        let (net, vars) = paper_network();
-        // Restricting Q1 to its first value keeps the published solution.
-        let shard = net.restricted(vars[0], &[0]).unwrap();
-        assert_eq!(shard.live_count(vars[0]), 1);
-        assert_eq!(shard.live_values(vars[0]), vec![0]);
-        assert!(shard.is_live(vars[0], 0));
-        assert!(!shard.is_live(vars[0], 1));
-        assert_eq!(shard.constraint_count(), net.constraint_count());
-        // The full domain is still addressable — masks never remap — and
-        // the pair tables are untouched.
-        assert_eq!(shard.domain(vars[0]).len(), 3);
-        assert_eq!(shard.domain(vars[0]).value(0), &(1, 0));
-        let c = shard.constraint_between(vars[0], vars[1]).unwrap();
-        assert_eq!(c.pair_count(), 2);
-        assert!(c.allows(vars[0], 0, vars[1], 1));
-        // Search-space measures follow the live counts.
-        assert_eq!(shard.total_domain_size(), 1 + 2 + 3 + 3);
-        assert_eq!(shard.search_space_size(), 18.0);
-        // Restricting a view intersects masks (original indices).
-        let narrower = shard.restricted(vars[1], &[1]).unwrap();
-        assert_eq!(narrower.live_values(vars[0]), vec![0]);
-        assert_eq!(narrower.live_values(vars[1]), vec![1]);
-        // Out-of-range and duplicate restrictions are rejected.
-        assert!(matches!(
-            net.restricted(vars[0], &[9]),
-            Err(CspError::ValueIndexOutOfRange { .. })
-        ));
-        assert!(matches!(
-            net.restricted(vars[0], &[0, 0]),
-            Err(CspError::ValueIndexOutOfRange { .. })
-        ));
-        assert!(matches!(
-            net.restricted(VarId::new(99), &[0]),
-            Err(CspError::UnknownVariable(_))
-        ));
-    }
-
-    #[test]
-    fn masked_solutions_respect_the_mask() {
-        let (net, vars) = paper_network();
-        // The published solution assigns Q1 = index 0; masking index 0 off
-        // makes that assignment a non-solution of the view.
-        let shard = net.restricted(vars[0], &[1, 2]).unwrap();
-        let mut asg = Assignment::new(4);
-        asg.assign(vars[0], 0);
-        asg.assign(vars[1], 1);
-        asg.assign(vars[2], 0);
-        asg.assign(vars[3], 0);
-        assert_eq!(net.is_solution(&asg), Ok(true));
-        assert_eq!(shard.is_solution(&asg), Ok(false));
-    }
-
-    #[test]
     fn clones_share_storage_until_mutated() {
         let (net, vars) = paper_network();
         let clone = net.clone();
@@ -847,32 +681,6 @@ mod tests {
                 fork.constraint_handle(ci)
             ));
         }
-    }
-
-    #[test]
-    fn restricted_views_share_all_tables_and_the_kernel() {
-        let (net, vars) = paper_network();
-        let parent_kernel = Arc::clone(net.kernel());
-        let shard = net.restricted(vars[0], &[0, 1]).unwrap();
-        // A mask-based view shares the whole storage: every domain table,
-        // every constraint table, and the compiled kernel.
-        assert!(shard.shares_storage(&net));
-        for &v in &vars {
-            assert!(Arc::ptr_eq(net.domain_handle(v), shard.domain_handle(v)));
-        }
-        for ci in 0..net.constraint_count() {
-            assert!(Arc::ptr_eq(
-                net.constraint_handle(ci),
-                shard.constraint_handle(ci)
-            ));
-        }
-        assert!(Arc::ptr_eq(&parent_kernel, shard.kernel()));
-        assert!(shard.mask().is_some());
-        // An identity restriction is a plain clone: no mask at all.
-        let full: Vec<usize> = (0..net.domain(vars[0]).len()).collect();
-        let identity = net.restricted(vars[0], &full).unwrap();
-        assert!(identity.shares_storage(&net));
-        assert!(identity.mask().is_none());
     }
 
     #[test]

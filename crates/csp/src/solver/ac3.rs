@@ -16,8 +16,7 @@
 
 use super::SearchStats;
 use crate::bitset::{BitDomains, BitKernel};
-use crate::network::{ConstraintNetwork, VarId};
-use crate::Value;
+use crate::network::VarId;
 use std::collections::VecDeque;
 
 /// Result of running AC-3.
@@ -29,37 +28,12 @@ pub enum Ac3Outcome {
     Wipeout(VarId),
 }
 
-/// Makes `live` (the per-variable candidate lists) arc consistent with
-/// respect to every constraint of the network.
+/// Makes a word-packed live-domain working set (start from
+/// [`BitKernel::full_domains`]) arc consistent with respect to every
+/// constraint of the kernel.
 ///
 /// Returns [`Ac3Outcome::Wipeout`] as soon as a domain becomes empty.
 /// Pruning counts and consistency checks are recorded in `stats`.
-///
-/// Convenience wrapper over [`ac3_kernel`] for callers holding candidate
-/// index lists; the lists come back in ascending index order.  On a
-/// mask-based restricted view the restriction mask is intersected in
-/// first, so masked-off values are neither kept nor counted as supports.
-pub fn ac3<V: Value>(
-    network: &ConstraintNetwork<V>,
-    live: &mut [Vec<usize>],
-    stats: &mut SearchStats,
-) -> Ac3Outcome {
-    let kernel = network.kernel();
-    let mut domains = kernel.masked_domains(network.mask().map(|m| &**m));
-    for (v, list) in live.iter().enumerate() {
-        domains.restrict_to(VarId::new(v), list);
-    }
-    let outcome = ac3_kernel(kernel, &mut domains, stats);
-    for (v, list) in live.iter_mut().enumerate() {
-        *list = domains.live_values(VarId::new(v));
-    }
-    outcome
-}
-
-/// The kernel form of AC-3: makes a word-packed live-domain working set arc
-/// consistent with respect to every constraint of the kernel.
-///
-/// Returns [`Ac3Outcome::Wipeout`] as soon as a domain becomes empty.
 pub fn ac3_kernel(
     kernel: &BitKernel,
     live: &mut BitDomains,
@@ -123,11 +97,16 @@ fn revise(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::network::ConstraintNetwork;
 
-    fn full_domains<V: Value>(net: &ConstraintNetwork<V>) -> Vec<Vec<usize>> {
-        net.variables()
-            .map(|v| (0..net.domain(v).len()).collect())
-            .collect()
+    /// Runs AC-3 from the full domains of `net`; returns the outcome and
+    /// the surviving values of every variable.
+    fn run(net: &ConstraintNetwork<i32>, stats: &mut SearchStats) -> (Ac3Outcome, Vec<Vec<usize>>) {
+        let kernel = net.kernel();
+        let mut live = kernel.full_domains();
+        let outcome = ac3_kernel(kernel, &mut live, stats);
+        let values = net.variables().map(|v| live.live_values(v)).collect();
+        (outcome, values)
     }
 
     #[test]
@@ -137,9 +116,9 @@ mod tests {
         let a = net.add_variable("a", vec![0, 1, 2]);
         let b = net.add_variable("b", vec![0]);
         net.add_constraint(a, b, vec![(0, 0)]).unwrap();
-        let mut live = full_domains(&net);
         let mut stats = SearchStats::default();
-        assert_eq!(ac3(&net, &mut live, &mut stats), Ac3Outcome::Consistent);
+        let (outcome, live) = run(&net, &mut stats);
+        assert_eq!(outcome, Ac3Outcome::Consistent);
         assert_eq!(live[a.index()], vec![0]);
         assert_eq!(live[b.index()], vec![0]);
         assert_eq!(stats.prunings, 2);
@@ -153,9 +132,8 @@ mod tests {
         let a = net.add_variable("a", vec![0]);
         let b = net.add_variable("b", vec![0]);
         net.add_constraint(a, b, vec![]).unwrap();
-        let mut live = full_domains(&net);
         let mut stats = SearchStats::default();
-        match ac3(&net, &mut live, &mut stats) {
+        match run(&net, &mut stats).0 {
             Ac3Outcome::Wipeout(v) => assert!(v == a || v == b),
             Ac3Outcome::Consistent => panic!("expected a wipeout"),
         }
@@ -170,38 +148,11 @@ mod tests {
         let c = net.add_variable("c", vec![1]);
         net.add_constraint(a, b, vec![(0, 0), (1, 1)]).unwrap();
         net.add_constraint(b, c, vec![(1, 1)]).unwrap();
-        let mut live = full_domains(&net);
         let mut stats = SearchStats::default();
-        assert_eq!(ac3(&net, &mut live, &mut stats), Ac3Outcome::Consistent);
+        let (outcome, live) = run(&net, &mut stats);
+        assert_eq!(outcome, Ac3Outcome::Consistent);
         assert_eq!(live[a.index()], vec![1]);
         assert_eq!(live[b.index()], vec![1]);
-    }
-
-    #[test]
-    fn ac3_respects_restriction_masks() {
-        // a == b over {0,1,2}; restricting `a` to {2} must propagate: b's
-        // values 0 and 1 lose their (masked-off) supports even though the
-        // caller passed full candidate lists.
-        let mut net: ConstraintNetwork<i32> = ConstraintNetwork::new();
-        let a = net.add_variable("a", vec![0, 1, 2]);
-        let b = net.add_variable("b", vec![0, 1, 2]);
-        net.add_constraint(a, b, vec![(0, 0), (1, 1), (2, 2)])
-            .unwrap();
-        let view = net.restricted(a, &[2]).unwrap();
-        let mut live = full_domains(&view);
-        let mut stats = SearchStats::default();
-        assert_eq!(ac3(&view, &mut live, &mut stats), Ac3Outcome::Consistent);
-        assert_eq!(live[a.index()], vec![2]);
-        assert_eq!(live[b.index()], vec![2]);
-        // A restriction that wipes the domain out is detected.
-        let wiped = net.restricted(a, &[0]).unwrap().restricted(a, &[1]);
-        let wiped = wiped.unwrap();
-        let mut live = full_domains(&wiped);
-        let mut stats = SearchStats::default();
-        assert!(matches!(
-            ac3(&wiped, &mut live, &mut stats),
-            Ac3Outcome::Wipeout(_)
-        ));
     }
 
     #[test]
@@ -211,9 +162,9 @@ mod tests {
         let b = net.add_variable("b", vec![0, 1]);
         net.add_constraint(a, b, vec![(0, 0), (0, 1), (1, 0), (1, 1)])
             .unwrap();
-        let mut live = full_domains(&net);
         let mut stats = SearchStats::default();
-        assert_eq!(ac3(&net, &mut live, &mut stats), Ac3Outcome::Consistent);
+        let (outcome, live) = run(&net, &mut stats);
+        assert_eq!(outcome, Ac3Outcome::Consistent);
         assert_eq!(live[a.index()].len(), 2);
         assert_eq!(live[b.index()].len(), 2);
         assert_eq!(stats.prunings, 0);

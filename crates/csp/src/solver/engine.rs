@@ -47,12 +47,11 @@ pub(super) fn run<V: Value>(
     let mut was_cancelled = false;
 
     // The compiled execution kernel (cached in the shared storage) and the
-    // word-packed live domains, with the restriction mask of a view
-    // already intersected in.
+    // word-packed live domains.
     let kernel = Arc::clone(network.kernel());
-    let mut live = kernel.masked_domains(network.mask().map(|m| &**m));
+    let mut live = kernel.full_domains();
 
-    // A variable with an empty (live) domain makes the network trivially
+    // A variable with an empty domain makes the network trivially
     // unsatisfiable.
     if network.variables().any(|v| live.is_empty(v)) {
         return SolveResult {

@@ -70,15 +70,14 @@ impl Enumerator {
         }
     }
 
-    /// Enumerates the solutions of a network (mask-based restricted views
-    /// enumerate only assignments over their live values).
+    /// Enumerates the solutions of a network.
     pub fn enumerate<V: Value>(&self, network: &ConstraintNetwork<V>) -> EnumerationResult<V> {
         let start = Instant::now();
         let mut stats = SearchStats::default();
         let mut solutions = Vec::new();
         let mut truncated = false;
 
-        if network.variables().any(|v| network.live_count(v) == 0) {
+        if network.variables().any(|v| network.domain(v).is_empty()) {
             return EnumerationResult {
                 solutions,
                 truncated,
@@ -92,17 +91,16 @@ impl Enumerator {
         order.sort_by_key(|&v| {
             (
                 std::cmp::Reverse(network.neighbours(v).len()),
-                network.live_count(v),
+                network.domain(v).len(),
                 v,
             )
         });
 
-        // The compiled kernel answers every consistency probe; live value
-        // lists honour a restricted view's mask.
+        // The compiled kernel answers every consistency probe.
         let kernel = std::sync::Arc::clone(network.kernel());
         let live: Vec<Vec<usize>> = network
             .variables()
-            .map(|v| network.live_values(v))
+            .map(|v| (0..network.domain(v).len()).collect())
             .collect();
 
         // Assigned-prefix adjacency: under the static order the assigned

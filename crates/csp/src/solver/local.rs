@@ -133,16 +133,15 @@ impl MinConflicts {
         let mut was_cancelled = false;
 
         // The compiled kernel (bit probes for conflict counting) and the
-        // live values of every variable — a restricted view's repair walk
-        // never leaves the mask.
+        // values of every variable.
         let kernel = Arc::clone(network.kernel());
         let live: Vec<Vec<usize>> = network
             .variables()
-            .map(|v| network.live_values(v))
+            .map(|v| (0..network.domain(v).len()).collect())
             .collect();
 
         // Degenerate cases: empty networks are trivially solved; an empty
-        // (live) domain can never be assigned.
+        // domain can never be assigned.
         if live.iter().any(Vec::is_empty) {
             return SolveResult {
                 solution: None,

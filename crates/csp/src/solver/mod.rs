@@ -23,7 +23,7 @@ pub mod pool;
 pub mod soft_ac3;
 pub mod steal;
 
-pub use ac3::{ac3, ac3_kernel, Ac3Outcome};
+pub use ac3::{ac3_kernel, Ac3Outcome};
 pub use enumerate::{EnumerationResult, Enumerator};
 pub use incumbent::{CancelToken, IncumbentObserver, SharedIncumbent};
 pub use local::MinConflicts;

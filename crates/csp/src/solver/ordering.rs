@@ -65,15 +65,14 @@ pub fn best_live_weight(
 /// A value's potential is the sum, over the variable's constraints, of the
 /// best dense weight it can still realize against a live partner value.
 /// While a partner's domain is unpruned this is the kernel's precomputed
-/// per-value row-maximum aggregate (one load); a pruned or masked partner
-/// falls back to a word-AND scan over the live supports.  Values with no
-/// live support on some constraint sort last.
+/// per-value row-maximum aggregate (one load); a pruned partner falls back
+/// to a word-AND scan over the live supports.  Values with no live support
+/// on some constraint sort last.
 ///
 /// The sort is stable with ascending-index input, so equal-potential values
-/// keep domain order — making the ordering deterministic and identical
-/// between a mask-based restricted view and its materialized counterpart.
-/// Branch and bound instantiates values in this order: landing near the
-/// optimum early is what lets the bound prune the rest of the tree.
+/// keep domain order — making the ordering deterministic.  Branch and bound
+/// instantiates values in this order: landing near the optimum early is
+/// what lets the bound prune the rest of the tree.
 pub fn weighted_value_order(
     kernel: &BitKernel,
     weights: &WeightKernel,

@@ -68,7 +68,7 @@
 //! completions that can't (locally) or can't strictly (shared) beat the
 //! incumbent.
 
-use crate::bitset::{BitDomains, BitKernel, DomainMask, LiveRowMax, WeightKernel};
+use crate::bitset::{BitDomains, BitKernel, LiveRowMax, WeightKernel};
 use crate::network::VarId;
 use crate::solver::SearchStats;
 use std::collections::VecDeque;
@@ -171,15 +171,11 @@ pub struct SoftAc3 {
 }
 
 impl SoftAc3 {
-    /// Builds the root working set over the masked domains.  Call
+    /// Builds the root working set over the full domains.  Call
     /// [`root_propagate`](Self::root_propagate) (then
     /// [`commit`](Self::commit)) before searching.
-    pub fn new(
-        kernel: &Arc<BitKernel>,
-        weights: &Arc<WeightKernel>,
-        mask: Option<&DomainMask>,
-    ) -> Self {
-        let domains = kernel.masked_domains(mask);
+    pub fn new(kernel: &Arc<BitKernel>, weights: &Arc<WeightKernel>) -> Self {
+        let domains = kernel.full_domains();
         let agg = LiveRowMax::build(weights, kernel, &domains);
         let vars = kernel.variable_count();
         let count = kernel.constraint_count();
@@ -646,10 +642,7 @@ mod tests {
 
     fn build(variables: usize, seed: u64) -> SoftAc3 {
         let (weighted, _) = planted_weighted_network(&spec(variables, seed), 4.0, 8);
-        let network = weighted.network().clone();
-        let kernel = std::sync::Arc::clone(network.kernel());
-        let weights = std::sync::Arc::clone(weighted.weight_kernel());
-        SoftAc3::new(&kernel, &weights, network.mask().map(|m| &**m))
+        SoftAc3::new(weighted.network().kernel(), weighted.weight_kernel())
     }
 
     /// `total`, `own` and `pot` recomputed from scratch after arbitrary

@@ -9,8 +9,8 @@
 //!
 //! * **Frames.**  A unit of work is a *frame*: the trail of value indices
 //!   assigned along the canonical variable order plus a `[lo, hi)` range of
-//!   untried values at the next depth — a domain-mask-style shard of a few
-//!   hundred bytes.  A steal clones a frame, never a network.
+//!   untried values at the next depth — a shard of a few hundred bytes.
+//!   A steal clones a frame, never a network.
 //! * **Deques.**  Each worker owns a deque of donated frames.  A worker
 //!   explores depth-first on a private level stack; when the global hungry
 //!   counter is nonzero (some peer is idle) and its own deque is empty, it
@@ -573,45 +573,19 @@ impl StealScheduler {
                 // 1-worker scheduler explores the same tree shape.
                 order.sort_by_key(|&v| Reverse(network.constraints_of(v).len()));
                 let weight_kernel = Arc::clone(weighted.weight_kernel());
-                let domains = kernel.masked_domains(network.mask().map(|m| &**m));
+                let domains = kernel.full_domains();
                 let live: Vec<Vec<usize>> = network
                     .variables()
                     .map(|v| weighted_value_order(&kernel, &weight_kernel, &domains, v))
                     .collect();
-                let floor = weighted.default_weight().max(0.0);
-                let max_pair_weight: Vec<f64> = (0..network.constraint_count())
-                    .map(|ci| {
-                        let bit = kernel.constraint(ci);
-                        let masked = network
-                            .mask()
-                            .is_some_and(|m| m.is_masked(bit.first()) || m.is_masked(bit.second()));
-                        let best = if masked {
-                            let mut best = f64::NEG_INFINITY;
-                            let wc = weight_kernel.constraint(ci);
-                            domains.for_each_live(bit.first(), |a| {
-                                domains.for_each_common(bit.second(), bit.row(true, a), |b| {
-                                    best = best.max(wc.get(a, b));
-                                });
-                            });
-                            best
-                        } else {
-                            weight_kernel.constraint(ci).max_allowed()
-                        };
-                        if best.is_finite() {
-                            floor.max(best)
-                        } else {
-                            floor
-                        }
-                    })
-                    .collect();
+                let max_pair_weight = weighted.optimistic_pair_bounds();
                 // Root-propagated bound-consistency template: built once,
                 // cloned per worker.  A root wipeout means no assignment
                 // can strictly beat negative infinity — i.e. every value
                 // of some variable is hard-unsupported — so the network
                 // is trivially unsatisfiable.
                 let soft = if self.propagation {
-                    let mut soft =
-                        SoftAc3::new(&kernel, &weight_kernel, network.mask().map(|m| &**m));
+                    let mut soft = SoftAc3::new(&kernel, &weight_kernel);
                     if soft.root_propagate(&mut soft_root_stats).is_err() {
                         return Prepared::Trivial(false);
                     }
@@ -629,13 +603,13 @@ impl StealScheduler {
                 order.sort_by_key(|&v| {
                     (
                         Reverse(network.neighbours(v).len()),
-                        network.live_count(v),
+                        network.domain(v).len(),
                         v,
                     )
                 });
                 let live: Vec<Vec<usize>> = network
                     .variables()
-                    .map(|v| network.live_values(v))
+                    .map(|v| (0..network.domain(v).len()).collect())
                     .collect();
                 (None, live, Vec::new(), None)
             }
@@ -1386,7 +1360,7 @@ mod tests {
             );
             if let Some(solution) = &steal.solution {
                 for var in net.variables() {
-                    assert!(net.is_live(var, solution.value_index(var)));
+                    assert!(solution.value_index(var) < net.domain(var).len());
                 }
             }
         }

@@ -14,9 +14,7 @@
 //! [`ConstraintNetwork`]: one **dense** [`WeightTable`] per constraint (flat
 //! `f64` matrices in both orientations, mirroring the bit-matrices — see
 //! [`crate::bitset`]), behind a shared spine.  Cloning shares everything;
-//! [`WeightedNetwork::set_weight`] detaches and patches exactly one table;
-//! [`WeightedNetwork::restricted`] shares the whole spine (a weighted domain
-//! shard copies **zero** dense entries).
+//! [`WeightedNetwork::set_weight`] detaches and patches exactly one table.
 //!
 //! The execution form is the [`WeightKernel`]: per-constraint dense matrices
 //! plus row-maximum aggregates over the allowed pairs, compiled lazily at
@@ -78,11 +76,10 @@ impl Clone for WeightSpine {
 /// A constraint network whose allowed pairs carry weights.
 ///
 /// Like [`ConstraintNetwork`], a weighted network is copy-on-write: cloning
-/// shares the hard network's storage and the whole weight spine;
-/// [`WeightedNetwork::set_weight`] copies only the one dense table it
-/// touches (recompiling only that constraint's kernel aggregates) and
-/// [`WeightedNetwork::restricted`] shares **every** table and the compiled
-/// [`WeightKernel`] by pointer.
+/// shares the hard network's storage and the whole weight spine, compiled
+/// [`WeightKernel`] included; [`WeightedNetwork::set_weight`] copies only
+/// the one dense table it touches (recompiling only that constraint's
+/// kernel aggregates).
 #[derive(Debug, Clone)]
 pub struct WeightedNetwork<V> {
     network: ConstraintNetwork<V>,
@@ -118,10 +115,10 @@ impl<V: Value> WeightedNetwork<V> {
     /// row-maximum aggregates, see [`crate::bitset::WeightKernel`]),
     /// building it on first use and caching it inside the shared spine.
     ///
-    /// Every handle over the same spine — clones, restricted views, domain
-    /// shards — returns the *same* `Arc` (verify with `Arc::ptr_eq`).  A
-    /// `set_weight` installs an incrementally patched kernel: only the
-    /// touched constraint's aggregates are recompiled.
+    /// Every clone over the same spine returns the *same* `Arc` (verify
+    /// with `Arc::ptr_eq`).  A `set_weight` installs an incrementally
+    /// patched kernel: only the touched constraint's aggregates are
+    /// recompiled.
     pub fn weight_kernel(&self) -> &Arc<WeightKernel> {
         self.spine.kernel.get_or_init(|| {
             Arc::new(WeightKernel::build(
@@ -151,20 +148,9 @@ impl<V: Value> WeightedNetwork<V> {
     }
 
     /// Whether `self` and `other` share the entire weight spine (tables and
-    /// compiled kernel) by pointer — the post-clone / post-shard state.
+    /// compiled kernel) by pointer — the post-clone state.
     pub fn shares_weight_spine(&self, other: &Self) -> bool {
         Arc::ptr_eq(&self.spine, &other.spine)
-    }
-
-    /// Total dense weight entries currently materialized across all tables
-    /// (an audit metric: a shard split must not change it).
-    pub fn dense_entries(&self) -> usize {
-        self.spine
-            .tables
-            .iter()
-            .flatten()
-            .map(|table| table.dense_entries())
-            .sum()
     }
 
     /// Copy-on-write patch of one constraint's dense table: detaches the
@@ -292,24 +278,25 @@ impl<V: Value> WeightedNetwork<V> {
         }
     }
 
-    /// Builds a mask-based restricted *view* with the domain of `var`
-    /// restricted to the given value indices (see
-    /// [`ConstraintNetwork::restricted`]).
-    ///
-    /// Because a mask never remaps indices, the **entire weight spine** —
-    /// every dense table and the compiled [`WeightKernel`] — is shared with
-    /// `self` by pointer: a weighted domain shard allocates a few mask words
-    /// and zero dense weight entries.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`ConstraintNetwork::restricted`].
-    pub fn restricted(&self, var: VarId, keep: &[usize]) -> crate::Result<WeightedNetwork<V>> {
-        Ok(WeightedNetwork {
-            network: self.network.restricted(var, keep)?,
-            spine: Arc::clone(&self.spine),
-            default_weight: self.default_weight,
-        })
+    /// The optimistic per-constraint bound of branch and bound: the best
+    /// weight any allowed pair of the constraint can add to a completion,
+    /// never below `max(default_weight, 0)` (just that floor when the
+    /// constraint allows no pair).  [`BranchAndBound`] and the
+    /// work-stealing scheduler's optimize mode both prune against this one
+    /// table, so the two searches cannot drift apart.
+    pub(crate) fn optimistic_pair_bounds(&self) -> Vec<f64> {
+        let floor = self.default_weight.max(0.0);
+        let weights = self.weight_kernel();
+        (0..self.network.constraint_count())
+            .map(|ci| {
+                let best = weights.constraint(ci).max_allowed();
+                if best.is_finite() {
+                    floor.max(best)
+                } else {
+                    floor
+                }
+            })
+            .collect()
     }
 
     /// The total weight of a complete assignment (only meaningful when it is
@@ -444,51 +431,17 @@ impl BranchAndBound {
         order.sort_by_key(|&v| std::cmp::Reverse(network.constraints_of(v).len()));
 
         // The execution kernels (shared, compiled at most once per storage /
-        // spine) and the live values of every variable — on a mask-based
-        // restricted view this is where the restriction takes effect.  Live
-        // values are ordered **best weight potential first** (dense
-        // row-maximum aggregates): landing near the optimum early is what
-        // makes the bound prune.
+        // spine) and the values of every variable, ordered **best weight
+        // potential first** (dense row-maximum aggregates): landing near
+        // the optimum early is what makes the bound prune.
         let kernel = Arc::clone(network.kernel());
         let weights = Arc::clone(weighted.weight_kernel());
-        let domains = kernel.masked_domains(network.mask().map(|m| &**m));
+        let domains = kernel.full_domains();
         let live: Vec<Vec<usize>> = network
             .variables()
             .map(|v| weighted_value_order(&kernel, &weights, &domains, v))
             .collect();
-
-        // Optimistic per-constraint bound: the largest weight of any pair
-        // whose endpoints are both live (dead pairs of a restricted view
-        // must not loosen the bound — a materialized restriction would not
-        // contain them at all).  Unmasked constraints read the precomputed
-        // kernel aggregate; only constraints touching a masked variable
-        // rescan their live pairs.
-        let floor = weighted.default_weight.max(0.0);
-        let max_pair_weight: Vec<f64> = (0..network.constraint_count())
-            .map(|ci| {
-                let bit = kernel.constraint(ci);
-                let masked = network
-                    .mask()
-                    .is_some_and(|m| m.is_masked(bit.first()) || m.is_masked(bit.second()));
-                let best = if masked {
-                    let mut best = f64::NEG_INFINITY;
-                    let wc = weights.constraint(ci);
-                    domains.for_each_live(bit.first(), |a| {
-                        domains.for_each_common(bit.second(), bit.row(true, a), |b| {
-                            best = best.max(wc.get(a, b));
-                        });
-                    });
-                    best
-                } else {
-                    weights.constraint(ci).max_allowed()
-                };
-                if best.is_finite() {
-                    floor.max(best)
-                } else {
-                    floor
-                }
-            })
-            .collect();
+        let max_pair_weight = weighted.optimistic_pair_bounds();
 
         // Assigned-prefix adjacency: the static order means the assigned
         // set at depth `d` is exactly `order[..d]`, so both the conflict
@@ -528,7 +481,7 @@ impl BranchAndBound {
         // network has no solution, which is exactly the empty result the
         // unpropagated search would grind to.
         let mut soft = if self.propagate {
-            let mut soft = SoftAc3::new(&kernel, &weights, network.mask().map(|m| &**m));
+            let mut soft = SoftAc3::new(&kernel, &weights);
             if soft.root_propagate(&mut stats).is_err() {
                 return OptimizeResult {
                     solution: None,
@@ -735,14 +688,15 @@ struct BnbContext<'a> {
     kernel: &'a crate::bitset::BitKernel,
     /// The compiled dense weight matrices + aggregates.
     weights: &'a WeightKernel,
-    /// Live values of every variable (mask-aware, best potential first).
+    /// Values of every variable, best potential first.
     live: Vec<Vec<usize>>,
     limits: &'a SearchLimits,
     order: Vec<VarId>,
     /// Per-depth assigned-prefix edge lists (`order`-filtered kernel
     /// adjacency, same edge order).
     earlier: Vec<Vec<KernelEdge>>,
-    /// Optimistic per-constraint bound over live pairs.
+    /// Optimistic per-constraint bound
+    /// ([`WeightedNetwork::optimistic_pair_bounds`]).
     max_pair_weight: Vec<f64>,
 }
 
@@ -895,48 +849,6 @@ mod tests {
     }
 
     #[test]
-    fn restricted_views_share_every_weight_table() {
-        // a -(c0)- b -(c1)- c: restricting `a` shares both tables (a mask
-        // never remaps, so nothing needs rebuilding).
-        let mut net: ConstraintNetwork<i32> = ConstraintNetwork::new();
-        let a = net.add_variable("a", vec![0, 1, 2]);
-        let b = net.add_variable("b", vec![0, 1]);
-        let c = net.add_variable("c", vec![0, 1]);
-        net.add_constraint(a, b, vec![(0, 0), (1, 1), (2, 0)])
-            .unwrap();
-        net.add_constraint(b, c, vec![(0, 1), (1, 0)]).unwrap();
-        let mut w = WeightedNetwork::new(net, 0.0);
-        w.set_weight(a, b, &1, &1, 3.0).unwrap();
-        w.set_weight(a, b, &2, &0, 7.0).unwrap();
-        w.set_weight(b, c, &0, &1, 5.0).unwrap();
-
-        let shard = w.restricted(a, &[2, 1]).unwrap();
-        assert!(shard.shares_weight_table(&w, 0));
-        assert!(shard.shares_weight_table(&w, 1));
-        assert!(shard.shares_weight_spine(&w));
-        assert!(shard.network().shares_storage(w.network()));
-        // The compiled weight kernel is shared too — and a shard split
-        // copies zero dense entries.
-        let kernel = Arc::clone(w.weight_kernel());
-        let entries = w.dense_entries();
-        let another = w.restricted(a, &[0]).unwrap();
-        assert!(Arc::ptr_eq(&kernel, another.weight_kernel()));
-        assert_eq!(another.dense_entries(), entries);
-        // Weights keep their original indices; only the live set changed.
-        assert_eq!(shard.weight_of(0, (2, 0)), 7.0);
-        assert_eq!(shard.weight_of(0, (1, 1)), 3.0);
-        assert_eq!(shard.weight_of(1, (0, 1)), 5.0);
-        assert_eq!(shard.network().live_values(a), vec![1, 2]);
-
-        // The identity restriction shares everything and stays mask-free.
-        let identity = w.restricted(a, &[0, 1, 2]).unwrap();
-        assert!(identity.network().shares_storage(w.network()));
-        assert!(identity.network().mask().is_none());
-        assert!(identity.shares_weight_table(&w, 0));
-        assert!(identity.shares_weight_table(&w, 1));
-    }
-
-    #[test]
     fn clones_share_weight_tables_until_mutated() {
         let (w, vars) = simple_weighted();
         let mut clone = w.clone();
@@ -983,40 +895,6 @@ mod tests {
         assert_eq!(w.weight_kernel().constraint(0).max_allowed(), 9.0);
         assert_eq!(w.weight_kernel().constraint(0).row_max(true, 0), 4.0);
         assert_eq!(w.weight_kernel().constraint(0).row_max(false, 1), 9.0);
-    }
-
-    #[test]
-    fn restricted_view_optimum_matches_materialized_restriction() {
-        // Solving a restricted view must equal solving a from-scratch
-        // network holding only the kept values.
-        let mut net: ConstraintNetwork<i32> = ConstraintNetwork::new();
-        let a = net.add_variable("a", vec![10, 20, 30]);
-        let b = net.add_variable("b", vec![1, 2]);
-        net.add_constraint(a, b, vec![(10, 1), (20, 2), (30, 1), (30, 2)])
-            .unwrap();
-        let mut w = WeightedNetwork::new(net, 0.0);
-        w.set_weight(a, b, &10, &1, 1.0).unwrap();
-        w.set_weight(a, b, &20, &2, 8.0).unwrap();
-        w.set_weight(a, b, &30, &2, 4.0).unwrap();
-        let view = w.restricted(a, &[0, 2]).unwrap();
-
-        let mut materialized_net: ConstraintNetwork<i32> = ConstraintNetwork::new();
-        let ma = materialized_net.add_variable("a", vec![10, 30]);
-        let mb = materialized_net.add_variable("b", vec![1, 2]);
-        materialized_net
-            .add_constraint(ma, mb, vec![(10, 1), (30, 1), (30, 2)])
-            .unwrap();
-        let mut materialized = WeightedNetwork::new(materialized_net, 0.0);
-        materialized.set_weight(ma, mb, &10, &1, 1.0).unwrap();
-        materialized.set_weight(ma, mb, &30, &2, 4.0).unwrap();
-
-        let from_view = BranchAndBound::new().optimize(&view);
-        let from_scratch = BranchAndBound::new().optimize(&materialized);
-        assert_eq!(from_view.best_weight, from_scratch.best_weight);
-        assert_eq!(
-            from_view.solution.unwrap().values(),
-            from_scratch.solution.unwrap().values()
-        );
     }
 
     #[test]

@@ -101,7 +101,7 @@ fn assert_no_good_deleted(
 ) {
     let network = weighted.network();
     let kernel = network.kernel();
-    let mut soft = SoftAc3::new(network.kernel(), weighted.weight_kernel(), None);
+    let mut soft = SoftAc3::new(network.kernel(), weighted.weight_kernel());
     let mut stats = SearchStats::default();
     prop_assert!(
         soft.root_propagate(&mut stats).is_ok(),
