@@ -4,9 +4,7 @@
 //! [`Session`] amortizes the expensive per-program work — candidate
 //! enumeration and constraint-network construction — across requests, keyed
 //! by program identity.  [`Session::optimize_many`] fans a batch of
-//! (program, request) pairs out over worker threads, which is the shape
-//! every future scaling layer (sharding, async serving, multi-backend)
-//! builds on.
+//! (program, request) pairs out over worker threads.
 //!
 //! ```
 //! use mlo_core::{Engine, OptimizeRequest};
@@ -82,38 +80,6 @@ impl SolveHooks {
             cancel: Some(cancel),
             incumbent: None,
         }
-    }
-}
-
-/// Normalized per-instance shape features, extracted from a prepared
-/// program's constraint network.  The adaptive dispatcher
-/// (`mlo-service`) keys its nearest-neighbor strategy picks on these; they
-/// are deliberately cheap to compute from session-cached artifacts.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct InstanceFeatures {
-    /// Number of constraint variables (arrays with layout choices).
-    pub variables: f64,
-    /// Constraint density: constraints over possible variable pairs, in
-    /// `[0, 1]`.
-    pub density: f64,
-    /// Mean domain size (candidate layouts per array).
-    pub mean_domain: f64,
-    /// Weight skew of the nest-cost weights: the largest per-constraint
-    /// aggregate over the mean (`1.0` = perfectly uniform, larger = a few
-    /// constraints dominate the objective).
-    pub weight_skew: f64,
-}
-
-impl InstanceFeatures {
-    /// The features as a fixed-order vector (the order the dispatch table
-    /// serializes them in).
-    pub fn as_array(&self) -> [f64; 4] {
-        [
-            self.variables,
-            self.density,
-            self.mean_domain,
-            self.weight_skew,
-        ]
     }
 }
 
@@ -255,46 +221,6 @@ impl PreparedProgram {
         let weighted = Arc::clone(&entry.1);
         cache.insert(0, entry);
         Some(weighted)
-    }
-
-    /// Extracts the normalized instance features the adaptive dispatcher
-    /// keys on, from session-cached artifacts (the network and the default
-    /// weighted kernel are built on first use and reused afterwards).
-    pub fn features(&self, program: &Program) -> InstanceFeatures {
-        let network = self.network(program).network();
-        let variables = network.variable_count();
-        let constraints = network.constraint_count();
-        let pairs = variables.saturating_sub(1) * variables / 2;
-        let density = if pairs == 0 {
-            0.0
-        } else {
-            constraints as f64 / pairs as f64
-        };
-        let mean_domain = if variables == 0 {
-            0.0
-        } else {
-            network.total_domain_size() as f64 / variables as f64
-        };
-        let kernel = self.weight_kernel(program, &WeightOptions::default());
-        let count = kernel.constraint_count();
-        let mut sum = 0.0f64;
-        let mut max = f64::NEG_INFINITY;
-        for index in 0..count {
-            let allowed = kernel.constraint(index).max_allowed();
-            sum += allowed;
-            max = max.max(allowed);
-        }
-        let weight_skew = if count == 0 || sum <= 0.0 {
-            1.0
-        } else {
-            max * count as f64 / sum
-        };
-        InstanceFeatures {
-            variables: variables as f64,
-            density,
-            mean_domain,
-            weight_skew,
-        }
     }
 
     /// Number of weighted networks currently cached.
@@ -573,13 +499,6 @@ impl Session {
     ) -> Result<OptimizeReport, OptimizeError> {
         self.inner.optimize(program, request, hooks)
     }
-
-    /// Extracts the adaptive-dispatch [`InstanceFeatures`] of a program
-    /// under the request's candidate options, using (and warming) this
-    /// session's prepared caches.
-    pub fn features(&self, program: &Program, options: &CandidateOptions) -> InstanceFeatures {
-        self.prepared(program, options).features(program)
-    }
 }
 
 impl SessionInner {
@@ -670,7 +589,11 @@ impl SessionInner {
         let start = Instant::now();
         let limits = SearchLimits {
             node_limit: request.budget.nodes,
-            deadline: request.budget.deadline.map(|budget| start + budget),
+            // A deadline past `Instant`'s range is no deadline at all.
+            deadline: request
+                .budget
+                .deadline
+                .and_then(|budget| start.checked_add(budget)),
         };
         let ctx = StrategyContext::new(self, program, &prepared, request, limits)
             .with_hooks(hooks.clone());
@@ -1210,6 +1133,31 @@ mod tests {
         );
         for array in program.arrays() {
             assert!(report.assignment.contains(array.id()));
+        }
+    }
+
+    #[test]
+    fn unrepresentable_deadlines_solve_as_if_unbounded() {
+        // `start + Duration::MAX` is past `Instant`'s range: such a deadline
+        // can never pass, so the request must solve exactly as one without.
+        let session = Engine::new().session();
+        let program = Benchmark::MedIm04.program();
+        for strategy in ["enhanced", "weighted"] {
+            let request = OptimizeRequest::strategy(strategy)
+                .candidates(Benchmark::MedIm04.candidate_options());
+            let unbounded = session.optimize(&program, &request).unwrap();
+            let far = session
+                .optimize(
+                    &program,
+                    &request
+                        .clone()
+                        .with_budget(SearchBudget::new().deadline(Duration::MAX)),
+                )
+                .unwrap();
+            assert_eq!(far.assignment, unbounded.assignment, "{strategy}");
+            assert_eq!(far.search_stats, unbounded.search_stats, "{strategy}");
+            assert_eq!(far.satisfiable, unbounded.satisfiable, "{strategy}");
+            assert_eq!(far.fallback, unbounded.fallback, "{strategy}");
         }
     }
 
@@ -1811,23 +1759,6 @@ mod tests {
         for array in program.arrays() {
             assert!(report.assignment.contains(array.id()));
         }
-    }
-
-    #[test]
-    fn instance_features_are_extracted_from_cached_artifacts() {
-        let session = Engine::new().session();
-        let program = Benchmark::MedIm04.program();
-        let options = Benchmark::MedIm04.candidate_options();
-        let features = session.features(&program, &options);
-        assert!(features.variables > 0.0);
-        assert!(features.density > 0.0 && features.density <= 1.0);
-        assert!(features.mean_domain >= 1.0);
-        assert!(features.weight_skew >= 1.0);
-        // Deterministic: a second extraction returns the identical vector.
-        assert_eq!(
-            features.as_array(),
-            session.features(&program, &options).as_array()
-        );
     }
 
     #[test]

@@ -51,12 +51,10 @@
 //!   [`OptimizeRequest::set_budget`] / [`OptimizeRequest::budget_mut`]
 //!   family.
 //!
-//! Serving layers on top of sessions get two more seams:
+//! Serving layers on top of sessions get one more seam:
 //! [`Session::optimize_with_hooks`] attaches [`SolveHooks`] (cooperative
 //! cancellation via [`mlo_csp::CancelToken`], incumbent streaming via
-//! [`mlo_csp::IncumbentObserver`]) to a single solve, and
-//! [`Session::features`] extracts the [`InstanceFeatures`] the
-//! `mlo-service` adaptive dispatcher keys on.
+//! [`mlo_csp::IncumbentObserver`]) to a single solve.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -70,8 +68,7 @@ pub mod request;
 pub mod strategy;
 
 pub use engine::{
-    Engine, EngineBuilder, InstanceFeatures, NetworkSummary, OptimizeReport, PreparedProgram,
-    Session, SolveHooks,
+    Engine, EngineBuilder, NetworkSummary, OptimizeReport, PreparedProgram, Session, SolveHooks,
 };
 pub use error::{Fallback, FallbackReason, OptimizeError};
 pub use report::TextTable;

@@ -11,7 +11,7 @@
 //! ```
 
 pub use crate::engine::{
-    Engine, EngineBuilder, InstanceFeatures, NetworkSummary, OptimizeReport, Session, SolveHooks,
+    Engine, EngineBuilder, NetworkSummary, OptimizeReport, Session, SolveHooks,
 };
 pub use crate::error::{Fallback, FallbackReason, OptimizeError};
 pub use crate::report::TextTable;

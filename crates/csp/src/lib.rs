@@ -97,7 +97,7 @@ pub use solver::{
     StealCountReport, StealOptimizeReport, StealReport, StealScheduler, StealSolveReport,
     ValueOrdering, VariableOrdering, Wipeout, WorkerPool,
 };
-pub use sync::{lock_or_recover, read_or_recover, write_or_recover};
+pub use sync::lock_or_recover;
 pub use weighted::{BranchAndBound, WeightedNetwork};
 
 use std::fmt;

@@ -1,29 +1,19 @@
-//! Poison-recovering lock helpers.
+//! Poison-recovering lock helper.
 //!
-//! A `Mutex`/`RwLock` is poisoned when a panic unwinds while the guard is
-//! held.  Every shared structure in this workspace is either
-//! immutable-after-init (dispatch tables, plans) or re-validated by its
-//! consumer (queues drain defensively, best-incumbent merges re-compare),
-//! so recovering the guard is always safe — whereas propagating the poison
-//! with `.expect("poisoned")` escalates one contained strategy panic into
-//! a whole-process abort.  All lock acquisitions in csp and service go
-//! through these helpers.
+//! A `Mutex` is poisoned when a panic unwinds while the guard is held.
+//! Every shared structure in this workspace is either immutable-after-init
+//! (plans) or re-validated by its consumer (queues drain defensively,
+//! best-incumbent merges re-compare), so recovering the guard is always
+//! safe — whereas propagating the poison with
+//! `.expect("poisoned")` escalates one contained strategy panic into a
+//! whole-process abort.  Mutex acquisitions in csp and service go through
+//! this helper; the fault harness recovers its static locks the same way.
 
-use std::sync::{Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Locks `mutex`, recovering the guard if a previous holder panicked.
 pub fn lock_or_recover<T: ?Sized>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Read-locks `lock`, recovering the guard if a previous writer panicked.
-pub fn read_or_recover<T: ?Sized>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
-    lock.read().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Write-locks `lock`, recovering the guard if a previous holder panicked.
-pub fn write_or_recover<T: ?Sized>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
-    lock.write().unwrap_or_else(PoisonError::into_inner)
 }
 
 #[cfg(test)]
@@ -42,16 +32,5 @@ mod tests {
         .join();
         assert!(shared.is_poisoned());
         assert_eq!(*lock_or_recover(&shared), 7);
-
-        let rw = Arc::new(RwLock::new(vec![1, 2, 3]));
-        let poisoner = Arc::clone(&rw);
-        let _ = std::thread::spawn(move || {
-            let _guard = poisoner.write().unwrap();
-            panic!("poison the rwlock");
-        })
-        .join();
-        assert_eq!(read_or_recover(&rw).len(), 3);
-        write_or_recover(&rw).push(4);
-        assert_eq!(read_or_recover(&rw).len(), 4);
     }
 }

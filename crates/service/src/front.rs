@@ -11,7 +11,6 @@
 //! cancellation is cooperative and interest-counted, so a coalesced solve
 //! only aborts once *every* handle attached to it has cancelled.
 
-use crate::dispatch::{AdaptiveDispatch, DispatchRow};
 use mlo_core::{
     FallbackReason, OptimizeError, OptimizeReport, OptimizeRequest, Session, SolveHooks, StrategyId,
 };
@@ -35,7 +34,6 @@ pub struct ServiceConfig {
     queue_limit: usize,
     default_tenant_budget: Option<usize>,
     tenant_budgets: HashMap<String, usize>,
-    absorb_every: Option<u64>,
     watchdog_grace: Option<f64>,
 }
 
@@ -45,7 +43,6 @@ impl Default for ServiceConfig {
             queue_limit: 64,
             default_tenant_budget: None,
             tenant_budgets: HashMap::new(),
-            absorb_every: None,
             watchdog_grace: None,
         }
     }
@@ -53,7 +50,7 @@ impl Default for ServiceConfig {
 
 impl ServiceConfig {
     /// The default policy: intake bounded at 64, no tenant budgets, no
-    /// automatic dispatch absorption.
+    /// watchdog.
     pub fn new() -> Self {
         ServiceConfig::default()
     }
@@ -79,17 +76,6 @@ impl ServiceConfig {
         self
     }
 
-    /// Absorbs the attached dispatcher's side recording buffer
-    /// automatically after every `every` completed solves (default: off;
-    /// `0` also disables).  Absorption points are counted on the
-    /// *completion* counter, so with sequential submissions the table
-    /// grows at deterministic points — the Nth, 2Nth, … completions fold
-    /// everything recorded so far into the reference table.
-    pub fn absorb_every(mut self, every: u64) -> Self {
-        self.absorb_every = (every > 0).then_some(every);
-        self
-    }
-
     /// Arms the deadline watchdog: a solve whose request carries a
     /// deadline is cooperatively cancelled once it has run for `grace`
     /// times that deadline without completing (e.g. `1.5` = 50% slack for
@@ -106,11 +92,6 @@ impl ServiceConfig {
     /// The configured watchdog grace factor, when the watchdog is armed.
     pub fn watchdog_grace_value(&self) -> Option<f64> {
         self.watchdog_grace
-    }
-
-    /// The configured automatic-absorption period, when one is set.
-    pub fn absorb_every_value(&self) -> Option<u64> {
-        self.absorb_every
     }
 
     /// The configured intake bound (`0` = unbounded).
@@ -281,11 +262,20 @@ impl IncumbentWatch {
     }
 
     /// Blocks until a version greater than `seen` is published or the
-    /// timeout passes, and returns the latest pair either way.
+    /// timeout passes, and returns the latest pair either way.  A timeout
+    /// too long for an [`Instant`] to represent waits without one.
     pub fn wait_past(&self, seen: u64, timeout: Duration) -> (u64, Option<f64>) {
         let mut state = lock_or_recover(&self.inner.state);
-        let deadline = Instant::now() + timeout;
+        let deadline = Instant::now().checked_add(timeout);
         while state.version <= seen {
+            let Some(deadline) = deadline else {
+                state = self
+                    .inner
+                    .changed
+                    .wait(state)
+                    .unwrap_or_else(PoisonError::into_inner);
+                continue;
+            };
             let now = Instant::now();
             if now >= deadline {
                 break;
@@ -401,9 +391,13 @@ impl ResponseHandle {
         }
     }
 
-    /// Blocks until the solve completes or the timeout passes.
+    /// Blocks until the solve completes or the timeout passes.  A timeout
+    /// too long for an [`Instant`] to represent waits like
+    /// [`wait`](ResponseHandle::wait).
     pub fn wait_timeout(&self, timeout: Duration) -> Option<SharedResult> {
-        let deadline = Instant::now() + timeout;
+        let Some(deadline) = Instant::now().checked_add(timeout) else {
+            return Some(self.wait());
+        };
         let mut guard = lock_or_recover(&self.slot.result);
         loop {
             if let Some(result) = guard.as_ref() {
@@ -585,7 +579,6 @@ struct ServiceCore {
     /// Per-tenant in-flight counts.
     tenants: Mutex<HashMap<String, usize>>,
     counters: Counters,
-    dispatch: Option<Arc<AdaptiveDispatch>>,
     /// Armed deadlines, present only when the config enables the
     /// watchdog.
     watchdog: Option<Arc<WatchdogState>>,
@@ -621,8 +614,7 @@ enum Rung {
 }
 
 impl MloService {
-    /// A service over the given session and policy, without adaptive
-    /// dispatch.
+    /// A service over the given session and policy.
     pub fn new(session: Session, config: ServiceConfig) -> Self {
         let config_watchdog = config
             .watchdog_grace
@@ -636,22 +628,9 @@ impl MloService {
                 inflight: Mutex::new(HashMap::new()),
                 tenants: Mutex::new(HashMap::new()),
                 counters: Counters::default(),
-                dispatch: None,
                 watchdog: config_watchdog,
             }),
         }
-    }
-
-    /// Attaches an adaptive dispatcher: [`MloService::submit_adaptive`]
-    /// picks strategies from its table, and every completed solve records
-    /// a `(features, strategy, outcome)` row into its side buffer.
-    ///
-    /// Must be called before the service is cloned or shared.
-    pub fn with_dispatch(mut self, dispatch: AdaptiveDispatch) -> Self {
-        let core = Arc::get_mut(&mut self.core)
-            .expect("with_dispatch must be called before the service is shared");
-        core.dispatch = Some(Arc::new(dispatch));
-        self
     }
 
     /// The underlying session.
@@ -662,11 +641,6 @@ impl MloService {
     /// The service policy.
     pub fn config(&self) -> &ServiceConfig {
         &self.core.config
-    }
-
-    /// The attached dispatcher, when one was configured.
-    pub fn dispatch(&self) -> Option<&AdaptiveDispatch> {
-        self.core.dispatch.as_deref()
     }
 
     /// Current queued-or-running solve count (coalesced duplicates add
@@ -715,37 +689,6 @@ impl MloService {
         request: &OptimizeRequest,
     ) -> Result<ResponseHandle, ServiceError> {
         self.core.submit(program, request, None, true)
-    }
-
-    /// The strategy the attached dispatcher would pick for this instance
-    /// (`None` without a dispatcher).
-    pub fn pick_strategy(
-        &self,
-        program: &Program,
-        request: &OptimizeRequest,
-    ) -> Option<StrategyId> {
-        let dispatch = self.core.dispatch.as_ref()?;
-        let features = self.core.session.features(program, &request.candidates);
-        Some(dispatch.pick(&features))
-    }
-
-    /// Submits with the request's strategy replaced by the dispatcher's
-    /// pick (a plain [`MloService::submit`] when no dispatcher is
-    /// attached).  Selection happens *before* the search starts and reads
-    /// only the frozen dispatch table, so it never perturbs determinism.
-    pub fn submit_adaptive(
-        &self,
-        program: &Program,
-        request: &OptimizeRequest,
-    ) -> Result<ResponseHandle, ServiceError> {
-        match self.pick_strategy(program, request) {
-            Some(strategy) => {
-                let mut adapted = request.clone();
-                adapted.set_strategy(strategy);
-                self.submit(program, &adapted)
-            }
-            None => self.submit(program, request),
-        }
     }
 
     /// Synchronous convenience: submit and wait.
@@ -894,10 +837,9 @@ impl ServiceCore {
     /// with whatever wall-clock deadline remains; typed errors
     /// (unsatisfiable, budget exhausted, injected engine faults) end the
     /// ladder unchanged.  Reports served by a lower rung are marked
-    /// [`degraded`](OptimizeReport::degraded).  When a dispatcher is
-    /// attached, its per-strategy circuit breakers veto non-final rungs
-    /// whose strategy keeps faulting; the final rung always runs so the
-    /// request still gets an answer.
+    /// [`degraded`](OptimizeReport::degraded).  No state carries between
+    /// requests: a strategy that panics on every request is retried (and
+    /// contained) each time.
     fn serve(
         &self,
         slot: &ResponseSlot,
@@ -917,13 +859,6 @@ impl ServiceCore {
         let mut last_panic: Option<OptimizeError> = None;
         for (index, strategy) in rungs.iter().enumerate() {
             let degraded = index > 0;
-            let last_rung = index + 1 == rungs.len();
-            if let Some(dispatch) = &self.dispatch {
-                if !last_rung && !dispatch.breaker_allows(strategy) {
-                    continue;
-                }
-            }
-
             let mut attempt;
             let attempt_request = if degraded {
                 attempt = request.clone();
@@ -948,13 +883,6 @@ impl ServiceCore {
             match rung {
                 Rung::Done(result) => {
                     let mut result = *result;
-                    if let Some(dispatch) = &self.dispatch {
-                        if watchdog_fired {
-                            dispatch.report_fault(strategy);
-                        } else {
-                            dispatch.report_success(strategy);
-                        }
-                    }
                     if let Ok(report) = &mut result {
                         if degraded {
                             report.degraded = true;
@@ -963,36 +891,21 @@ impl ServiceCore {
                         if report.fallback.reason() == Some(FallbackReason::Cancelled) {
                             self.counters.cancelled.fetch_add(1, Ordering::Relaxed);
                         }
-                        if let Some(dispatch) = &self.dispatch {
-                            let features = self.session.features(program, &request.candidates);
-                            dispatch.record(DispatchRow {
-                                features: features.as_array(),
-                                strategy: strategy.clone(),
-                                solution_ms: report.solution_time.as_secs_f64() * 1e3,
-                                solved: !report.fell_back(),
-                            });
-                        }
                     }
                     return result.map_err(ServiceError::Solve);
                 }
                 Rung::Panicked(error) => {
                     self.counters.panicked.fetch_add(1, Ordering::Relaxed);
-                    if let Some(dispatch) = &self.dispatch {
-                        dispatch.report_fault(strategy);
-                    }
                     last_panic = Some(error);
                 }
             }
         }
 
-        // Every rung panicked (or was vetoed): surface the last panic as a
-        // typed error rather than inventing a result.
-        Err(ServiceError::Solve(last_panic.unwrap_or_else(|| {
-            OptimizeError::Strategy {
-                strategy: request.strategy.to_string(),
-                message: "retry ladder exhausted without a runnable strategy".into(),
-            }
-        })))
+        // Every rung panicked: surface the last panic as a typed error
+        // rather than inventing a result.
+        Err(ServiceError::Solve(
+            last_panic.expect("the ladder always has the requested rung"),
+        ))
     }
 
     /// Runs one ladder rung with panic containment and (when armed) a
@@ -1043,11 +956,14 @@ impl ServiceCore {
             self.config.watchdog_grace,
             request.budget.deadline,
         ) {
-            (Some(state), Some(grace), Some(deadline)) => Some(watchdog_register(
-                state,
-                Instant::now() + deadline.mul_f64(grace),
-                slot.cancel.clone(),
-            )),
+            // An arm time past what `Duration` or `Instant` can represent
+            // could never fire, so none is armed.
+            (Some(state), Some(grace), Some(deadline)) => {
+                Duration::try_from_secs_f64(grace * deadline.as_secs_f64())
+                    .ok()
+                    .and_then(|after| Instant::now().checked_add(after))
+                    .map(|at| watchdog_register(state, at, slot.cancel.clone()))
+            }
             _ => None,
         };
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -1087,13 +1003,6 @@ impl ServiceCore {
             }
         }
         self.depth.fetch_sub(1, Ordering::AcqRel);
-        let completed = self.counters.completed.fetch_add(1, Ordering::Relaxed) + 1;
-        if let (Some(dispatch), Some(every)) = (&self.dispatch, self.config.absorb_every) {
-            // Deterministic absorb points: the Nth, 2Nth, … completions
-            // fold the side buffer into the reference table.
-            if completed.is_multiple_of(every) {
-                dispatch.absorb_recorded();
-            }
-        }
+        self.counters.completed.fetch_add(1, Ordering::Relaxed);
     }
 }

@@ -24,19 +24,16 @@
 //! workspace, so "async" here means handle-based completion over
 //! plain threads, mutexes and condvars.
 //!
-//! On top sits [`AdaptiveDispatch`]: per-instance
-//! [`InstanceFeatures`](mlo_core::InstanceFeatures) select a strategy by
-//! nearest recorded neighbor from a frozen table
-//! ([`DispatchTable::seed`] ships one replayed from the bench corpus),
-//! and every completed solve records a `(features, strategy, outcome)`
-//! row for later absorption.  Because selection happens before the search
-//! and reads only frozen state, the served solve remains bit-identical to
-//! a direct [`Session::optimize`](mlo_core::Session::optimize) call.
+//! The service runs exactly the strategy the request names, so a served
+//! solve is bit-identical to a direct
+//! [`Session::optimize`](mlo_core::Session::optimize) call.  Only when that
+//! strategy panics does the retry ladder descend to `enhanced`, then
+//! `heuristic`, and mark the report
+//! [`degraded`](mlo_core::OptimizeReport::degraded).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod dispatch;
 // `ServiceError::Solve` carries `OptimizeError` by value, which embeds
 // `Option<SearchStats>` and has outgrown clippy's 128-byte Err threshold.
 // Every `Err` here is built once on the cold rejection/failure path and
@@ -46,10 +43,6 @@ pub mod dispatch;
 #[allow(clippy::result_large_err)]
 pub mod front;
 
-pub use dispatch::{
-    AdaptiveDispatch, BreakerConfig, BreakerMetadata, BreakerState, DispatchParseError,
-    DispatchRow, DispatchTable,
-};
 pub use front::{
     IncumbentWatch, MloService, ResponseHandle, ServiceConfig, ServiceError, ServiceStats,
     SharedResult,

@@ -1,6 +1,6 @@
 //! Failure-path tests of the service resilience layer: panic containment
-//! (no hung waiters at any worker count), the retry/fallback ladder,
-//! per-strategy circuit breakers and the deadline watchdog.
+//! (no hung waiters at any worker count, on every repeated request), the
+//! retry/fallback ladder and the deadline watchdog.
 //!
 //! Tests that need a specific fault environment install it with
 //! [`mlo_csp::fault::scoped`], which serializes them on a process-wide
@@ -10,14 +10,11 @@
 use mlo_benchmarks::Benchmark;
 use mlo_core::StrategyId;
 use mlo_core::{
-    Engine, LayoutStrategy, OptimizeError, OptimizeRequest, Session, StrategyContext,
+    Engine, LayoutStrategy, OptimizeError, OptimizeRequest, SearchBudget, Session, StrategyContext,
     StrategyOutcome,
 };
 use mlo_csp::fault::{self, FaultPlan, FaultTrigger};
-use mlo_service::{
-    AdaptiveDispatch, BreakerConfig, BreakerState, DispatchTable, MloService, ServiceConfig,
-    ServiceError,
-};
+use mlo_service::{MloService, ServiceConfig, ServiceError};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -135,40 +132,47 @@ fn publish_path_panic_is_filled_by_the_pool_observer() {
 }
 
 #[test]
-fn breaker_opens_after_repeated_panics_and_skips_the_faulting_rung() {
+fn repeated_panics_are_contained_on_every_request() {
+    // No per-strategy state carries between requests: each request for a
+    // strategy that always panics is contained on its own and served by a
+    // healthy rung.
     let _plan = fault::scoped(FaultPlan::new());
-    let threshold = BreakerConfig::default().threshold;
-    let dispatch = AdaptiveDispatch::new(DispatchTable::from_rows(vec![]))
-        .breaker_config(BreakerConfig::default());
-    let service =
-        MloService::new(panicking_session(2), ServiceConfig::new()).with_dispatch(dispatch);
+    let service = MloService::new(panicking_session(2), ServiceConfig::new());
     let program = Benchmark::MxM.program();
-    let panicker = StrategyId::custom("panicker");
 
-    for round in 0..threshold {
+    for round in 1..=5u64 {
         let result = service
-            .submit(&program, &OptimizeRequest::strategy(panicker.clone()))
+            .submit(
+                &program,
+                &OptimizeRequest::strategy(StrategyId::custom("panicker")),
+            )
             .unwrap()
             .wait_timeout(NO_HANG)
             .unwrap_or_else(|| panic!("round {round} hung"));
-        assert!(result.as_ref().as_ref().unwrap().degraded);
+        let report = result
+            .as_ref()
+            .as_ref()
+            .unwrap_or_else(|e| panic!("expected a degraded report in round {round}, got {e}"));
+        assert!(report.degraded, "round {round}: a fallback rung served it");
+        assert_ne!(report.strategy, "panicker");
+        assert_eq!(
+            service.stats().panicked,
+            round,
+            "round {round}: exactly one contained panic per request"
+        );
     }
-    assert_eq!(service.stats().panicked, u64::from(threshold));
-    assert_eq!(
-        service.dispatch().unwrap().breaker_state(&panicker),
-        BreakerState::Open { denials: 0 },
-        "the breaker opened after {threshold} consecutive panics"
-    );
 
-    // With the breaker open the panicking rung is skipped entirely: the
-    // request degrades immediately and the panic counter stays put.
-    let result = service
-        .submit(&program, &OptimizeRequest::strategy(panicker))
+    let follow_up = service
+        .submit(&program, &OptimizeRequest::strategy("heuristic"))
         .unwrap()
         .wait_timeout(NO_HANG)
-        .expect("post-open request hung");
-    assert!(result.as_ref().as_ref().unwrap().degraded);
-    assert_eq!(service.stats().panicked, u64::from(threshold));
+        .expect("pool stayed usable");
+    let follow_up = follow_up
+        .as_ref()
+        .as_ref()
+        .expect("healthy request succeeds");
+    assert!(!follow_up.degraded);
+    assert_eq!(service.stats().panicked, 5);
 }
 
 /// A strategy that sleeps well past any test deadline while ignoring the
@@ -207,7 +211,7 @@ fn watchdog_cancels_solves_overrunning_their_deadline() {
     let service = MloService::new(session, ServiceConfig::new().watchdog_grace(1.0));
     let program = Benchmark::MxM.program();
     let request = OptimizeRequest::strategy(StrategyId::custom("sleeper"))
-        .with_budget(mlo_core::SearchBudget::new().deadline(Duration::from_millis(20)));
+        .with_budget(SearchBudget::new().deadline(Duration::from_millis(20)));
     let handle = service.submit(&program, &request).unwrap();
     let result = handle.wait_timeout(NO_HANG).expect("waiter hung");
     // The sleeper ignores cancellation and eventually returns; what the
@@ -217,7 +221,7 @@ fn watchdog_cancels_solves_overrunning_their_deadline() {
 
     // A solve that finishes inside its grace window is left alone.
     let quick = OptimizeRequest::strategy("heuristic")
-        .with_budget(mlo_core::SearchBudget::new().deadline(Duration::from_secs(60)));
+        .with_budget(SearchBudget::new().deadline(Duration::from_secs(60)));
     let result = service
         .submit(&program, &quick)
         .unwrap()
@@ -225,4 +229,38 @@ fn watchdog_cancels_solves_overrunning_their_deadline() {
         .expect("waiter hung");
     assert!(result.as_ref().is_ok());
     assert_eq!(service.stats().watchdog_cancelled, 1);
+}
+
+#[test]
+fn watchdog_arms_nothing_when_its_deadline_cannot_be_represented() {
+    // An infinite grace overflows `Duration`, and a `Duration::MAX` deadline
+    // overflows `Instant`: neither watchdog could ever fire, so the request
+    // must be served as if none were armed instead of panicking the worker.
+    let _plan = fault::scoped(FaultPlan::new());
+    let program = Benchmark::MxM.program();
+    for (grace, deadline) in [
+        (f64::INFINITY, Duration::from_secs(1)),
+        (1.5, Duration::MAX),
+    ] {
+        let context = format!("grace {grace}, deadline {deadline:?}");
+        let session = Engine::builder().parallelism(1).build().session();
+        let request = OptimizeRequest::strategy("enhanced")
+            .with_budget(SearchBudget::new().deadline(deadline));
+        let direct = session.optimize(&program, &request).unwrap();
+        let service = MloService::new(session, ServiceConfig::new().watchdog_grace(grace));
+        let result = service
+            .submit(&program, &request)
+            .unwrap()
+            .wait_timeout(NO_HANG)
+            .expect("waiter hung");
+        let report = result
+            .as_ref()
+            .as_ref()
+            .unwrap_or_else(|e| panic!("{context}: {e}"));
+        assert_eq!(report.assignment, direct.assignment, "{context}");
+        assert!(!report.degraded, "{context}");
+        let stats = service.stats();
+        assert_eq!(stats.panicked, 0, "{context}");
+        assert_eq!(stats.watchdog_cancelled, 0, "{context}");
+    }
 }

@@ -1,6 +1,6 @@
 //! End-to-end tests of the service front-end: admission, coalescing,
-//! cancellation draining, adaptive-dispatch determinism and
-//! service-vs-session report identity.
+//! cancellation draining, long client-side waits and service-vs-session
+//! report identity.
 //!
 //! Several tests pin the session's worker pool at one thread and park it
 //! with a `blocker` strategy so queue states are deterministic; run the
@@ -12,9 +12,7 @@ use mlo_core::{
     Engine, LayoutStrategy, OptimizeError, OptimizeReport, OptimizeRequest, SearchBudget, Session,
     StrategyContext, StrategyId, StrategyOutcome,
 };
-use mlo_service::{
-    AdaptiveDispatch, DispatchRow, DispatchTable, MloService, ServiceConfig, ServiceError,
-};
+use mlo_service::{MloService, ServiceConfig, ServiceError};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
@@ -323,131 +321,27 @@ fn service_reports_are_bit_identical_to_direct_session_calls() {
 }
 
 #[test]
-fn adaptive_dispatch_picks_are_deterministic_across_worker_counts() {
-    let table = DispatchTable::from_rows(vec![
-        DispatchRow {
-            features: [4.0, 1.0, 4.0, 1.0],
-            strategy: StrategyId::Enhanced,
-            solution_ms: 0.1,
-            solved: true,
-        },
-        DispatchRow {
-            features: [12.0, 0.4, 6.0, 2.0],
-            strategy: StrategyId::Weighted,
-            solution_ms: 2.0,
-            solved: true,
-        },
-        DispatchRow {
-            features: [40.0, 0.1, 10.0, 4.0],
-            strategy: StrategyId::PortfolioSteal,
-            solution_ms: 9.0,
-            solved: true,
-        },
-    ]);
-
-    let mut baseline: Option<Vec<StrategyId>> = None;
-    for workers in [1usize, 2, 4, 8] {
-        let engine = Engine::builder().parallelism(workers).build();
-        let service = MloService::new(engine.session(), ServiceConfig::new())
-            .with_dispatch(AdaptiveDispatch::new(table.clone()));
-        let picks: Vec<StrategyId> = Benchmark::all()
-            .iter()
-            .map(|benchmark| {
-                service
-                    .pick_strategy(&benchmark.program(), &OptimizeRequest::default())
-                    .expect("dispatcher attached")
-            })
-            .collect();
-        match &baseline {
-            None => baseline = Some(picks),
-            Some(expected) => assert_eq!(expected, &picks, "picks diverged at {workers} workers"),
-        }
-    }
-}
-
-#[test]
-fn completed_solves_record_dispatch_rows_and_adaptive_submission_serves() {
+fn unrepresentable_deadlines_are_served_like_direct_calls() {
+    // `Duration::MAX` is past `Instant`'s range when added to any start
+    // time; the served report must still equal the direct one, with no
+    // rung panicking.
     let engine = Engine::builder().parallelism(2).build();
-    let service = MloService::new(engine.session(), ServiceConfig::new()).with_dispatch(
-        AdaptiveDispatch::new(DispatchTable::from_rows(vec![DispatchRow {
-            features: [4.0, 1.0, 4.0, 1.0],
-            strategy: StrategyId::Heuristic,
-            solution_ms: 0.1,
-            solved: true,
-        }])),
+    let direct_session = engine.session();
+    let service = MloService::new(engine.session(), ServiceConfig::new());
+    let program = Benchmark::MedIm04.program();
+    let request = OptimizeRequest::strategy("weighted")
+        .candidates(Benchmark::MedIm04.candidate_options())
+        .with_budget(SearchBudget::new().deadline(Duration::MAX));
+    let direct = direct_session.optimize(&program, &request).unwrap();
+    let served = service.optimize(&program, &request);
+    let served = served.as_ref().as_ref().expect("service solve succeeds");
+    assert_reports_identical(
+        &direct,
+        served,
+        "MedIm04/weighted with a Duration::MAX deadline",
     );
-    let program = Benchmark::MxM.program();
-    let request = OptimizeRequest::default();
-
-    let picked = service.pick_strategy(&program, &request).unwrap();
-    assert_eq!(picked, StrategyId::Heuristic);
-
-    let handle = service.submit_adaptive(&program, &request).unwrap();
-    let result = handle.wait();
-    let report = result.as_ref().as_ref().expect("adaptive solve succeeds");
-    assert_eq!(report.strategy, picked.as_str());
-
-    // The completed solve recorded a (features, strategy, outcome) row
-    // into the side buffer, and the buffer did not change live picks.
-    let dispatch = service.dispatch().unwrap();
-    assert_eq!(dispatch.recorded_rows(), 1);
-    assert_eq!(service.pick_strategy(&program, &request).unwrap(), picked);
-}
-
-#[test]
-fn absorb_every_folds_the_side_buffer_at_deterministic_completion_points() {
-    // Sequential submissions give a deterministic completion order, so
-    // with `absorb_every(2)` the reference table must grow exactly at the
-    // 2nd and 4th completions and the side buffer must alternate 1/0.
-    let engine = Engine::builder().parallelism(2).build();
-    let service = MloService::new(engine.session(), ServiceConfig::new().absorb_every(2))
-        .with_dispatch(AdaptiveDispatch::new(DispatchTable::new()));
-    let program = Benchmark::MxM.program();
-    let request = OptimizeRequest::strategy("enhanced");
-    assert_eq!(service.dispatch().unwrap().table().len(), 0);
-
-    for completed in 1..=5usize {
-        let result = service.optimize(&program, &request);
-        assert!(result.as_ref().as_ref().is_ok(), "solve {completed} failed");
-        let dispatch = service.dispatch().unwrap();
-        let (buffered, absorbed) = if completed % 2 == 0 {
-            (0, completed)
-        } else {
-            (1, completed - 1)
-        };
-        assert_eq!(
-            dispatch.recorded_rows(),
-            buffered,
-            "side buffer after completion {completed}"
-        );
-        assert_eq!(
-            dispatch.table().len(),
-            absorbed,
-            "table rows after completion {completed}"
-        );
-    }
-}
-
-#[test]
-fn the_committed_seed_table_parses_and_picks_for_the_whole_corpus() {
-    let table = DispatchTable::seed();
-    assert!(
-        !table.is_empty(),
-        "the committed seed table must carry replayed corpus rows"
-    );
-    let engine = Engine::new();
-    let session = engine.session();
-    let dispatch = AdaptiveDispatch::new(table);
-    for benchmark in Benchmark::all() {
-        let features =
-            session.features(&benchmark.program(), &OptimizeRequest::default().candidates);
-        // Every pick must be resolvable by the built-in registry.
-        let pick = dispatch.pick(&features);
-        assert!(
-            StrategyId::BUILTIN.contains(&pick),
-            "{benchmark:?} picked non-builtin {pick}"
-        );
-    }
+    assert!(!served.degraded);
+    assert_eq!(service.stats().panicked, 0);
 }
 
 #[test]
@@ -496,4 +390,50 @@ fn wait_timeout_and_try_result_observe_completion() {
     let result = handle.wait_timeout(Duration::from_secs(30)).unwrap();
     assert!(result.is_ok());
     assert!(handle.try_result().is_some());
+}
+
+#[test]
+fn unrepresentable_wait_timeouts_wait_for_the_result() {
+    let (service, blocker) = single_worker_service(ServiceConfig::new());
+    let program = Benchmark::MxM.program();
+
+    let handle = service.submit(&program, &blocker_request(1)).unwrap();
+    blocker.wait_started(1);
+    let releaser = {
+        let blocker = blocker.clone();
+        std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(20));
+            blocker.release_all();
+        })
+    };
+    // `Instant::now() + Duration::MAX` cannot be represented: the wait has
+    // no deadline and returns once the solve completes.
+    let result = handle
+        .wait_timeout(Duration::MAX)
+        .expect("a wait without a deadline returns the result");
+    assert!(result.is_ok());
+    releaser.join().unwrap();
+}
+
+#[test]
+fn unrepresentable_incumbent_waits_block_until_a_publish() {
+    let (service, blocker) = single_worker_service(ServiceConfig::new());
+    let program = Benchmark::Radar.program();
+
+    // Park the worker so the streaming solve is still queued when the
+    // watcher starts waiting.
+    let parked = service.submit(&program, &blocker_request(1)).unwrap();
+    blocker.wait_started(1);
+    let streamed = service
+        .submit_streaming(&program, &OptimizeRequest::strategy("weighted").seed(11))
+        .unwrap();
+    let watch = streamed.watch();
+    let watcher = std::thread::spawn(move || watch.wait_past(0, Duration::MAX));
+
+    blocker.release_all();
+    let (version, weight) = watcher.join().expect("the watcher returns once published");
+    assert!(version >= 1, "no incumbent update was streamed");
+    assert!(weight.is_some());
+    assert!(streamed.wait().is_ok());
+    assert!(parked.wait().is_ok());
 }

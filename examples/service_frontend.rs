@@ -1,5 +1,5 @@
-//! The `mlo-service` front-end: queued submission, coalescing, streaming
-//! incumbents and adaptive strategy dispatch.
+//! The `mlo-service` front-end: queued submission, coalescing and
+//! streaming incumbents.
 //!
 //! ```text
 //! cargo run --example service_frontend
@@ -7,7 +7,7 @@
 
 use mlo_benchmarks::Benchmark;
 use mlo_core::{Engine, OptimizeRequest};
-use mlo_service::{AdaptiveDispatch, MloService, ServiceConfig};
+use mlo_service::{MloService, ServiceConfig};
 
 fn main() {
     // A bounded service over one shared session: at most 16 solves queued
@@ -18,8 +18,7 @@ fn main() {
         ServiceConfig::new()
             .queue_limit(16)
             .default_tenant_budget(4),
-    )
-    .with_dispatch(AdaptiveDispatch::seeded());
+    );
 
     // Submission returns immediately; the solve runs on the session's
     // worker pool.  Identical in-flight requests coalesce onto one solve.
@@ -50,28 +49,6 @@ fn main() {
         "streamed solve saw {version} incumbent update(s), final weight {weight:?} \
          (ok = {})",
         result.is_ok()
-    );
-
-    // Adaptive dispatch: the seeded table picks a strategy per instance
-    // from its nearest recorded neighbor — deterministically.
-    for benchmark in Benchmark::all() {
-        let picked = service
-            .pick_strategy(&benchmark.program(), &OptimizeRequest::default())
-            .expect("dispatcher attached");
-        println!("dispatch pick for {benchmark:?}: {picked}");
-    }
-    let adaptive = service
-        .submit_adaptive(&program, &OptimizeRequest::default())
-        .expect("admitted");
-    let adaptive_report = adaptive.wait();
-    let adaptive_report = adaptive_report.as_ref().as_ref().expect("solve succeeded");
-    println!(
-        "adaptive solve ran `{}` and recorded {} new dispatch row(s)",
-        adaptive_report.strategy,
-        service
-            .dispatch()
-            .map(AdaptiveDispatch::recorded_rows)
-            .unwrap_or(0)
     );
 
     let stats = service.stats();
