@@ -33,12 +33,13 @@ impl CacheConfig {
                 "line size {line_bytes} is not a power of two"
             )));
         }
-        if !size_bytes.is_multiple_of(associativity * line_bytes) {
+        let set_bytes = associativity.checked_mul(line_bytes);
+        let Some(set_bytes) = set_bytes.filter(|&b| size_bytes.is_multiple_of(b)) else {
             return Err(SimError::InvalidCacheConfig(format!(
                 "capacity {size_bytes} is not divisible by associativity {associativity} x line {line_bytes}"
             )));
-        }
-        let sets = size_bytes / (associativity * line_bytes);
+        };
+        let sets = size_bytes / set_bytes;
         if !sets.is_power_of_two() {
             return Err(SimError::InvalidCacheConfig(format!(
                 "set count {sets} is not a power of two"
@@ -55,6 +56,12 @@ impl CacheConfig {
     pub fn sets(&self) -> u64 {
         self.size_bytes / (self.associativity * self.line_bytes)
     }
+
+    /// Re-runs [`CacheConfig::new`]'s checks, for configurations built as
+    /// struct literals.
+    pub(crate) fn validated(self) -> crate::Result<Self> {
+        CacheConfig::new(self.size_bytes, self.associativity, self.line_bytes)
+    }
 }
 
 /// Whether an access hit or missed.
@@ -66,7 +73,14 @@ pub enum AccessOutcome {
     Miss,
 }
 
-/// One set-associative LRU cache.
+/// One set-associative cache with true-LRU replacement.
+///
+/// The tags live in one flat array of `sets × ways` slots.  Each set keeps
+/// its resident tags in its first `fill` slots, most recently used first, so
+/// a hit moves its tag to the front and a miss shifts the set down by one,
+/// dropping the least recently used tag when the set is full.  Set and tag
+/// come from shifts and a mask, since line size and set count are powers of
+/// two.
 ///
 /// # Examples
 ///
@@ -80,19 +94,39 @@ pub enum AccessOutcome {
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
-    /// For each set, the resident line tags ordered most-recently-used
-    /// first.
-    sets: Vec<Vec<u64>>,
+    ways: usize,
+    /// `log2(line_bytes)`.
+    line_shift: u32,
+    /// `log2(sets)`.
+    set_shift: u32,
+    /// `sets - 1`.
+    set_mask: u64,
+    /// Set `s` owns slots `s * ways .. (s + 1) * ways`.
+    tags: Vec<u64>,
+    /// Number of resident tags of each set.
+    fill: Vec<usize>,
     stats: CacheStats,
 }
 
 impl Cache {
     /// Creates an empty cache.
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`CacheConfig::new`] would reject the geometry (a
+    /// struct literal can bypass it).
     pub fn new(config: CacheConfig) -> Self {
-        let sets = vec![Vec::with_capacity(config.associativity as usize); config.sets() as usize];
+        let config = config.validated().unwrap_or_else(|e| panic!("{e}"));
+        let sets = config.sets();
+        let ways = config.associativity as usize;
         Cache {
             config,
-            sets,
+            ways,
+            line_shift: config.line_bytes.trailing_zeros(),
+            set_shift: sets.trailing_zeros(),
+            set_mask: sets - 1,
+            tags: vec![0; sets as usize * ways],
+            fill: vec![0; sets as usize],
             stats: CacheStats::default(),
         }
     }
@@ -108,34 +142,41 @@ impl Cache {
     }
 
     /// Accesses a byte address, updating LRU state and statistics.
+    #[inline]
     pub fn access(&mut self, address: u64) -> AccessOutcome {
-        let line = address / self.config.line_bytes;
-        let set_index = (line % self.config.sets()) as usize;
-        let tag = line / self.config.sets();
-        let set = &mut self.sets[set_index];
+        let line = address >> self.line_shift;
+        let set = (line & self.set_mask) as usize;
+        let tag = line >> self.set_shift;
+        let start = set * self.ways;
+        let fill = self.fill[set];
+        let slots = &mut self.tags[start..start + self.ways];
         self.stats.accesses += 1;
-        if let Some(pos) = set.iter().position(|&t| t == tag) {
-            // Move to MRU position.
-            let t = set.remove(pos);
-            set.insert(0, t);
-            self.stats.hits += 1;
-            AccessOutcome::Hit
-        } else {
-            if set.len() as u64 == self.config.associativity {
-                set.pop();
-                self.stats.evictions += 1;
+        // Shift slots[..end] down by one and put `tag` in front.
+        let (outcome, end) = match slots[..fill].iter().position(|&t| t == tag) {
+            Some(pos) => {
+                self.stats.hits += 1;
+                (AccessOutcome::Hit, pos)
             }
-            set.insert(0, tag);
-            self.stats.misses += 1;
-            AccessOutcome::Miss
+            None => {
+                self.stats.misses += 1;
+                if fill == self.ways {
+                    self.stats.evictions += 1;
+                } else {
+                    self.fill[set] = fill + 1;
+                }
+                (AccessOutcome::Miss, fill.min(self.ways - 1))
+            }
+        };
+        for i in (1..=end).rev() {
+            slots[i] = slots[i - 1];
         }
+        slots[0] = tag;
+        outcome
     }
 
     /// Empties the cache (statistics are kept).
     pub fn flush(&mut self) {
-        for set in &mut self.sets {
-            set.clear();
-        }
+        self.fill.fill(0);
     }
 
     /// Resets the statistics (contents are kept).
@@ -159,6 +200,21 @@ mod tests {
         assert!(CacheConfig::new(96, 3, 32).is_ok());
         assert!(CacheConfig::new(1000, 2, 32).is_err());
         assert_eq!(CacheConfig::new(8 * 1024, 2, 32).unwrap().sets(), 128);
+    }
+
+    #[test]
+    #[should_panic(expected = "set count 3 is not a power of two")]
+    fn new_rejects_geometries_that_bypass_validation() {
+        Cache::new(CacheConfig {
+            size_bytes: 3 * 2 * 32,
+            associativity: 2,
+            line_bytes: 32,
+        });
+    }
+
+    #[test]
+    fn huge_geometries_are_rejected_without_overflow() {
+        assert!(CacheConfig::new(1 << 20, u64::MAX, 1 << 4).is_err());
     }
 
     #[test]

@@ -1,22 +1,37 @@
-//! A trace-driven cache hierarchy and embedded-core timing model.
+//! A streaming cache hierarchy and embedded-core timing model.
 //!
 //! The paper evaluates layout quality by running the optimized codes through
 //! SimpleScalar configured as a two-issue embedded processor with separate
 //! 8 KB 2-way L1 instruction/data caches (32-byte lines), a unified 64 KB
-//! 4-way L2 (64-byte lines) and 1 / 6 / 70-cycle L1 / L2 / memory latencies.
-//! SimpleScalar itself is not redistributable here, so this crate provides
-//! the substitute described in `DESIGN.md`: the same cache geometry, the
-//! same latencies, and a simple in-order 2-issue timing model, driven by
-//! address traces generated directly from the IR under a chosen layout
-//! assignment.  Absolute cycle counts differ from the paper's testbed, but
-//! the quantity the experiment depends on — how spatial locality changes
-//! with the memory layout — is modelled by the same mechanism.
+//! 4-way L2 (64-byte lines) and 1 / 6 / 70-cycle L1 / L2 / memory latencies
+//! (Table 3).  SimpleScalar itself is not redistributable here, so this
+//! crate substitutes the same cache geometry, the same latencies and a
+//! simple in-order 2-issue timing model.  Absolute cycle counts differ from
+//! the paper's testbed, but the quantity the experiment depends on — how
+//! spatial locality changes with the memory layout — is modelled by the same
+//! mechanism.
+//!
+//! [`Simulator::simulate`] replays a program under a layout assignment
+//! without materializing a trace:
+//!
+//! 1. [`TraceGenerator::plan_memory`] places every array and folds its
+//!    [`mlo_layout::AddressMap`] into a linear byte form.
+//! 2. Once per nest (under the loop order chosen for it), each reference's
+//!    access matrix, offset and address form fold into flat byte
+//!    coefficients.  A reference that can leave its array box over the
+//!    walked space keeps a per-dimension clamp; every other one costs one
+//!    affine dot product per access.
+//! 3. An odometer walks the sub-sampled iteration space in execution order
+//!    and streams each address straight into the [`MemoryHierarchy`], whose
+//!    [`Cache`] levels are flat tag arrays with true-LRU replacement.
+//!
+//! Reads and writes are modelled alike: every reference costs one access
+//! that allocates its line on a miss, and nothing is written back.
 //!
 //! * [`Cache`] — one set-associative LRU cache,
 //! * [`MemoryHierarchy`] — L1D + unified L2 + main memory,
 //! * [`MachineConfig`] — the paper's machine parameters (defaults),
-//! * [`trace`] — address-trace generation from a program and a
-//!   [`mlo_layout::LayoutAssignment`],
+//! * [`trace`] — memory planning and per-nest address walks,
 //! * [`Simulator`] — replaying a program and reporting cycles and per-level
 //!   hit/miss statistics.
 //!
@@ -48,6 +63,8 @@
 pub mod cache;
 pub mod config;
 pub mod hierarchy;
+#[cfg(test)]
+mod oracle;
 pub mod simulator;
 pub mod stats;
 pub mod trace;
@@ -57,7 +74,7 @@ pub use config::MachineConfig;
 pub use hierarchy::{HierarchyOutcome, MemoryHierarchy};
 pub use simulator::{SimulationReport, Simulator};
 pub use stats::CacheStats;
-pub use trace::{MemoryAccess, TraceGenerator, TraceOptions};
+pub use trace::{TraceGenerator, TraceOptions};
 
 /// Errors produced by the simulator.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -7,7 +7,6 @@ use crate::trace::{TraceGenerator, TraceOptions};
 use crate::Result;
 use mlo_ir::{LoopTransform, NestId, Program};
 use mlo_layout::{quality, LayoutAssignment};
-use std::collections::HashMap;
 use std::fmt;
 
 /// Per-nest and whole-program simulation results.
@@ -98,19 +97,35 @@ impl Simulator {
 
     /// Simulates the program under a layout assignment.
     ///
+    /// Each nest's compiled address walk streams straight into the cache
+    /// hierarchy; no trace is materialized.
+    ///
     /// # Errors
     ///
-    /// Fails when an array has no layout or a layout cannot be linearized.
+    /// Fails when a cache level has a geometry [`CacheConfig::new`] rejects
+    /// (a struct literal can bypass it), when an array has no layout, or
+    /// when a layout cannot be linearized.
+    ///
+    /// [`CacheConfig::new`]: crate::CacheConfig::new
     pub fn simulate(
         &self,
         program: &Program,
         assignment: &LayoutAssignment,
     ) -> Result<SimulationReport> {
+        let config = MachineConfig {
+            l1_data: self.config.l1_data.validated()?,
+            l2: self.config.l2.validated()?,
+            ..self.config
+        };
         let generator = TraceGenerator::new(self.trace_options);
         let plan = generator.plan_memory(program, assignment)?;
-        let mut hierarchy = MemoryHierarchy::new(self.config);
+        let mut hierarchy = MemoryHierarchy::new(config);
+        // The L1 hit latency is hidden by the pipeline; only the stall
+        // beyond it costs extra cycles.
+        let l2_stall = (config.l1_latency + config.l2_latency).saturating_sub(config.l1_latency);
+        let memory_stall = (config.l1_latency + config.l2_latency + config.memory_latency)
+            .saturating_sub(config.l1_latency);
         let mut total_cycles = 0u64;
-        let mut total_accesses = 0u64;
         let mut nest_cycles = Vec::new();
         let mut nest_transforms = Vec::new();
 
@@ -120,41 +135,31 @@ impl Simulator {
             } else {
                 LoopTransform::identity(nest.depth())
             };
-            let trace = generator.nest_trace(program, nest.id(), &transform, &plan);
-            // Scale factor: the sub-sampled walker visits fewer iterations
+            let walk = generator.compile_nest(program, nest.id(), &transform, &plan);
+            let before = *hierarchy.l2_stats();
+            walk.run(|address| {
+                hierarchy.access(address);
+            });
+            // Every access that reaches L2 either hits there or goes on to
+            // memory.
+            let after = hierarchy.l2_stats();
+            let stall_cycles = (after.hits - before.hits) * l2_stall
+                + (after.misses - before.misses) * memory_stall;
+
+            // Scale factor: the sub-sampled walk visits fewer iterations
             // than the real nest; cycles are scaled back up so that nests
             // keep their relative weight.
-            let walker = mlo_ir::IterationSpace::transformed(nest, &transform)
-                .subsampled(self.trace_options.max_trip_per_loop);
-            let simulated_iterations = walker.len().max(1) as u64;
+            let simulated_iterations = walk.iterations().max(1) as u64;
             let real_iterations = nest.iteration_count().max(1) as u64;
             let scale = real_iterations as f64 / simulated_iterations as f64;
-
-            let mut nest_cycle_count = 0u64;
             // Issue-limited instruction cost per iteration: compute
             // instructions plus one instruction per reference, dual-issued.
+            // A nest whose walk is empty is charged one iteration.
             let per_iteration_instructions =
                 nest.compute_per_iteration() as u64 + nest.references().len() as u64;
             let issue_cycles_per_iteration =
-                per_iteration_instructions.div_ceil(self.config.issue_width.max(1));
-            let refs_per_iteration = nest.references().len().max(1) as u64;
-            let mut access_in_iteration = 0u64;
-            for access in &trace {
-                let (_, latency) = hierarchy.access(access.address);
-                // The L1 hit latency is hidden by the pipeline; only the
-                // stall beyond it costs extra cycles.
-                nest_cycle_count += latency.saturating_sub(self.config.l1_latency);
-                total_accesses += 1;
-                access_in_iteration += 1;
-                if access_in_iteration == refs_per_iteration {
-                    nest_cycle_count += issue_cycles_per_iteration;
-                    access_in_iteration = 0;
-                }
-            }
-            if trace.is_empty() {
-                // A nest with no references still burns its compute cycles.
-                nest_cycle_count += issue_cycles_per_iteration * simulated_iterations;
-            }
+                per_iteration_instructions.div_ceil(config.issue_width.max(1));
+            let nest_cycle_count = stall_cycles + issue_cycles_per_iteration * simulated_iterations;
             let scaled = (nest_cycle_count as f64 * scale).round() as u64;
             total_cycles += scaled;
             nest_cycles.push((nest.id(), scaled));
@@ -163,7 +168,8 @@ impl Simulator {
 
         Ok(SimulationReport {
             total_cycles,
-            total_accesses,
+            // Every access goes through L1.
+            total_accesses: hierarchy.l1_stats().accesses,
             l1_data: *hierarchy.l1_stats(),
             l2: *hierarchy.l2_stats(),
             nest_cycles,
@@ -171,52 +177,6 @@ impl Simulator {
         })
     }
 }
-
-/// Convenience: simulates the four Table 3 configurations of the paper for a
-/// program — original layouts (row-major, no restructuring), the heuristic
-/// baseline, and a supplied optimized assignment — returning their reports.
-///
-/// The optimized assignment is simulated twice only if it differs from the
-/// heuristic one; callers typically pass the constraint-network solution.
-#[derive(Debug, Clone)]
-pub struct ComparisonReport {
-    /// Row-major layouts, original loop order.
-    pub original: SimulationReport,
-    /// The heuristic baseline's layouts.
-    pub heuristic: SimulationReport,
-    /// The supplied (e.g. constraint-network) layouts.
-    pub optimized: SimulationReport,
-}
-
-impl ComparisonReport {
-    /// Runs the three configurations.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator errors from any of the three runs.
-    pub fn run(
-        simulator: &Simulator,
-        program: &Program,
-        optimized: &LayoutAssignment,
-    ) -> Result<Self> {
-        let original_assignment = LayoutAssignment::all_row_major(program);
-        let original = simulator
-            .clone()
-            .without_restructuring()
-            .simulate(program, &original_assignment)?;
-        let heuristic_assignment = mlo_layout::heuristic_assignment(program).assignment;
-        let heuristic = simulator.simulate(program, &heuristic_assignment)?;
-        let optimized = simulator.simulate(program, optimized)?;
-        Ok(ComparisonReport {
-            original,
-            heuristic,
-            optimized,
-        })
-    }
-}
-
-/// Map from nest id to the chosen transform description, for reports.
-pub type NestTransformMap = HashMap<NestId, String>;
 
 #[cfg(test)]
 mod tests {
@@ -299,20 +259,6 @@ mod tests {
         assert!(report.total_accesses > 0);
         assert!(!report.to_string().is_empty());
         assert_eq!(report.l1_data.accesses, report.total_accesses);
-    }
-
-    #[test]
-    fn comparison_report_orders_as_expected() {
-        let p = column_walk_program();
-        let a = mlo_ir::ArrayId::new(0);
-        let sim = Simulator::new(MachineConfig::date05());
-        let mut optimized = LayoutAssignment::new();
-        optimized.set(a, Layout::column_major(2));
-        let cmp = ComparisonReport::run(&sim, &p, &optimized).unwrap();
-        // The original (row-major, fixed order) must be the slowest; the
-        // heuristic and the optimized layouts both stream.
-        assert!(cmp.original.total_cycles >= cmp.heuristic.total_cycles);
-        assert!(cmp.original.total_cycles >= cmp.optimized.total_cycles);
     }
 
     #[test]

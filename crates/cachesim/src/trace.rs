@@ -1,25 +1,18 @@
-//! Generating data-access traces from a program and a layout assignment.
+//! Streaming the data addresses of a program under a layout assignment.
 //!
 //! Every array gets a base address (aligned to the L2 line size, arrays laid
-//! out back to back with a guard gap) and an [`mlo_layout::AddressMap`]
-//! derived from its assigned layout.  The generator then walks every nest's
-//! iteration space in execution order — under the loop restructuring chosen
-//! for that nest — and emits one byte address per reference per iteration.
+//! out back to back with a guard gap) and the linear form of the
+//! [`mlo_layout::AddressMap`] derived from its assigned layout.  A nest is
+//! then compiled once per (nest, transform, plan) into a walk: each
+//! reference's access matrix, offset and address map fold into flat byte
+//! coefficients, and the nest's sub-sampled [`IterationSpace`] is walked in
+//! execution order, streaming one byte address per reference per iteration
+//! without allocating.
 
 use crate::{Result, SimError};
 use mlo_ir::{IterationSpace, LoopTransform, NestId, Program};
 use mlo_layout::{AddressMap, LayoutAssignment};
 use mlo_linalg::IntVec;
-use std::collections::HashMap;
-
-/// One recorded data access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MemoryAccess {
-    /// Byte address.
-    pub address: u64,
-    /// Whether the access is a write.
-    pub is_write: bool,
-}
 
 /// Options controlling trace generation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,8 +34,8 @@ impl Default for TraceOptions {
     }
 }
 
-/// Generates per-nest address traces for a program under a layout
-/// assignment.
+/// Plans array placement and compiles per-nest address walks for a program
+/// under a layout assignment.
 #[derive(Debug)]
 pub struct TraceGenerator {
     options: TraceOptions,
@@ -75,8 +68,7 @@ impl TraceGenerator {
         program: &Program,
         assignment: &LayoutAssignment,
     ) -> Result<MemoryPlan> {
-        let mut maps = HashMap::new();
-        let mut bases = HashMap::new();
+        let mut arrays = Vec::with_capacity(program.arrays().len());
         let mut next_base = 0u64;
         for array in program.arrays() {
             let layout = assignment
@@ -84,68 +76,83 @@ impl TraceGenerator {
                 .ok_or(SimError::MissingLayout(array.id()))?;
             let map = AddressMap::new(array, layout)?;
             let span = map.span_bytes() as u64;
-            bases.insert(array.id(), next_base);
+            let (coefficients, constant) = map.linear_form();
+            let element_size = i64::from(map.element_size());
+            arrays.push(PlannedArray {
+                base: next_base,
+                coefficients: coefficients
+                    .iter()
+                    .map(|c| c.wrapping_mul(element_size))
+                    .collect(),
+                constant: constant.wrapping_mul(element_size),
+                extents: array.extents().to_vec(),
+            });
             let align = self.options.array_alignment.max(1);
             next_base += span.div_ceil(align) * align + align;
-            maps.insert(array.id(), map);
         }
         Ok(MemoryPlan {
-            maps,
-            bases,
+            arrays,
             total_bytes: next_base,
         })
     }
 
-    /// Generates the trace of one nest under a given restructuring.
+    /// Compiles the address walk of one nest under a given restructuring.
     ///
     /// Indices that fall outside the declared array box (boundary-shifted
     /// accesses such as `A[i][j-1]`, or skewed accesses such as `A[i+j][j]`
     /// over an array not declared wide enough) are clamped to the nearest
     /// allocated element, the way an edge-padded kernel would behave.  This
-    /// keeps every generated address inside the array's allocation.
+    /// keeps every streamed address inside the array's allocation.
     ///
-    /// # Errors
+    /// # Panics
     ///
-    /// Same failure modes as [`TraceGenerator::plan_memory`] (the plan is
-    /// taken as an argument, so this function itself only panics on
-    /// malformed IR).
-    pub fn nest_trace(
+    /// Panics on malformed IR: a reference to an array the plan does not
+    /// cover, or an access whose rank differs from its array's.
+    pub(crate) fn compile_nest(
         &self,
         program: &Program,
         nest_id: NestId,
         transform: &LoopTransform,
         plan: &MemoryPlan,
-    ) -> Vec<MemoryAccess> {
+    ) -> NestWalk {
         let nest = &program.nests()[nest_id.index()];
-        let walker =
+        let space =
             IterationSpace::transformed(nest, transform).subsampled(self.options.max_trip_per_loop);
-        let mut trace = Vec::new();
-        for iteration in walker {
-            for reference in nest.references() {
-                let array = program
-                    .array(reference.array())
-                    .expect("references only name arrays declared by the program");
-                let mut index = reference.access().index_for(&iteration);
-                for d in 0..index.dim() {
-                    index[d] = index[d].clamp(0, array.extent(d) - 1);
-                }
-                let address = plan.address_of(reference.array(), &index);
-                trace.push(MemoryAccess {
-                    address,
-                    is_write: reference.is_write(),
-                });
-            }
-        }
-        trace
+        let references = if space.is_empty() {
+            Vec::new()
+        } else {
+            let extremes = space.extremes();
+            nest.references()
+                .iter()
+                .map(|reference| {
+                    let array = plan
+                        .arrays
+                        .get(reference.array().index())
+                        .expect("references only name arrays declared by the program");
+                    CompiledRef::new(reference.access(), array, &extremes)
+                })
+                .collect()
+        };
+        NestWalk { space, references }
     }
 }
 
-/// Base addresses and address maps for every array of a program.
+/// Base addresses and byte address forms for every array of a program.
 #[derive(Debug)]
 pub struct MemoryPlan {
-    maps: HashMap<mlo_ir::ArrayId, AddressMap>,
-    bases: HashMap<mlo_ir::ArrayId, u64>,
+    /// Indexed by `ArrayId::index()` (a program's array ids are dense).
+    arrays: Vec<PlannedArray>,
     total_bytes: u64,
+}
+
+/// One array's placement: its byte address is
+/// `base + constant + Σ coefficients[d] · index[d]`, in wrapping arithmetic.
+#[derive(Debug)]
+struct PlannedArray {
+    base: u64,
+    coefficients: Vec<i64>,
+    constant: i64,
+    extents: Vec<i64>,
 }
 
 impl MemoryPlan {
@@ -156,11 +163,9 @@ impl MemoryPlan {
     /// Panics if the array is not part of the plan (callers obtain plans
     /// from [`TraceGenerator::plan_memory`], which covers every array).
     pub fn address_of(&self, array: mlo_ir::ArrayId, index: &IntVec) -> u64 {
-        let map = &self.maps[&array];
-        let base = self.bases[&array];
-        let offset = map.byte_offset(index);
-        debug_assert!(offset >= 0, "address map produced a negative offset");
-        base + offset as u64
+        let array = &self.arrays[array.index()];
+        let offset = dot(array.constant, &array.coefficients, index.as_slice());
+        array.base.wrapping_add(offset as u64)
     }
 
     /// Total bytes spanned by all arrays including padding and guard gaps.
@@ -170,7 +175,127 @@ impl MemoryPlan {
 
     /// The base address of an array, if planned.
     pub fn base_of(&self, array: mlo_ir::ArrayId) -> Option<u64> {
-        self.bases.get(&array).copied()
+        self.arrays.get(array.index()).map(|a| a.base)
+    }
+}
+
+/// One reference folded into byte arithmetic over the iteration vector.
+#[derive(Debug)]
+struct CompiledRef {
+    /// The address at the zero iteration vector (for a clamped reference,
+    /// the array's address at the zero index).
+    constant: i64,
+    /// Byte stride per unit of each loop index; unused when clamped.
+    strides: Vec<i64>,
+    /// Per array dimension, when some index of the walk leaves the array
+    /// box: the subscript row and offset, the largest valid index, and the
+    /// byte coefficient of the dimension.
+    clamped: Vec<ClampedDim>,
+}
+
+#[derive(Debug)]
+struct ClampedDim {
+    row: Vec<i64>,
+    offset: i64,
+    max: i64,
+    coefficient: i64,
+}
+
+impl CompiledRef {
+    /// `extremes` bounds every iteration vector of the walk (see
+    /// [`IterationSpace::extremes`]).
+    fn new(access: &mlo_ir::AffineAccess, array: &PlannedArray, extremes: &[(i64, i64)]) -> Self {
+        let rank = array.extents.len();
+        assert_eq!(
+            access.array_rank(),
+            rank,
+            "access rank must match its array's rank"
+        );
+        let matrix = access.matrix();
+        let offset = access.offset();
+        let depth = matrix.cols();
+        // Exact (i128) bounds of each subscript over the walked box.
+        let inside = (0..rank).all(|d| {
+            let (mut low, mut high) = (i128::from(offset[d]), i128::from(offset[d]));
+            for (k, &(first, last)) in extremes.iter().enumerate() {
+                let a = i128::from(matrix.get(d, k));
+                let (x, y) = (a * i128::from(first), a * i128::from(last));
+                low += x.min(y);
+                high += x.max(y);
+            }
+            low >= 0 && high < i128::from(array.extents[d])
+        });
+        let base = (array.base as i64).wrapping_add(array.constant);
+        if inside {
+            CompiledRef {
+                constant: dot(base, &array.coefficients, offset.as_slice()),
+                strides: (0..depth)
+                    .map(|k| dot(0, &array.coefficients, matrix.col(k).as_slice()))
+                    .collect(),
+                clamped: Vec::new(),
+            }
+        } else {
+            let clamped = (0..rank)
+                .map(|d| ClampedDim {
+                    row: matrix.row(d).into_inner(),
+                    offset: offset[d],
+                    max: array.extents[d] - 1,
+                    coefficient: array.coefficients[d],
+                })
+                .collect();
+            CompiledRef {
+                constant: base,
+                strides: Vec::new(),
+                clamped,
+            }
+        }
+    }
+
+    /// The byte address of this reference at one iteration vector.
+    #[inline]
+    fn address(&self, iteration: &[i64]) -> u64 {
+        let address = if self.clamped.is_empty() {
+            dot(self.constant, &self.strides, iteration)
+        } else {
+            self.clamped.iter().fold(self.constant, |sum, dim| {
+                let index = dot(dim.offset, &dim.row, iteration).clamp(0, dim.max);
+                sum.wrapping_add(dim.coefficient.wrapping_mul(index))
+            })
+        };
+        address as u64
+    }
+}
+
+/// `start + Σ coefficients[k] · values[k]`, wrapping.
+#[inline]
+fn dot(start: i64, coefficients: &[i64], values: &[i64]) -> i64 {
+    coefficients
+        .iter()
+        .zip(values)
+        .fold(start, |sum, (c, x)| sum.wrapping_add(c.wrapping_mul(*x)))
+}
+
+/// One nest's compiled address stream (see [`TraceGenerator::compile_nest`]).
+#[derive(Debug)]
+pub(crate) struct NestWalk {
+    space: IterationSpace,
+    references: Vec<CompiledRef>,
+}
+
+impl NestWalk {
+    /// Number of iteration vectors the walk visits.
+    pub(crate) fn iterations(&self) -> i64 {
+        self.space.len()
+    }
+
+    /// Streams every address in execution order: per iteration vector, one
+    /// address per reference in body order.
+    pub(crate) fn run(&self, mut visit: impl FnMut(u64)) {
+        self.space.for_each_point(|point| {
+            for reference in &self.references {
+                visit(reference.address(point));
+            }
+        });
     }
 }
 
@@ -197,6 +322,20 @@ mod tests {
         b.build()
     }
 
+    /// Every address one nest streams, in order.
+    fn addresses(
+        generator: &TraceGenerator,
+        program: &Program,
+        transform: &LoopTransform,
+        plan: &MemoryPlan,
+    ) -> Vec<u64> {
+        let mut out = Vec::new();
+        generator
+            .compile_nest(program, NestId::new(0), transform, plan)
+            .run(|address| out.push(address));
+        out
+    }
+
     #[test]
     fn plan_assigns_disjoint_address_ranges() {
         let p = simple_program();
@@ -212,6 +351,11 @@ mod tests {
         // Alignment respected.
         assert_eq!(base_a % 64, 0);
         assert_eq!(base_v % 64, 0);
+        assert_eq!(
+            plan.address_of(ArrayId::new(0), &IntVec::from(vec![1, 2])),
+            base_a + (8 + 2) * 4
+        );
+        assert_eq!(plan.base_of(ArrayId::new(2)), None);
     }
 
     #[test]
@@ -227,25 +371,23 @@ mod tests {
     }
 
     #[test]
-    fn trace_has_one_entry_per_reference_per_iteration() {
+    fn walk_streams_one_address_per_reference_per_iteration() {
         let p = simple_program();
         let asg = LayoutAssignment::all_row_major(&p);
         let gen = TraceGenerator::with_defaults();
         let plan = gen.plan_memory(&p, &asg).unwrap();
-        let trace = gen.nest_trace(
-            &p,
-            mlo_ir::NestId::new(0),
-            &LoopTransform::identity(2),
-            &plan,
-        );
+        let walk = gen.compile_nest(&p, NestId::new(0), &LoopTransform::identity(2), &plan);
+        assert_eq!(walk.iterations(), 8 * 8);
+        let trace = addresses(&gen, &p, &LoopTransform::identity(2), &plan);
         assert_eq!(trace.len(), 8 * 8 * 2);
-        // Reads and writes both appear.
-        assert!(trace.iter().any(|a| a.is_write));
-        assert!(trace.iter().any(|a| !a.is_write));
         // Row-major A with j innermost: consecutive A accesses differ by 4
-        // bytes within a row.
-        let a_addrs: Vec<u64> = trace.iter().step_by(2).map(|a| a.address).collect();
-        assert_eq!(a_addrs[1] - a_addrs[0], 4);
+        // bytes within a row; V[i] stays put along j.
+        assert_eq!(trace[2] - trace[0], 4);
+        assert_eq!(trace[3], trace[1]);
+        // Interchanged, i runs innermost: A jumps a row, V moves one element.
+        let swapped = addresses(&gen, &p, &LoopTransform::permutation(&[1, 0]), &plan);
+        assert_eq!(swapped[2] - swapped[0], 32);
+        assert_eq!(swapped[3] - swapped[1], 4);
     }
 
     #[test]
@@ -255,25 +397,51 @@ mod tests {
         let rm = LayoutAssignment::all_row_major(&p);
         let mut cm = LayoutAssignment::all_row_major(&p);
         cm.set(ArrayId::new(0), Layout::column_major(2));
-        let plan_rm = gen.plan_memory(&p, &rm).unwrap();
-        let plan_cm = gen.plan_memory(&p, &cm).unwrap();
-        let t_rm = gen.nest_trace(
-            &p,
-            mlo_ir::NestId::new(0),
-            &LoopTransform::identity(2),
-            &plan_rm,
-        );
-        let t_cm = gen.nest_trace(
-            &p,
-            mlo_ir::NestId::new(0),
-            &LoopTransform::identity(2),
-            &plan_cm,
-        );
+        let identity = LoopTransform::identity(2);
+        let t_rm = addresses(&gen, &p, &identity, &gen.plan_memory(&p, &rm).unwrap());
+        let t_cm = addresses(&gen, &p, &identity, &gen.plan_memory(&p, &cm).unwrap());
         assert_eq!(t_rm.len(), t_cm.len());
         // Under column-major, consecutive j iterations of A[i][j] jump by a
         // full column (8 elements * 4 bytes).
-        assert_eq!(t_cm[2].address - t_cm[0].address, 32);
-        assert_eq!(t_rm[2].address - t_rm[0].address, 4);
+        assert_eq!(t_cm[2] - t_cm[0], 32);
+        assert_eq!(t_rm[2] - t_rm[0], 4);
+    }
+
+    #[test]
+    fn out_of_box_indices_are_clamped() {
+        // A[i][j-1] and A[i+j][j] over an 8 x 8 array walked by 8 x 8.
+        let mut b = ProgramBuilder::new("edges");
+        let a = b.array("A", vec![8, 8], 4);
+        b.nest("n", vec![("i", 0, 8), ("j", 0, 8)], |n| {
+            n.read(
+                a,
+                AccessBuilder::new(2, 2)
+                    .row(0, [1, 0])
+                    .row(1, [0, 1])
+                    .offset(1, -1)
+                    .build(),
+            );
+            n.read(
+                a,
+                AccessBuilder::new(2, 2)
+                    .row(0, [1, 1])
+                    .row(1, [0, 1])
+                    .build(),
+            );
+        });
+        let p = b.build();
+        let gen = TraceGenerator::with_defaults();
+        let plan = gen
+            .plan_memory(&p, &LayoutAssignment::all_row_major(&p))
+            .unwrap();
+        let trace = addresses(&gen, &p, &LoopTransform::identity(2), &plan);
+        let at = |i: i64, j: i64| plan.address_of(ArrayId::new(0), &IntVec::from(vec![i, j]));
+        // (i, j) = (0, 0): A[0][-1] clamps to A[0][0].
+        assert_eq!(trace[0], at(0, 0));
+        // (i, j) = (7, 7): A[14][7] clamps to A[7][7].
+        assert_eq!(trace[trace.len() - 1], at(7, 7));
+        let span = plan.base_of(ArrayId::new(0)).unwrap() + 8 * 8 * 4;
+        assert!(trace.iter().all(|&address| address < span));
     }
 
     #[test]
@@ -290,13 +458,10 @@ mod tests {
             array_alignment: 64,
         });
         let plan = gen.plan_memory(&p, &asg).unwrap();
-        let trace = gen.nest_trace(
-            &p,
-            mlo_ir::NestId::new(0),
-            &LoopTransform::identity(1),
-            &plan,
-        );
+        let trace = addresses(&gen, &p, &LoopTransform::identity(1), &plan);
         assert!(trace.len() <= 100);
         assert!(trace.len() >= 90);
+        // The stride is kept: every sampled element is 100 elements apart.
+        assert_eq!(trace[1] - trace[0], 100 * 4);
     }
 }

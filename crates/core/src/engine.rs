@@ -1533,6 +1533,68 @@ mod tests {
     }
 
     #[test]
+    fn invalid_cache_geometries_are_typed_errors() {
+        // `CacheConfig`'s fields are public, so a struct literal can skip
+        // `CacheConfig::new`'s checks; the simulator re-validates them.
+        let session = Engine::new().session();
+        let program = Benchmark::MxM.program();
+        let trace = mlo_cachesim::TraceOptions {
+            max_trip_per_loop: 8,
+            array_alignment: 64,
+        };
+        let l1 = MachineConfig::tiny().l1_data;
+        let geometries = [
+            mlo_cachesim::CacheConfig {
+                associativity: 0,
+                ..l1
+            },
+            mlo_cachesim::CacheConfig {
+                line_bytes: 0,
+                ..l1
+            },
+            // Three sets.
+            mlo_cachesim::CacheConfig {
+                size_bytes: 3 * 2 * 32,
+                ..l1
+            },
+            mlo_cachesim::CacheConfig {
+                size_bytes: 4 * 2 * 48,
+                line_bytes: 48,
+                ..l1
+            },
+        ];
+        for geometry in geometries {
+            for machine in [
+                MachineConfig {
+                    l1_data: geometry,
+                    ..MachineConfig::tiny()
+                },
+                MachineConfig {
+                    l2: geometry,
+                    ..MachineConfig::tiny()
+                },
+            ] {
+                let direct = Simulator::new(machine)
+                    .trace_options(trace)
+                    .simulate(&program, &LayoutAssignment::all_row_major(&program));
+                assert!(
+                    matches!(direct, Err(mlo_cachesim::SimError::InvalidCacheConfig(_))),
+                    "{geometry:?} gave {direct:?}"
+                );
+                let request = OptimizeRequest::strategy("heuristic")
+                    .evaluate(EvaluationOptions::on(machine).trace(trace));
+                match session.optimize(&program, &request) {
+                    Err(OptimizeError::Evaluation { strategy, message }) => {
+                        assert_eq!(strategy, "heuristic");
+                        assert!(message.contains("invalid cache configuration"), "{message}");
+                    }
+                    other => panic!("{geometry:?} gave {other:?}"),
+                }
+            }
+        }
+    }
+
+    #[test]
     fn custom_strategies_slot_into_the_engine() {
         #[derive(Debug)]
         struct EscalatingStrategy;

@@ -12,7 +12,7 @@
 //!     │  strategy-driven search                 (mlo_core::strategy)
 //!     ▼
 //!  LayoutAssignment (mlo-layout::apply)
-//!     │  address maps + traces + caches         (mlo-cachesim)
+//!     │  address maps + address walks + caches  (mlo-cachesim)
 //!     ▼
 //!  cycles, hit rates, paper tables              (mlo_core::experiments)
 //! ```

@@ -113,29 +113,57 @@ impl IterationSpace {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+
+    /// The first and last value each loop takes, in original loop order:
+    /// every iteration vector lies in the box they span.  Meaningless for
+    /// an empty space.
+    pub fn extremes(&self) -> Vec<(i64, i64)> {
+        (0..self.lowers.len())
+            .map(|k| {
+                let (lower, step) = (self.lowers[k], self.steps[k]);
+                (lower, lower + (self.uppers[k] - lower - 1) / step * step)
+            })
+            .collect()
+    }
+
+    /// Calls `visit` with each remaining iteration vector, in the iterator's
+    /// order, without allocating a vector per iteration.
+    pub fn for_each_point(&self, mut visit: impl FnMut(&[i64])) {
+        let Some(mut point) = self.current.clone() else {
+            return;
+        };
+        loop {
+            visit(&point);
+            if !self.advance(&mut point) {
+                return;
+            }
+        }
+    }
+
+    /// Moves `point` to the next iteration vector like an odometer following
+    /// `order`, innermost (last position in `order`) fastest; `false` once
+    /// the walk is over.
+    #[inline]
+    fn advance(&self, point: &mut [i64]) -> bool {
+        for &loop_idx in self.order.iter().rev() {
+            point[loop_idx] += self.steps[loop_idx];
+            if point[loop_idx] < self.uppers[loop_idx] {
+                return true;
+            }
+            point[loop_idx] = self.lowers[loop_idx];
+        }
+        false
+    }
 }
 
 impl Iterator for IterationSpace {
     type Item = IntVec;
 
     fn next(&mut self) -> Option<IntVec> {
-        let current = self.current.as_mut()?;
+        let mut current = self.current.take()?;
         let result = IntVec::from(current.clone());
-        // Advance like an odometer following `order`, innermost (last
-        // position in `order`) fastest.
-        let mut pos = self.order.len();
-        loop {
-            if pos == 0 {
-                self.current = None;
-                break;
-            }
-            pos -= 1;
-            let loop_idx = self.order[pos];
-            current[loop_idx] += self.steps[loop_idx];
-            if current[loop_idx] < self.uppers[loop_idx] {
-                break;
-            }
-            current[loop_idx] = self.lowers[loop_idx];
+        if self.advance(&mut current) {
+            self.current = Some(current);
         }
         Some(result)
     }
@@ -221,6 +249,29 @@ mod tests {
         // Small loops are untouched.
         let n2 = nest(&[(0, 8)]);
         assert_eq!(IterationSpace::new(&n2).subsampled(100).count(), 8);
+    }
+
+    #[test]
+    fn for_each_point_and_extremes_follow_the_iterator() {
+        let n = nest(&[(0, 10), (-3, 4), (2, 3)]);
+        for t in [
+            LoopTransform::identity(3),
+            LoopTransform::permutation(&[2, 0, 1]),
+        ] {
+            let ws = IterationSpace::transformed(&n, &t).subsampled(3);
+            let mut visited = Vec::new();
+            ws.for_each_point(|p| visited.push(p.to_vec()));
+            let iterated: Vec<Vec<i64>> = ws.clone().map(IntVec::into_inner).collect();
+            assert_eq!(visited, iterated);
+            // Loop 0 steps by 4 (0, 4, 8), loop 1 by 3 (-3, 0, 3).
+            assert_eq!(ws.extremes(), vec![(0, 8), (-3, 3), (2, 2)]);
+        }
+        let mut partly = IterationSpace::new(&n);
+        partly.next();
+        let mut rest = 0;
+        partly.for_each_point(|_| rest += 1);
+        assert_eq!(rest, partly.count());
+        IterationSpace::new(&nest(&[(0, 0)])).for_each_point(|_| panic!("empty space"));
     }
 
     #[test]

@@ -204,6 +204,30 @@ impl AddressMap {
         self.element_offset(index) * self.element_size as i64
     }
 
+    /// The map as one affine form `(coefficients, constant)` over the index:
+    /// `element_offset(index) = constant + Σ coefficients[d] · index[d]`.
+    ///
+    /// The form is computed in wrapping arithmetic, so it equals
+    /// [`element_offset`](Self::element_offset) modulo 2^64 for every index,
+    /// and exactly wherever `element_offset` does not overflow.
+    pub fn linear_form(&self) -> (Vec<i64>, i64) {
+        let rank = self.extents.len();
+        let mut coefficients = vec![0i64; rank];
+        let mut constant = 0i64;
+        // Horner's rule in `element_offset` gives transformed coordinate `e`
+        // the weight of the product of all faster-varying extents.
+        let mut weight = 1i64;
+        for e in (0..rank).rev() {
+            for (d, coefficient) in coefficients.iter_mut().enumerate() {
+                *coefficient =
+                    coefficient.wrapping_add(self.transform.get(e, d).wrapping_mul(weight));
+            }
+            constant = constant.wrapping_sub(self.minimums[e].wrapping_mul(weight));
+            weight = weight.wrapping_mul(self.extents[e]);
+        }
+        (coefficients, constant)
+    }
+
     /// Total number of element slots spanned by the map, including padding
     /// introduced by skewed layouts (the data-space expansion of the paper's
     /// footnote 2).
@@ -355,6 +379,39 @@ mod tests {
     }
 
     proptest! {
+        #[test]
+        fn linear_form_matches_element_offset(
+            rows in 1i64..9, cols in 1i64..9, depth in 1i64..4,
+            i in -3i64..12, j in -3i64..12, k in -3i64..6,
+            layout_idx in 0usize..7,
+        ) {
+            let layouts = [
+                Layout::row_major(2),
+                Layout::column_major(2),
+                Layout::diagonal(),
+                Layout::anti_diagonal(),
+                Layout::from_vector(vec![1, -2]),
+                Layout::row_major(3),
+                Layout::column_major(3),
+            ];
+            let layout = &layouts[layout_idx];
+            let (array, index) = if layout.dim() == 3 {
+                (
+                    ArrayDecl::new(ArrayId::new(0), "T", vec![rows, cols, depth], 8),
+                    vec![i, j, k],
+                )
+            } else {
+                (array_2d(rows, cols), vec![i, j])
+            };
+            let map = AddressMap::new(&array, layout).unwrap();
+            let (coefficients, constant) = map.linear_form();
+            let folded = coefficients
+                .iter()
+                .zip(&index)
+                .fold(constant, |sum, (c, x)| sum + c * x);
+            prop_assert_eq!(folded, map.element_offset(&IntVec::from(index)));
+        }
+
         #[test]
         fn offsets_stay_within_span(
             i in 0i64..6, j in 0i64..5,
