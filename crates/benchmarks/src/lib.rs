@@ -39,7 +39,7 @@ pub use suite::{Benchmark, PaperRow};
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mlo_layout::candidates::total_domain_size;
+    use mlo_layout::CandidateSet;
 
     #[test]
     fn all_benchmarks_build_and_have_arrays_and_nests() {
@@ -73,7 +73,7 @@ mod tests {
         for b in Benchmark::all() {
             let p = b.program();
             let opts = b.candidate_options();
-            let measured = total_domain_size(&p, &opts) as f64;
+            let measured = CandidateSet::enumerate(&p, &opts).total_domain_size() as f64;
             let target = b.paper_domain_size() as f64;
             assert!(
                 measured > target * 0.6 && measured < target * 1.4,

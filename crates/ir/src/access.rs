@@ -124,6 +124,25 @@ impl AffineAccess {
         Ok(AffineAccess::new(m, self.offset.clone()))
     }
 
+    /// The data-space movement per step of the innermost loop of the nest
+    /// restructured by `T`, where `t_inverse` is `T⁻¹`: the innermost
+    /// direction of [`transformed`](Self::transformed)`(t_inverse)`,
+    /// computed as `A` times the last column of `T⁻¹` without forming the
+    /// whole product.  Zero in a zero-depth nest (the access never moves).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `t_inverse` does not have `nest_depth()` rows.
+    pub fn innermost_direction_under(&self, t_inverse: &IntMat) -> IntVec {
+        let step = match t_inverse.cols().checked_sub(1) {
+            Some(last) => t_inverse.col(last),
+            None => IntVec::zeros(t_inverse.rows()),
+        };
+        self.matrix
+            .mul_vec(&step)
+            .expect("inverse transform depth matches access depth")
+    }
+
     /// Whether two accesses differ only in their constant offset (a
     /// *uniformly generated* pair, which is the case the dependence tester
     /// resolves exactly).
@@ -281,8 +300,27 @@ mod tests {
         let t_inv = IntMat::from_array([[0, 1], [1, 0]]);
         let q1t = q1.transformed(&t_inv).unwrap();
         assert_eq!(q1t.innermost_direction().as_slice(), &[1, 0]);
+        // The innermost direction alone agrees with the transformed access,
+        // under a skew too.
+        let skew_inv = IntMat::from_array([[1, 0], [-1, 1]]);
+        for t_inv in [&t_inv, &skew_inv] {
+            assert_eq!(
+                q1.innermost_direction_under(t_inv),
+                q1.transformed(t_inv).unwrap().innermost_direction()
+            );
+        }
+        // A zero-depth access never moves.
+        let scalar = AccessBuilder::new(2, 0).offset(0, 3).build();
+        let still = scalar.innermost_direction_under(&IntMat::identity(0));
+        assert_eq!(still, IntVec::zeros(2));
         // A mismatched transform is rejected.
         assert!(q1.transformed(&IntMat::identity(3)).is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "inverse transform depth")]
+    fn mismatched_inverse_transform_panics() {
+        let _ = AffineAccess::identity(2).innermost_direction_under(&IntMat::identity(3));
     }
 
     #[test]

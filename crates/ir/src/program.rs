@@ -95,29 +95,6 @@ impl Program {
             .collect()
     }
 
-    /// Pairs of distinct arrays that co-occur in at least one nest; these are
-    /// exactly the pairs for which the constraint network will contain a
-    /// binary constraint.
-    pub fn co_occurring_array_pairs(&self) -> Vec<(ArrayId, ArrayId)> {
-        let mut pairs = Vec::new();
-        for nest in &self.nests {
-            let arrays = nest.referenced_arrays();
-            for i in 0..arrays.len() {
-                for j in (i + 1)..arrays.len() {
-                    let (a, b) = if arrays[i] < arrays[j] {
-                        (arrays[i], arrays[j])
-                    } else {
-                        (arrays[j], arrays[i])
-                    };
-                    if !pairs.contains(&(a, b)) {
-                        pairs.push((a, b));
-                    }
-                }
-            }
-        }
-        pairs
-    }
-
     /// Total number of references summed over all nests.
     pub fn total_reference_count(&self) -> usize {
         self.nests.iter().map(|n| n.references().len()).sum()
@@ -186,17 +163,13 @@ mod tests {
     }
 
     #[test]
-    fn nest_and_pair_queries() {
+    fn nest_queries() {
         let p = two_nest_program();
         assert_eq!(
             p.nests_referencing(ArrayId::new(0)),
             vec![NestId::new(0), NestId::new(1)]
         );
         assert_eq!(p.nests_referencing(ArrayId::new(1)), vec![NestId::new(0)]);
-        let pairs = p.co_occurring_array_pairs();
-        assert!(pairs.contains(&(ArrayId::new(0), ArrayId::new(1))));
-        assert!(pairs.contains(&(ArrayId::new(0), ArrayId::new(2))));
-        assert!(!pairs.contains(&(ArrayId::new(1), ArrayId::new(2))));
     }
 
     #[test]

@@ -202,21 +202,11 @@ pub fn all_permutations(depth: usize) -> Vec<Vec<usize>> {
 /// included and always first).
 pub fn legal_permutations(nest: &LoopNest) -> Vec<LoopTransform> {
     let deps = DependenceAnalysis::of_nest(nest);
-    let mut out = Vec::new();
-    for order in all_permutations(nest.depth()) {
-        let t = LoopTransform::permutation(&order);
-        if t.is_identity() || deps.is_legal(t.matrix()) {
-            if t.is_identity() {
-                out.insert(0, t);
-            } else {
-                out.push(t);
-            }
-        }
-    }
-    if out.is_empty() {
-        out.push(LoopTransform::identity(nest.depth()));
-    }
-    out
+    all_permutations(nest.depth())
+        .iter()
+        .map(|order| LoopTransform::permutation(order))
+        .filter(|t| t.is_identity() || deps.is_legal(t.matrix()))
+        .collect()
 }
 
 #[cfg(test)]

@@ -1,8 +1,9 @@
 //! Enumerating the candidate layouts of every array (the domains `M_i`).
 
+use crate::analysis::NestAnalysis;
+use crate::constraints::Contribution;
 use crate::hyperplane::Layout;
-use crate::locality::preferred_layout_for_array;
-use mlo_ir::{legal_permutations, ArrayId, Program};
+use mlo_ir::{ArrayId, Program};
 use std::sync::Arc;
 
 /// Options controlling candidate enumeration.
@@ -28,91 +29,79 @@ impl Default for CandidateOptions {
     }
 }
 
-/// Enumerates the candidate layouts (the domain `M_i`) of one array: every
-/// layout preferred by some nest under some legal restructuring, plus the
-/// canonical layouts when requested.
-///
-/// The order is deterministic: derived layouts in program order first, then
-/// the canonical additions.
-pub fn candidate_layouts(
-    program: &Program,
-    array: ArrayId,
-    options: &CandidateOptions,
-) -> Vec<Layout> {
-    let rank = match program.array(array) {
-        Ok(decl) => decl.rank(),
-        Err(_) => return Vec::new(),
-    };
-    let mut layouts: Vec<Layout> = Vec::new();
-    fn push(layouts: &mut Vec<Layout>, l: Layout) {
-        if !layouts.contains(&l) {
-            layouts.push(l);
-        }
-    }
-    for nest in program.nests() {
-        if !nest.referenced_arrays().contains(&array) {
-            continue;
-        }
-        for transform in legal_permutations(nest)
-            .into_iter()
-            .take(options.max_transforms_per_nest.max(1))
-        {
-            if let Some(layout) = preferred_layout_for_array(nest, array, &transform) {
-                if layout.dim() == rank {
-                    push(&mut layouts, layout);
-                }
-            }
-        }
-    }
-    if options.include_canonical && rank >= 1 {
-        push(&mut layouts, Layout::row_major(rank));
-        push(&mut layouts, Layout::column_major(rank));
-    }
-    if options.include_diagonals && rank == 2 {
-        push(&mut layouts, Layout::diagonal());
-        push(&mut layouts, Layout::anti_diagonal());
-    }
-    if layouts.is_empty() && rank >= 1 {
-        push(&mut layouts, Layout::row_major(rank));
-    }
-    layouts
-}
-
-/// The paper's Table 1 "Domain Size": the total number of candidate layouts
-/// summed over every array of the program.
-pub fn total_domain_size(program: &Program, options: &CandidateOptions) -> usize {
-    program
-        .arrays()
-        .iter()
-        .map(|a| candidate_layouts(program, a.id(), options).len())
-        .sum()
-}
-
 /// The candidate layouts of every array of one program, enumerated once and
-/// reusable across many network builds.
+/// reusable across many network builds, with the per-(nest, loop order)
+/// preferences they were read from (the network's [`Contribution`]s).
 ///
-/// Candidate enumeration walks every (nest, legal restructuring) pair and is
-/// the most expensive part of network construction; sessions (`mlo-core`)
-/// enumerate once per program and then build networks from the borrowed set.
-/// The per-array tables live behind shared `Arc` storage, so cloning a set
-/// (e.g. out of a session cache) never copies a layout.
+/// Sessions (`mlo-core`) enumerate once per program and then build networks
+/// from the borrowed set.  Every table lives behind shared `Arc` storage, so
+/// cloning a set (e.g. out of a session cache) never copies a layout.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CandidateSet {
     options: CandidateOptions,
     per_array: Arc<Vec<Vec<Layout>>>,
+    pub(crate) contributions: Arc<Vec<Contribution>>,
+    /// The domain index of every contribution's preferences, in order.
+    pub(crate) value_indices: Arc<Vec<usize>>,
 }
 
 impl CandidateSet {
     /// Enumerates the candidate layouts of every array of `program`.
     pub fn enumerate(program: &Program, options: &CandidateOptions) -> Self {
-        let per_array = program
-            .arrays()
-            .iter()
-            .map(|a| candidate_layouts(program, a.id(), options))
-            .collect();
+        let analyses: Vec<NestAnalysis> = program.nests().iter().map(NestAnalysis::new).collect();
+        Self::from_analyses(program, &analyses, options)
+    }
+
+    /// Enumerates from the analyses of `program`'s nests, by nest id: every
+    /// layout a nest prefers under one of its first `max_transforms_per_nest`
+    /// orders, in order, then the canonical additions.
+    pub(crate) fn from_analyses(
+        program: &Program,
+        analyses: &[NestAnalysis],
+        options: &CandidateOptions,
+    ) -> Self {
+        let mut per_array: Vec<Vec<Layout>> = vec![Vec::new(); program.arrays().len()];
+        let mut contributions = Vec::new();
+        let mut value_indices = Vec::new();
+        for (nest, analysis) in program.nests().iter().zip(analyses) {
+            let orders = analysis.orders().iter().enumerate();
+            for (order, transform) in orders.take(options.max_transforms_per_nest.max(1)) {
+                let mut preferences = Vec::new();
+                for &array in analysis.arrays() {
+                    let Some(layout) = analysis.preferred_layout(program, order, array) else {
+                        continue;
+                    };
+                    value_indices.push(index_or_push(&mut per_array[array.index()], &layout));
+                    preferences.push((array, layout));
+                }
+                if !preferences.is_empty() {
+                    contributions.push(Contribution {
+                        nest: nest.id(),
+                        transform: transform.describe(),
+                        preferences,
+                    });
+                }
+            }
+        }
+        for (array, layouts) in program.arrays().iter().zip(&mut per_array) {
+            let rank = array.rank();
+            if options.include_canonical && rank >= 1 {
+                index_or_push(layouts, &Layout::row_major(rank));
+                index_or_push(layouts, &Layout::column_major(rank));
+            }
+            if options.include_diagonals && rank == 2 {
+                index_or_push(layouts, &Layout::diagonal());
+                index_or_push(layouts, &Layout::anti_diagonal());
+            }
+            if layouts.is_empty() && rank >= 1 {
+                layouts.push(Layout::row_major(rank));
+            }
+        }
         CandidateSet {
             options: *options,
             per_array: Arc::new(per_array),
+            contributions: Arc::new(contributions),
+            value_indices: Arc::new(value_indices),
         }
     }
 
@@ -151,6 +140,14 @@ impl CandidateSet {
     }
 }
 
+/// The index of `layout` in `layouts`, appending it first when absent.
+fn index_or_push(layouts: &mut Vec<Layout>, layout: &Layout) -> usize {
+    layouts.iter().position(|l| l == layout).unwrap_or_else(|| {
+        layouts.push(layout.clone());
+        layouts.len() - 1
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -183,15 +180,15 @@ mod tests {
     #[test]
     fn figure2_candidates_contain_derived_and_canonical_layouts() {
         let p = figure2_program();
-        let opts = CandidateOptions::default();
-        let q1 = candidate_layouts(&p, ArrayId::new(0), &opts);
+        let set = CandidateSet::enumerate(&p, &CandidateOptions::default());
+        let q1 = set.of(ArrayId::new(0));
         // Derived: diagonal (original order) and column-major (interchange);
         // canonical additions: row-major (column-major already present).
         assert!(q1.contains(&Layout::diagonal()));
         assert!(q1.contains(&Layout::column_major(2)));
         assert!(q1.contains(&Layout::row_major(2)));
         assert_eq!(q1.len(), 3);
-        let q2 = candidate_layouts(&p, ArrayId::new(1), &opts);
+        let q2 = set.of(ArrayId::new(1));
         assert!(q2.contains(&Layout::column_major(2)));
         assert!(q2.contains(&Layout::diagonal()));
         assert!(q2.contains(&Layout::row_major(2)));
@@ -206,9 +203,10 @@ mod tests {
             include_diagonals: true,
             ..CandidateOptions::default()
         };
-        let q1 = candidate_layouts(&p, ArrayId::new(0), &opts);
+        let set = CandidateSet::enumerate(&p, &opts);
+        let q1 = set.of(ArrayId::new(0));
         assert!(q1.contains(&Layout::anti_diagonal()));
-        assert_eq!(total_domain_size(&p, &opts), q1.len() * 2);
+        assert_eq!(set.total_domain_size(), q1.len() * 2);
     }
 
     #[test]
@@ -216,11 +214,12 @@ mod tests {
         let mut b = ProgramBuilder::new("lonely");
         let _unused = b.array("U", vec![16, 16], 4);
         let p = b.build();
-        let c = candidate_layouts(&p, ArrayId::new(0), &CandidateOptions::default());
+        let set = CandidateSet::enumerate(&p, &CandidateOptions::default());
+        let c = set.of(ArrayId::new(0));
         assert!(!c.is_empty());
         assert!(c.contains(&Layout::row_major(2)));
         // Unknown arrays produce an empty candidate list.
-        assert!(candidate_layouts(&p, ArrayId::new(9), &CandidateOptions::default()).is_empty());
+        assert!(set.of(ArrayId::new(9)).is_empty());
     }
 
     #[test]
@@ -231,9 +230,35 @@ mod tests {
             n.read(v, AccessBuilder::new(1, 1).row(0, [1]).build());
         });
         let p = b.build();
-        let c = candidate_layouts(&p, v, &CandidateOptions::default());
+        let set = CandidateSet::enumerate(&p, &CandidateOptions::default());
+        let c = set.of(v);
         assert_eq!(c.len(), 1);
         assert_eq!(c[0], Layout::row_major(1));
+    }
+
+    #[test]
+    fn contributions_index_their_preferences_into_the_domains() {
+        let p = figure2_program();
+        let set = CandidateSet::enumerate(&p, &CandidateOptions::default());
+        // Identity and interchange both prefer a layout for both arrays.
+        assert_eq!(set.contributions.len(), 2);
+        assert_eq!(set.value_indices.len(), 4);
+        let preferences = set.contributions.iter().flat_map(|c| &c.preferences);
+        for ((array, layout), &index) in preferences.zip(set.value_indices.iter()) {
+            assert_eq!(&set.of(*array)[index], layout);
+        }
+        // A cap of one order keeps the identity's preferences only.
+        let capped = CandidateSet::enumerate(
+            &p,
+            &CandidateOptions {
+                max_transforms_per_nest: 1,
+                include_canonical: false,
+                ..CandidateOptions::default()
+            },
+        );
+        assert_eq!(capped.contributions.len(), 1);
+        assert_eq!(capped.contributions[0].transform, "identity");
+        assert_eq!(capped.of(ArrayId::new(0)), &[Layout::diagonal()]);
     }
 
     #[test]
@@ -243,8 +268,8 @@ mod tests {
             include_canonical: false,
             ..CandidateOptions::default()
         };
-        let q1 = candidate_layouts(&p, ArrayId::new(0), &opts);
+        let set = CandidateSet::enumerate(&p, &opts);
         // Only the derived layouts remain.
-        assert_eq!(q1.len(), 2);
+        assert_eq!(set.of(ArrayId::new(0)).len(), 2);
     }
 }

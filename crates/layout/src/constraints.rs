@@ -6,9 +6,9 @@
 
 use crate::candidates::{CandidateOptions, CandidateSet};
 use crate::hyperplane::Layout;
-use crate::locality::preferred_layout_for_array;
 use mlo_csp::{ConstraintNetwork, VarId};
-use mlo_ir::{legal_permutations, ArrayId, NestId, Program};
+use mlo_ir::{ArrayId, NestId, Program};
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 /// The constraint network derived from a program plus the bookkeeping to map
@@ -118,12 +118,10 @@ pub fn build_network(program: &Program, options: &CandidateOptions) -> LayoutNet
 /// candidate set.
 ///
 /// Every array becomes a variable whose domain is its candidate layouts.
-/// For every nest and every legal loop permutation of that nest, the
-/// preferred layouts of the referenced arrays are computed; each pair of
-/// arrays with a preference contributes one allowed pair to the constraint
-/// between them (accumulated across nests and restructurings).
+/// Each pair of preferences in one of the set's (nest, legal loop order)
+/// contributions is one allowed pair of the constraint between the two
+/// arrays (accumulated across nests and restructurings).
 pub fn build_network_from(program: &Program, candidates: &CandidateSet) -> LayoutNetwork {
-    let options = candidates.options();
     let mut network: ConstraintNetwork<Layout> = ConstraintNetwork::new();
     let mut variable_of_array: Vec<Option<VarId>> = vec![None; program.arrays().len()];
     let mut array_of_variable: Vec<ArrayId> = Vec::new();
@@ -139,49 +137,50 @@ pub fn build_network_from(program: &Program, candidates: &CandidateSet) -> Layou
         array_of_variable.push(array.id());
     }
 
-    // Constraints: one allowed pair per (nest, legal transform, array pair).
-    let mut contributions = Vec::new();
-    for nest in program.nests() {
-        for transform in legal_permutations(nest)
-            .into_iter()
-            .take(options.max_transforms_per_nest.max(1))
-        {
-            let mut preferences: Vec<(ArrayId, Layout)> = Vec::new();
-            for array in nest.referenced_arrays() {
-                if let Some(layout) = preferred_layout_for_array(nest, array, &transform) {
-                    preferences.push((array, layout));
-                }
-            }
-            for i in 0..preferences.len() {
-                for j in (i + 1)..preferences.len() {
-                    let (array_a, layout_a) = &preferences[i];
-                    let (array_b, layout_b) = &preferences[j];
-                    let (Some(var_a), Some(var_b)) = (
-                        variable_of_array[array_a.index()],
-                        variable_of_array[array_b.index()],
-                    ) else {
-                        continue;
-                    };
-                    network
-                        .add_constraint(var_a, var_b, vec![(layout_a.clone(), layout_b.clone())])
-                        .expect("preferred layouts are part of the candidate domains");
-                }
-            }
-            if !preferences.is_empty() {
-                contributions.push(Contribution {
-                    nest: nest.id(),
-                    transform: transform.describe(),
-                    preferences,
+    // Constraints: the allowed value-index pairs of every array pair, in
+    // the orientation and order in which the pair first appears.
+    let mut scopes: Vec<(VarId, VarId)> = Vec::new();
+    let mut allowed: Vec<HashSet<(usize, usize)>> = Vec::new();
+    let mut scope_of: HashMap<(VarId, VarId), usize> = HashMap::new();
+    let contributions = &candidates.contributions;
+    let mut value_indices = candidates.value_indices.iter();
+    for contribution in contributions.iter() {
+        // Each preference's variable and value index.
+        let values: Vec<(Option<VarId>, usize)> = contribution
+            .preferences
+            .iter()
+            .zip(value_indices.by_ref())
+            .map(|((array, _), &index)| (variable_of_array[array.index()], index))
+            .collect();
+        for (i, &(a, index_a)) in values.iter().enumerate() {
+            for &(b, index_b) in &values[i + 1..] {
+                let (Some(a), Some(b)) = (a, b) else {
+                    continue;
+                };
+                let scope = *scope_of.entry((a.min(b), a.max(b))).or_insert_with(|| {
+                    scopes.push((a, b));
+                    allowed.push(HashSet::new());
+                    scopes.len() - 1
+                });
+                allowed[scope].insert(if scopes[scope].0 == a {
+                    (index_a, index_b)
+                } else {
+                    (index_b, index_a)
                 });
             }
         }
+    }
+    for ((a, b), pairs) in scopes.into_iter().zip(allowed) {
+        network
+            .add_constraint_by_index(a, b, pairs)
+            .expect("candidate value indices lie inside their domains");
     }
 
     LayoutNetwork {
         network,
         variable_of_array: Arc::new(variable_of_array),
         array_of_variable: Arc::new(array_of_variable),
-        contributions: Arc::new(contributions),
+        contributions: Arc::clone(contributions),
     }
 }
 

@@ -22,12 +22,11 @@
 //! the static locality model because the model scores each reference against
 //! its own array's layout only.
 
+use crate::analysis::NestAnalysis;
 use crate::apply::LayoutAssignment;
-use crate::candidates::{candidate_layouts, CandidateOptions};
+use crate::candidates::{CandidateOptions, CandidateSet};
 use crate::hyperplane::Layout;
-use crate::locality::has_spatial_locality;
-use mlo_ir::{legal_permutations, ArrayId, LoopNest, NestId, Program};
-use std::collections::HashMap;
+use mlo_ir::{ArrayId, LoopNest, NestId, Program};
 use std::fmt;
 
 /// A partition of a program's nests into contiguous segments.
@@ -237,9 +236,19 @@ pub fn dynamic_plan(
     segmentation: &Segmentation,
     options: &DynamicOptions,
 ) -> DynamicPlan {
+    let analyses: Vec<NestAnalysis> = program.nests().iter().map(NestAnalysis::new).collect();
+    let candidates = CandidateSet::from_analyses(program, &analyses, &options.candidates);
     let mut schedules = Vec::new();
     for array in program.arrays() {
-        schedules.push(schedule_array(program, segmentation, array.id(), options));
+        let domain = candidates.of(array.id());
+        schedules.push(schedule_array(
+            program,
+            &analyses,
+            segmentation,
+            array.id(),
+            domain,
+            options,
+        ));
     }
     DynamicPlan {
         segmentation: segmentation.clone(),
@@ -253,6 +262,7 @@ pub fn dynamic_plan(
 /// array* (optimistic, consistent with the per-array decomposition).
 fn segment_miss_cost(
     program: &Program,
+    analyses: &[NestAnalysis],
     segment: &[NestId],
     array: ArrayId,
     layout: &Layout,
@@ -260,22 +270,17 @@ fn segment_miss_cost(
 ) -> f64 {
     let mut cost = 0.0;
     for &nest_id in segment {
-        let nest = &program.nests()[nest_id.index()];
-        let references: Vec<_> = nest.references_to(array);
-        if references.is_empty() {
+        let analysis = &analyses[nest_id.index()];
+        if !analysis.arrays().contains(&array) {
             continue;
         }
-        let iterations = nest.iteration_count() as f64;
+        let iterations = program.nests()[nest_id.index()].iteration_count() as f64;
         // Best legal restructuring for this array: the one minimizing the
         // number of its references without locality.
-        let mut best_missing = usize::MAX;
-        for transform in legal_permutations(nest) {
-            let missing = references
-                .iter()
-                .filter(|r| !has_spatial_locality(r.access(), &transform, layout))
-                .count();
-            best_missing = best_missing.min(missing);
-        }
+        let best_missing = (0..analysis.orders().len())
+            .map(|order| analysis.references_without_locality(order, array, layout))
+            .min()
+            .unwrap_or(usize::MAX);
         cost += best_missing as f64 * iterations * options.miss_cost;
     }
     cost
@@ -285,18 +290,12 @@ fn segment_miss_cost(
 /// `(segment, candidate layout)`.
 fn schedule_array(
     program: &Program,
+    analyses: &[NestAnalysis],
     segmentation: &Segmentation,
     array: ArrayId,
+    candidates: &[Layout],
     options: &DynamicOptions,
 ) -> ArraySchedule {
-    let candidates = candidate_layouts(program, array, &options.candidates);
-    let candidates = if candidates.is_empty() {
-        vec![Layout::row_major(
-            program.array(array).map(|a| a.rank()).unwrap_or(1),
-        )]
-    } else {
-        candidates
-    };
     let segments = segmentation.segments();
     let element_count = program
         .array(array)
@@ -320,7 +319,7 @@ fn schedule_array(
         .map(|segment| {
             candidates
                 .iter()
-                .map(|layout| segment_miss_cost(program, segment, array, layout, options))
+                .map(|layout| segment_miss_cost(program, analyses, segment, array, layout, options))
                 .collect()
         })
         .collect();
@@ -381,25 +380,6 @@ fn schedule_array(
         cost,
         static_cost,
     }
-}
-
-/// Caches per-array schedules keyed by segmentation size — convenience for
-/// sweeping segment windows in benchmarks.
-pub fn sweep_windows(
-    program: &Program,
-    windows: &[usize],
-    options: &DynamicOptions,
-) -> HashMap<usize, DynamicPlan> {
-    windows
-        .iter()
-        .filter(|&&w| w > 0)
-        .map(|&w| {
-            (
-                w,
-                dynamic_plan(program, &Segmentation::by_window(program, w), options),
-            )
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -571,6 +551,7 @@ mod tests {
 
     #[test]
     fn dynamic_cost_never_exceeds_static_cost() {
+        let mut totals = Vec::new();
         for window in [1usize, 2, 3] {
             let p = phase_change_program(24, 3);
             let plan = dynamic_plan(
@@ -584,7 +565,10 @@ mod tests {
                     "dynamic must never lose to static (window {window})"
                 );
             }
+            totals.push(plan.total_cost());
         }
+        // Window 1 refines window 3, so it can only help (or tie).
+        assert!(totals[0] <= totals[2] + 1e-9);
     }
 
     #[test]
@@ -598,18 +582,6 @@ mod tests {
                 assert!(assignment.contains(array.id()));
             }
         }
-    }
-
-    #[test]
-    fn window_sweep_produces_one_plan_per_window() {
-        let p = phase_change_program(16, 2);
-        let plans = sweep_windows(&p, &[1, 2, 0, 4], &DynamicOptions::default());
-        assert_eq!(plans.len(), 3);
-        assert!(plans.contains_key(&1));
-        assert!(plans.contains_key(&2));
-        assert!(plans.contains_key(&4));
-        // Finer segmentation can only help (or tie).
-        assert!(plans[&1].total_cost() <= plans[&4].total_cost() + 1e-9);
     }
 
     #[test]

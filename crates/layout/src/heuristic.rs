@@ -9,11 +9,10 @@
 //! propagate from costly nests to cheaper ones and the requirements of the
 //! costliest nests always win.
 
+use crate::analysis::NestAnalysis;
 use crate::apply::LayoutAssignment;
 use crate::hyperplane::Layout;
-use crate::locality::preferred_layout_for_array;
-use crate::quality::nest_score;
-use mlo_ir::{legal_permutations, rank_nests_by_cost, ArrayId, NestId, Program};
+use mlo_ir::{rank_nests_by_cost, ArrayId, NestId, Program};
 use std::time::{Duration, Instant};
 
 /// The outcome of the heuristic baseline.
@@ -30,9 +29,6 @@ pub struct HeuristicResult {
     pub elapsed: Duration,
 }
 
-/// The best (restructuring, score, newly fixed layouts) choice for a nest.
-type NestChoice = Option<(String, i64, Vec<(ArrayId, Layout)>)>;
-
 /// Runs the heuristic baseline on a program.
 ///
 /// Arrays that remain without a preference after all nests are processed
@@ -45,37 +41,32 @@ pub fn heuristic_assignment(program: &Program) -> HeuristicResult {
     let mut chosen_transforms: Vec<(NestId, String)> = Vec::new();
 
     for &nest_id in &order {
-        let nest = &program.nests()[nest_id.index()];
-        let mut best: NestChoice = None;
-        for transform in legal_permutations(nest) {
+        let analysis = NestAnalysis::new(&program.nests()[nest_id.index()]);
+        // The best loop order so far, its score and the layouts it fixes.
+        let (mut best, mut best_score, mut best_fixed) = (0, None, Vec::new());
+        for loop_order in 0..analysis.orders().len() {
             // Tentatively give every not-yet-fixed array its preferred
-            // layout under this restructuring.
-            let mut tentative = assignment.clone();
-            let mut newly_fixed: Vec<(ArrayId, Layout)> = Vec::new();
-            for array in nest.referenced_arrays() {
-                if tentative.contains(array) {
-                    continue;
-                }
-                if let Some(layout) = preferred_layout_for_array(nest, array, &transform) {
-                    tentative.set(array, layout.clone());
-                    newly_fixed.push((array, layout));
-                }
-            }
-            let score = nest_score(nest, &transform, &tentative);
-            let better = match &best {
-                None => true,
-                Some((_, best_score, _)) => score > *best_score,
-            };
-            if better {
-                best = Some((transform.describe(), score, newly_fixed));
+            // layout under this loop order.
+            let newly_fixed: Vec<(ArrayId, Layout)> = analysis
+                .arrays()
+                .iter()
+                .filter(|&&array| !assignment.contains(array))
+                .filter_map(|&a| Some((a, analysis.preferred_layout(program, loop_order, a)?)))
+                .collect();
+            let score = analysis.score(loop_order, |array| {
+                let fixed = newly_fixed.iter().find(|(fixed, _)| *fixed == array);
+                assignment
+                    .layout_of(array)
+                    .or(fixed.map(|(_, layout)| layout))
+            });
+            if best_score.is_none_or(|best_score| score > best_score) {
+                (best, best_score, best_fixed) = (loop_order, Some(score), newly_fixed);
             }
         }
-        if let Some((description, _, newly_fixed)) = best {
-            for (array, layout) in newly_fixed {
-                assignment.set(array, layout);
-            }
-            chosen_transforms.push((nest_id, description));
+        for (array, layout) in best_fixed {
+            assignment.set(array, layout);
         }
+        chosen_transforms.push((nest_id, analysis.orders()[best].describe()));
     }
 
     // Complete the assignment with row-major defaults.

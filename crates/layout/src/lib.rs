@@ -11,6 +11,9 @@
 //! * [`locality`] — deriving the *preferred* layout of an array from the
 //!   direction its references move per innermost-loop iteration (the
 //!   `(y1 y2) · d1 = (y1 y2) · d2` condition of Section 2),
+//! * [`analysis`] — [`NestAnalysis`]: one nest's legal loop orders and each
+//!   reference's innermost movement under each; preferred layouts and
+//!   locality scores derive from it, and every layer below reads it,
 //! * [`candidates`] — enumerating each array's candidate layouts across all
 //!   nests and legal loop restructurings (the domains `M_i`),
 //! * [`constraints`] — building the binary constraint network `S` whose
@@ -56,6 +59,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod analysis;
 pub mod apply;
 pub mod candidates;
 pub mod constraints;
@@ -63,16 +67,19 @@ pub mod dynamic;
 pub mod heuristic;
 pub mod hyperplane;
 pub mod locality;
+#[cfg(test)]
+mod oracle;
 pub mod quality;
 pub mod weights;
 
+pub use analysis::NestAnalysis;
 pub use apply::{AddressMap, LayoutAssignment};
-pub use candidates::{candidate_layouts, CandidateOptions, CandidateSet};
+pub use candidates::{CandidateOptions, CandidateSet};
 pub use constraints::{build_network, build_network_from, LayoutNetwork};
 pub use dynamic::{dynamic_plan, DynamicOptions, DynamicPlan, Segmentation};
 pub use heuristic::{heuristic_assignment, HeuristicResult};
 pub use hyperplane::{Hyperplane, Layout};
-pub use quality::{assignment_score, nest_score};
+pub use quality::assignment_score;
 pub use weights::{derive_weights, weighted_assignment, WeightOptions, WeightedOutcome};
 
 /// Errors produced by the layout analyses.

@@ -12,6 +12,23 @@ use crate::hyperplane::{Hyperplane, Layout};
 use mlo_ir::{AffineAccess, ArrayId, LoopNest, LoopTransform};
 use mlo_linalg::{kernel_basis, IntMat, IntVec};
 
+/// The layout preferred by references moving along `directions` per
+/// innermost-loop step (see [`preferred_layout`] and
+/// [`preferred_layout_for_array`]).
+pub(crate) fn layout_for_directions<'a>(
+    directions: impl IntoIterator<Item = &'a IntVec>,
+) -> Option<Layout> {
+    let mut moving: Vec<IntVec> = Vec::new();
+    for direction in directions {
+        if direction.dim() > 1 && !direction.is_zero() && !moving.contains(direction) {
+            moving.push(direction.clone());
+        }
+    }
+    (1..=moving.len())
+        .rev()
+        .find_map(|take| layout_orthogonal_to(&moving[..take]))
+}
+
 /// The preferred layout of the array accessed by `access` when the
 /// enclosing nest is restructured by `transform`.
 ///
@@ -19,14 +36,7 @@ use mlo_linalg::{kernel_basis, IntMat, IntVec};
 /// innermost loop advances (pure temporal locality — every layout is equally
 /// good) or when the array is one-dimensional (layout choice is trivial).
 pub fn preferred_layout(access: &AffineAccess, transform: &LoopTransform) -> Option<Layout> {
-    let transformed = access
-        .transformed(transform.inverse())
-        .expect("transform depth matches access depth");
-    if transformed.nest_depth() == 0 || transformed.array_rank() <= 1 {
-        return None;
-    }
-    let direction = transformed.innermost_direction();
-    layout_orthogonal_to(&[direction])
+    layout_for_directions([&access.innermost_direction_under(transform.inverse())])
 }
 
 /// The preferred layout of `array` within `nest` under `transform`,
@@ -42,34 +52,12 @@ pub fn preferred_layout_for_array(
     array: ArrayId,
     transform: &LoopTransform,
 ) -> Option<Layout> {
-    let refs = nest.references_to(array);
-    if refs.is_empty() {
-        return None;
-    }
-    let mut directions: Vec<IntVec> = Vec::new();
-    for r in refs {
-        let transformed = r
-            .access()
-            .transformed(transform.inverse())
-            .expect("transform depth matches access depth");
-        if transformed.array_rank() <= 1 || transformed.nest_depth() == 0 {
-            continue;
-        }
-        let d = transformed.innermost_direction();
-        if !d.is_zero() && !directions.contains(&d) {
-            directions.push(d);
-        }
-    }
-    if directions.is_empty() {
-        return None;
-    }
-    // Try to satisfy all directions at once, then progressively fewer.
-    for take in (1..=directions.len()).rev() {
-        if let Some(layout) = layout_orthogonal_to(&directions[..take]) {
-            return Some(layout);
-        }
-    }
-    None
+    let directions: Vec<IntVec> = nest
+        .references_to(array)
+        .into_iter()
+        .map(|r| r.access().innermost_direction_under(transform.inverse()))
+        .collect();
+    layout_for_directions(&directions)
 }
 
 /// Builds the layout whose hyperplanes are orthogonal to every direction in
@@ -95,31 +83,6 @@ pub fn layout_orthogonal_to(directions: &[IntVec]) -> Option<Layout> {
     } else {
         Some(Layout::new(hyperplanes))
     }
-}
-
-/// Whether `layout` gives the reference spatial locality in the innermost
-/// loop of the (transformed) nest: the per-iteration movement stays within
-/// one hyperplane block.  References that do not move at all count as having
-/// locality (temporal reuse).
-pub fn has_spatial_locality(
-    access: &AffineAccess,
-    transform: &LoopTransform,
-    layout: &Layout,
-) -> bool {
-    let transformed = access
-        .transformed(transform.inverse())
-        .expect("transform depth matches access depth");
-    if transformed.nest_depth() == 0 {
-        return true;
-    }
-    let direction = transformed.innermost_direction();
-    if direction.is_zero() {
-        return true;
-    }
-    if transformed.array_rank() != layout.dim() {
-        return false;
-    }
-    layout.preserves_direction(&direction)
 }
 
 #[cfg(test)]
@@ -193,16 +156,6 @@ mod tests {
             .build();
         let layout = preferred_layout(&access, &LoopTransform::identity(2)).unwrap();
         assert_eq!(layout, Layout::row_major(2));
-        assert!(has_spatial_locality(
-            &access,
-            &LoopTransform::identity(2),
-            &layout
-        ));
-        assert!(!has_spatial_locality(
-            &access,
-            &LoopTransform::identity(2),
-            &Layout::column_major(2)
-        ));
     }
 
     #[test]
@@ -213,12 +166,6 @@ mod tests {
             .row(1, [0, 0])
             .build();
         assert_eq!(preferred_layout(&access, &LoopTransform::identity(2)), None);
-        // But it counts as having locality under any layout.
-        assert!(has_spatial_locality(
-            &access,
-            &LoopTransform::identity(2),
-            &Layout::diagonal()
-        ));
     }
 
     #[test]

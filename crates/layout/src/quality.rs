@@ -6,48 +6,25 @@
 //! layout keeps its innermost-loop movement inside one hyperplane block
 //! (spatial or temporal locality), and zero otherwise.
 
+use crate::analysis::NestAnalysis;
 use crate::apply::LayoutAssignment;
-use crate::locality::has_spatial_locality;
-use mlo_ir::{legal_permutations, LoopNest, LoopTransform, Program};
-
-/// The locality score of one nest under a given restructuring and layout
-/// assignment: the number of dynamic references that enjoy locality.
-///
-/// References to arrays without an assigned layout are counted as having no
-/// locality (the conservative choice).
-pub fn nest_score(
-    nest: &LoopNest,
-    transform: &LoopTransform,
-    assignment: &LayoutAssignment,
-) -> i64 {
-    let iterations = nest.iteration_count();
-    let mut score = 0i64;
-    for reference in nest.references() {
-        let Some(layout) = assignment.layout_of(reference.array()) else {
-            continue;
-        };
-        if has_spatial_locality(reference.access(), transform, layout) {
-            score += iterations;
-        }
-    }
-    score
-}
+use mlo_ir::{LoopNest, LoopTransform, Program};
 
 /// The best achievable locality score of a nest over its legal
-/// restructurings, together with the transform achieving it.
+/// restructurings (see [`NestAnalysis::score`]), together with the first
+/// transform achieving it.  References to arrays without an assigned layout
+/// count as having no locality (the conservative choice).
 pub fn best_nest_score(nest: &LoopNest, assignment: &LayoutAssignment) -> (LoopTransform, i64) {
-    let mut best: Option<(LoopTransform, i64)> = None;
-    for transform in legal_permutations(nest) {
-        let score = nest_score(nest, &transform, assignment);
-        let better = match &best {
-            None => true,
-            Some((_, best_score)) => score > *best_score,
-        };
-        if better {
-            best = Some((transform, score));
+    let analysis = NestAnalysis::new(nest);
+    let layout_of = |array| assignment.layout_of(array);
+    let mut best = (0, analysis.score(0, layout_of));
+    for order in 1..analysis.orders().len() {
+        let score = analysis.score(order, layout_of);
+        if score > best.1 {
+            best = (order, score);
         }
     }
-    best.unwrap_or((LoopTransform::identity(nest.depth()), 0))
+    (analysis.orders()[best.0].clone(), best.1)
 }
 
 /// The program-wide locality score of a layout assignment: the sum over all
@@ -128,8 +105,9 @@ mod tests {
         let p = figure2_program();
         let empty = LayoutAssignment::new();
         assert_eq!(assignment_score(&p, &empty), 0);
-        let nest = &p.nests()[0];
-        assert_eq!(nest_score(nest, &LoopTransform::identity(2), &empty), 0);
+        let (transform, score) = best_nest_score(&p.nests()[0], &empty);
+        assert!(transform.is_identity());
+        assert_eq!(score, 0);
     }
 
     #[test]
@@ -141,7 +119,7 @@ mod tests {
         let mut asg = LayoutAssignment::new();
         asg.set(ArrayId::new(0), Layout::column_major(2));
         asg.set(ArrayId::new(1), Layout::diagonal());
-        let identity_score = nest_score(nest, &LoopTransform::identity(2), &asg);
+        let identity_score = NestAnalysis::new(nest).score(0, |array| asg.layout_of(array));
         let (best_transform, best) = best_nest_score(nest, &asg);
         assert!(best > identity_score);
         assert!(!best_transform.is_identity());
