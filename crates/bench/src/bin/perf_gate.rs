@@ -1,101 +1,76 @@
-//! Deterministic perf-gate harness: the parallel schedulers vs. the
-//! single-thread baseline, wired into CI.
+//! The perf gate: the parallel schedulers against the single-thread
+//! baseline at fixed seeds, plus the kernel, service and fault audits.
 //!
 //! ```text
 //! cargo run -p mlo-bench --release --bin perf_gate -- \
-//!     [--threads N] [--out BENCH_10.json] [--baseline BENCH_9.json] \
-//!     [--min-speedup X] [--wall-margin 0.25] [--no-wall-gate] [--only GROUP]
+//!     [--threads N] [--out PATH] [--baseline BENCH_9.json | --no-baseline] \
+//!     [--min-speedup X] [--no-wall-gate] [--only GROUP]
 //! ```
 //!
-//! `--only GROUP` runs a single group; a name outside [`GROUPS`] is
-//! rejected with the list of valid groups and a nonzero exit.
+//! The artifact goes to `--out` (default: `perf_gate.json` in the system
+//! temp directory) and its `"benchmark"` field is that file's stem.  The
+//! exit code is the whole gate: 0 when every check below holds, 1 when any
+//! fails (each failure is printed), 2 on a bad argument.
 //!
-//! Four benchmark groups run **at 1 worker and at N workers with the same
-//! fixed seeds**:
+//! # Groups
 //!
-//! * `table2` — the paper benchmarks through the `portfolio` strategy
-//!   (solution cost = layout quality score),
-//! * `table3` — the paper benchmarks through the parallel `weighted`
-//!   strategy, evaluated on the simulated DATE'05 machine (solution cost =
-//!   simulated cycles),
-//! * `unsat` — pigeonhole UNSAT proofs through the work-stealing
-//!   scheduler (solution "cost" = nodes visited, which the scheduler's
-//!   exact node-disjoint partition keeps *identical* at every worker
-//!   count — parallelism-honest work, not a redundant race),
-//! * `enumerate` — full solution enumerations of loosely constrained
-//!   random networks through the same scheduler (cost = exact solution
-//!   count, also thread-count-independent).
+//! [`GROUPS`] runs them in this order; `--only GROUP` runs one of them.  A
+//! group that does not run prints nothing and is absent from the artifact.
 //!
-//! `unsat` + `enumerate` are the headline scaling workloads: their
-//! aggregate wall-clock speedup at N workers is emitted as
-//! `scaling_speedup`, and their steal telemetry is audited (**zero**
-//! steals single-threaded, **nonzero** steals at N workers — the gate
-//! fails if the scheduler stops sharding).
+//! * `table2` — the paper benchmarks through the `portfolio` strategy at 1
+//!   and N workers, timed by the report's `solution_time` on a pre-built
+//!   network (cost = layout quality score);
+//! * `table3` — the same through the `weighted` strategy, evaluated on the
+//!   simulated DATE'05 machine (cost = simulated cycles);
+//! * `unsat` — pigeonhole UNSAT proofs through the work-stealing scheduler
+//!   (cost = nodes visited: the scheduler partitions the tree exactly, so
+//!   the count is the same at every worker count);
+//! * `enumerate` — exact model counts of loosely constrained random
+//!   networks through the same scheduler (cost = solution count);
+//! * `propagation` — steady-state AC-3 revisions per second on the
+//!   compiled bitset kernel, in timed batches, and the bytes each revision
+//!   touched;
+//! * `weighted` — noise-dominant planted branch-and-bound instances through
+//!   the scheduler's sharded branch and bound (cost = optimum weight; the
+//!   integer weights keep it exact), then the incremental-recompilation
+//!   audit;
+//! * `service` — duplicate-heavy bursts through `MloService` (throughput,
+//!   coalescing, shedding under a 4-deep intake) and a served-vs-direct
+//!   audit;
+//! * `faults` — the disarmed failpoint cost, one injected `engine.solve`
+//!   panic, and a storm in which every solve panics.
 //!
-//! A fifth, `propagation`, is the bitset-kernel microbench: steady-state
-//! AC-3 revision throughput on the compiled kernel (revisions/second —
-//! each revision is one lane-wide AND support sweep of a constraint arc),
-//! batched so per-batch wall-clock variance is reported alongside the
-//! aggregate, plus the kernel's **bytes-touched-per-revision** audit: the
-//! measured bytes per revision must stay within the ceiling the padded
-//! lane layout implies (a cache-blocking regression fails the gate even
-//! when wall clock hides it).
+//! `unsat` + `enumerate` are the scaling workloads: neither has an early
+//! exit, so their aggregate wall-clock speedup at N workers
+//! (`scaling_speedup`) measures honest tree sharding.
 //!
-//! A sixth, `weighted`, is the sharded branch-and-bound scenario:
-//! *noise-dominant* planted instances (noise above the planted bonus, so
-//! the search is real and the bound has to work) through the
-//! work-stealing scheduler's branch and bound, reporting wall clock, node
-//! and **bound-prune** counts at 1 and N workers; integer weights keep
-//! the optima bit-comparable.  It rides with the incremental-recompilation
-//! audit — a `set_weight` must recompile exactly one weight matrix (and
-//! zero bit-matrices), a hard-constraint merge must recompile exactly one
-//! bit-matrix, and untouched compiled matrices must be reused by pointer.
-//! Any audit violation fails the gate.
+//! # Gates
 //!
-//! A seventh, `service`, exercises the `mlo-service` front-end: a
-//! fixed-seed burst of duplicate-heavy requests through the queued
-//! submission path (reporting throughput and the coalescing hit rate), the
-//! same burst through a tightly bounded intake (reporting the admission
-//! shed count), and a served-vs-direct determinism audit — every report
-//! served through the queue must be identical to the direct
-//! `Session::optimize` call at the same worker count (the gate fails
-//! otherwise).
-//!
-//! An eighth, `faults`, exercises the fault-injection resilience layer: the
-//! disarmed failpoint cost on the hot path, a single injected
-//! `engine.solve` panic that must recover through the service's
-//! retry/fallback ladder as a degraded report (`ladder_ok`), and an
-//! unbounded panic storm in which every waiter must still complete with a
-//! typed error (`no_hung_waiters`) — both booleans are hard gates.
-//!
-//! The weighted group additionally carries a **node-budget gate**: with
-//! the weighted bound-consistency propagator (`SoftAc3`) on every search
-//! path, each noise instance's node count must stay at or below 25% of
-//! its pre-propagation `BENCH_9` baseline, and each instance's
-//! single-thread run must report nonzero `bound_deletions` (the propagator
-//! actually fired).  The per-instance budget and the `bound_deletions`
-//! counters are emitted next to the node counts, and `weighted_nodes_ok`
-//! is a hard gate — a propagation regression that re-inflates the tree
-//! fails CI even when wall clock hides it.
-//!
-//! The harness emits `BENCH_10.json` (wall time, nodes explored, solution
-//! cost, speedup per entry) and **exits nonzero when any gate fails**: a
-//! parallel run's solution cost differing from its single-thread baseline
-//! (the determinism contract of `mlo_csp::solver::steal`), or any audit
-//! above.  The exit code is the only thing CI gates on.  `--baseline`
-//! reads a previous `BENCH_<pr>.json` and embeds the old aggregate scaling
-//! speedup — plus the old single-thread table2+table3 wall time — next to
-//! the new numbers.  The deferred **wall-clock regression gate** is now
-//! on: when the baseline artifact carries a single-thread wall time, this
-//! run's table2+table3 single-thread wall clock must stay within
-//! `--wall-margin` (default ±25%, the characterized runner noise) of it,
-//! or the gate fails (`--no-wall-gate` reverts to trend-tracking only);
-//! `--min-speedup` optionally turns the aggregate `scaling_speedup` into a
-//! hard failure too — enforced only when the runner actually has
-//! `--threads` cores (the emitted `cores` field records what was
-//! available; on a smaller machine an exhaustive N-worker run cannot beat
-//! 1 worker by physics, and the speedup line measures scheduling overhead
-//! instead).
+//! 1. cost parity: every N-worker cost equals its single-thread cost;
+//! 2. `propagation.bytes_ok`: bytes per revision stay within the ceiling
+//!    the padded lane layout implies (a cache-blocking regression fails
+//!    even when wall clock hides it);
+//! 3. `weighted_audit.ok`: a `set_weight` recompiles exactly one weight
+//!    matrix and no bit matrix, a hard-constraint merge exactly one bit
+//!    matrix, and every untouched compiled matrix is reused by pointer;
+//! 4. weighted `nodes_ok`: both node counts within `node_budget` (25% of
+//!    the instance's `BENCH_9` count, before weighted bound consistency)
+//!    and nonzero single-thread bound deletions;
+//! 5. `steal_telemetry.ok`: no steal or split at 1 worker, and some steal
+//!    at N workers whenever `unsat` or `enumerate` ran;
+//! 6. `service.determinism_ok`: every served report equals the direct
+//!    `Session::optimize` call at the same worker count;
+//! 7. `faults.ladder_ok`: the one injected panic comes back from the
+//!    retry/fallback ladder as a degraded report;
+//! 8. `faults.no_hung_waiters`: every storm waiter gets a typed error;
+//! 9. the wall gate: the single-thread wall of the `table2`/`table3` groups
+//!    that ran stays within 25% (the characterized runner noise) of the
+//!    same groups' sum in the `--baseline` artifact (`--no-wall-gate`
+//!    turns it off);
+//! 10. `--min-speedup X`: `scaling_speedup` is at least X, enforced only
+//!     when `unsat` or `enumerate` ran and the machine has `--threads`
+//!     cores (on fewer cores an N-worker run measures scheduling overhead,
+//!     not speedup; the artifact records `cores`).
 
 use mlo_benchmarks::Benchmark;
 use mlo_core::{Engine, EvaluationOptions, OptimizeRequest, SearchBudget, TextTable};
@@ -104,12 +79,13 @@ use mlo_csp::random::{
 };
 use mlo_csp::solver::{ac3_kernel, Ac3Outcome, SearchStats};
 use mlo_csp::{
-    bit_constraint_compiles, weight_constraint_compiles, SearchLimits, StealScheduler, WorkerPool,
+    bit_constraint_compiles, weight_constraint_compiles, SearchLimits, StealReport, StealScheduler,
+    WorkerPool,
 };
 use mlo_layout::quality::assignment_score;
 use mlo_service::{MloService, ServiceConfig};
 use std::collections::HashSet;
-use std::fmt::Write as _;
+use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Instant;
@@ -117,53 +93,1217 @@ use std::time::Instant;
 /// Fixed seed for every request (the gate is meaningless without one).
 const SEED: u64 = 0x0DA7_E205;
 
-/// One benchmark measured at 1 and N workers.
-struct Entry {
-    name: String,
-    wall_ms_1t: f64,
-    wall_ms_nt: f64,
-    nodes_1t: u64,
-    nodes_nt: u64,
-    cost_1t: f64,
-    cost_nt: f64,
+/// Allowed single-thread wall regression against the baseline artifact.
+const WALL_MARGIN: f64 = 0.25;
+
+/// A JSON value; objects keep their key order.
+#[derive(Clone, Debug, PartialEq)]
+enum Json {
+    Null,
+    Bool(bool),
+    Number(f64),
+    String(String),
+    Array(Vec<Json>),
+    Object(Vec<(String, Json)>),
 }
 
-impl Entry {
-    fn speedup(&self) -> f64 {
-        if self.wall_ms_nt > 0.0 {
-            self.wall_ms_1t / self.wall_ms_nt
-        } else {
-            1.0
+macro_rules! json_from {
+    ($($source:ty => $v:ident => $value:expr;)*) => {
+        $(impl From<$source> for Json {
+            fn from($v: $source) -> Self {
+                $value
+            }
+        })*
+    };
+}
+
+json_from! {
+    bool => b => Json::Bool(b);
+    f64 => x => Json::Number(x);
+    u64 => n => Json::Number(n as f64);
+    usize => n => Json::Number(n as f64);
+    &str => s => Json::String(s.to_string());
+}
+
+impl Json {
+    /// Parses one JSON document.  Strings support the escapes
+    /// [`Json::render`] writes.
+    fn parse(text: &str) -> Result<Json, String> {
+        let mut rest = text;
+        let value = parse_value(&mut rest)?;
+        match rest.trim_start() {
+            "" => Ok(value),
+            tail => Err(format!("trailing text at {:?}", near(tail))),
         }
     }
 
-    /// Bit-exact cost parity (all costs here are exact integer sums).
-    fn cost_match(&self) -> bool {
-        self.cost_1t == self.cost_nt
+    /// Renders the value.  A container holding only scalars stays on one
+    /// line; any other puts each member on its own indented line.
+    fn render(&self) -> String {
+        let mut out = String::new();
+        self.write(&mut out, 0);
+        out
+    }
+
+    fn write(&self, out: &mut String, depth: usize) {
+        let (open, close, members): (_, _, Vec<(Option<&String>, &Json)>) = match self {
+            Json::Array(items) => ('[', ']', items.iter().map(|v| (None, v)).collect()),
+            Json::Object(fields) => ('{', '}', fields.iter().map(|(k, v)| (Some(k), v)).collect()),
+            Json::String(s) => return write_string(out, s),
+            Json::Bool(b) => return out.push_str(&b.to_string()),
+            // Six decimals is finer than anything here is measured.
+            Json::Number(x) if x.is_finite() => {
+                let text = format!("{x:.6}");
+                return out.push_str(text.trim_end_matches('0').trim_end_matches('.'));
+            }
+            _ => return out.push_str("null"),
+        };
+        let nested = members
+            .iter()
+            .any(|(_, v)| matches!(v, Json::Array(_) | Json::Object(_)));
+        let indent = |depth| match nested {
+            true => format!("\n{}", "  ".repeat(depth)),
+            false => String::new(),
+        };
+        out.push(open);
+        for (i, (key, value)) in members.iter().enumerate() {
+            if i > 0 {
+                out.push_str(if nested { "," } else { ", " });
+            }
+            out.push_str(&indent(depth + 1));
+            if let Some(key) = key {
+                write_string(out, key);
+                out.push_str(": ");
+            }
+            value.write(out, depth + 1);
+        }
+        out.push_str(&indent(depth));
+        out.push(close);
+    }
+
+    /// The value at a dot-separated object path, e.g. `"propagation.bytes_ok"`.
+    fn path(&self, path: &str) -> Option<&Json> {
+        path.split('.').try_fold(self, |value, key| match value {
+            Json::Object(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        })
+    }
+
+    fn as_f64(&self) -> Option<f64> {
+        match self {
+            Json::Number(x) => Some(*x),
+            _ => None,
+        }
     }
 }
 
-/// Every group `--only` can select, in run order.
-const GROUPS: [&str; 8] = [
-    "table2",
-    "table3",
-    "unsat",
-    "enumerate",
-    "propagation",
-    "weighted",
-    "service",
-    "faults",
+fn write_string(out: &mut String, s: &str) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' | '\\' => out.extend(['\\', c]),
+            c if c < ' ' => out.push_str(&format!("\\u{:04x}", u32::from(c))),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+}
+
+/// The start of the unparsed text, for error messages.
+fn near(rest: &str) -> String {
+    rest.chars().take(20).collect()
+}
+
+/// Skips whitespace, then consumes `c` if it comes next.
+fn eat(rest: &mut &str, c: char) -> bool {
+    *rest = rest.trim_start();
+    rest.strip_prefix(c).map(|tail| *rest = tail).is_some()
+}
+
+fn parse_value(rest: &mut &str) -> Result<Json, String> {
+    if eat(rest, '{') {
+        let member = |rest: &mut &str| {
+            let key = parse_string(rest)?;
+            match eat(rest, ':') {
+                true => Ok((key, parse_value(rest)?)),
+                false => Err(format!("expected ':' after {key:?}")),
+            }
+        };
+        return parse_members(rest, '}', member).map(Json::Object);
+    }
+    if eat(rest, '[') {
+        return parse_members(rest, ']', parse_value).map(Json::Array);
+    }
+    if rest.starts_with('"') {
+        return parse_string(rest).map(Json::String);
+    }
+    for (word, value) in [
+        ("true", Json::Bool(true)),
+        ("false", Json::Bool(false)),
+        ("null", Json::Null),
+    ] {
+        if let Some(tail) = rest.strip_prefix(word) {
+            *rest = tail;
+            return Ok(value);
+        }
+    }
+    let end = rest.find(|c: char| !(c.is_ascii_digit() || "+-.eE".contains(c)));
+    let (number, tail) = rest.split_at(end.unwrap_or(rest.len()));
+    let number = number
+        .parse()
+        .map_err(|_| format!("expected a value at {:?}", near(rest)))?;
+    *rest = tail;
+    Ok(Json::Number(number))
+}
+
+/// Parses comma-separated members up to `close` (the opening bracket is
+/// already consumed).
+fn parse_members<T>(
+    rest: &mut &str,
+    close: char,
+    mut member: impl FnMut(&mut &str) -> Result<T, String>,
+) -> Result<Vec<T>, String> {
+    let mut members = Vec::new();
+    while !eat(rest, close) {
+        if !members.is_empty() && !eat(rest, ',') {
+            return Err(format!("expected ',' or '{close}' at {:?}", near(rest)));
+        }
+        members.push(member(rest)?);
+    }
+    Ok(members)
+}
+
+fn parse_string(rest: &mut &str) -> Result<String, String> {
+    if !eat(rest, '"') {
+        return Err(format!("expected a string at {:?}", near(rest)));
+    }
+    let mut out = String::new();
+    let mut chars = rest.char_indices();
+    while let Some((i, c)) = chars.next() {
+        match c {
+            '"' => {
+                *rest = &rest[i + 1..];
+                return Ok(out);
+            }
+            '\\' => match chars.next().map(|(_, c)| c) {
+                Some('u') => {
+                    let hex: String = chars.by_ref().take(4).map(|(_, c)| c).collect();
+                    let escaped = u32::from_str_radix(&hex, 16).ok().and_then(char::from_u32);
+                    out.push(escaped.ok_or(format!("bad escape \\u{hex}"))?);
+                }
+                Some(c) => out.push(c),
+                None => break,
+            },
+            c => out.push(c),
+        }
+    }
+    Err("unterminated string".to_string())
+}
+
+/// One reported quantity of a record: its artifact key, its value, and
+/// whether it is a gate (a `false` value fails the run).
+struct Field {
+    key: String,
+    value: Json,
+    gate: bool,
+}
+
+fn field(key: impl Into<String>, value: impl Into<Json>) -> Field {
+    Field {
+        key: key.into(),
+        value: value.into(),
+        gate: false,
+    }
+}
+
+fn gate(key: &str, ok: bool) -> Field {
+    Field {
+        gate: true,
+        ..field(key, ok)
+    }
+}
+
+/// Fields keyed by the record's own field names.
+macro_rules! fields {
+    ($record:expr; $($name:ident),*) => {
+        vec![$(field(stringify!($name), $record.$name)),*]
+    };
+}
+
+/// The `_1t` and `_nt` fields of a quantity measured at 1 and N workers.
+fn pair<T: Into<Json>>(key: &str, [one, many]: [T; 2]) -> [Field; 2] {
+    [
+        field(format!("{key}_1t"), one),
+        field(format!("{key}_nt"), many),
+    ]
+}
+
+fn object(fields: &[Field]) -> Json {
+    Json::Object(
+        fields
+            .iter()
+            .map(|f| (f.key.clone(), f.value.clone()))
+            .collect(),
+    )
+}
+
+/// The keys of the gates among `fields` that failed.
+fn failed(fields: &[Field]) -> impl Iterator<Item = &str> {
+    let failed = |f: &&Field| f.gate && f.value == Json::Bool(false);
+    fields.iter().filter(failed).map(|f| f.key.as_str())
+}
+
+/// `x` as `{:.N}` formats it: derived figures that successive artifacts
+/// must record identically keep the precision they were first written at.
+fn fixed(x: f64, decimals: usize) -> f64 {
+    format!("{x:.decimals$}")
+        .parse()
+        .expect("a formatted f64 parses")
+}
+
+/// A console cell: integers as they are, other numbers to three decimals,
+/// strings unquoted.
+fn cell(value: &Json) -> String {
+    match value {
+        Json::Number(x) if x.fract() != 0.0 => format!("{x:.3}"),
+        Json::String(s) => s.clone(),
+        other => other.render(),
+    }
+}
+
+fn print_block(key: &str, fields: &[Field]) {
+    println!("\n{key}");
+    for f in fields {
+        println!("  {}: {}", f.key, cell(&f.value));
+    }
+}
+
+/// `one / many`, or 1 when `many` took no time.
+fn speedup([one, many]: [f64; 2]) -> f64 {
+    if many > 0.0 {
+        one / many
+    } else {
+        1.0
+    }
+}
+
+/// One instance measured at 1 and at N workers (index 0 is the
+/// single-thread run).
+struct Entry {
+    name: String,
+    wall_ms: [f64; 2],
+    nodes: [u64; 2],
+    cost: [f64; 2],
+    /// The branch-and-bound counters of a `weighted` instance.
+    bound: Option<Bound>,
+}
+
+/// Bound counters and the node budget of one weighted instance.
+struct Bound {
+    prunings: [u64; 2],
+    bound_deletions: [u64; 2],
+    /// Ceiling on both node counts: 25% of the instance's node count in
+    /// `BENCH_9`, before weighted bound consistency existed.
+    node_budget: u64,
+}
+
+impl Entry {
+    fn new(name: &str, wall_ms: [f64; 2], nodes: [u64; 2], cost: [f64; 2]) -> Entry {
+        Entry {
+            name: name.to_string(),
+            wall_ms,
+            nodes,
+            cost,
+            bound: None,
+        }
+    }
+
+    /// Bit-exact cost parity (every cost here is an exact integer sum).
+    fn cost_match(&self) -> bool {
+        self.cost[0] == self.cost[1]
+    }
+
+    /// Both node counts within the budget, and bound consistency deleted
+    /// values in the single-thread run.
+    fn nodes_ok(&self) -> bool {
+        let within = |b: &Bound| self.nodes.iter().all(|&n| n <= b.node_budget);
+        self.bound
+            .as_ref()
+            .is_none_or(|b| within(b) && b.bound_deletions[0] > 0)
+    }
+
+    fn fields(&self) -> Vec<Field> {
+        let mut fields = vec![field("name", self.name.as_str())];
+        fields.extend(pair("wall_ms", self.wall_ms));
+        fields.extend(pair("nodes", self.nodes));
+        if let Some(b) = &self.bound {
+            fields.extend(pair("prunings", b.prunings));
+            fields.extend(pair("bound_deletions", b.bound_deletions));
+            fields.push(field("node_budget", b.node_budget));
+            fields.push(gate("nodes_ok", self.nodes_ok()));
+        }
+        fields.extend(pair("cost", self.cost));
+        fields.push(field("speedup", speedup(self.wall_ms)));
+        fields.push(gate("cost_match", self.cost_match()));
+        fields
+    }
+}
+
+/// What every group runs with.
+struct Harness {
+    threads: usize,
+    pool: Arc<WorkerPool>,
+}
+
+impl Harness {
+    /// The work-stealing scheduler at `workers`; the single-thread baseline
+    /// runs without a pool.
+    fn scheduler(&self, workers: usize) -> StealScheduler {
+        match workers {
+            1 => StealScheduler::new(),
+            n => StealScheduler::new()
+                .with_pool(Arc::clone(&self.pool))
+                .parallelism(n),
+        }
+    }
+}
+
+/// Runs `solve` with one worker, then with `threads` workers, and returns
+/// each run's wall clock (ms) and result.
+fn one_vs_n<T>(threads: usize, mut solve: impl FnMut(usize) -> T) -> ([f64; 2], [T; 2]) {
+    let mut timed = |workers| {
+        let start = Instant::now();
+        let out = solve(workers);
+        (start.elapsed().as_secs_f64() * 1e3, out)
+    };
+    let ((wall_1t, one), (wall_nt, many)) = (timed(1), timed(threads));
+    ([wall_1t, wall_nt], [one, many])
+}
+
+/// Steal and split counters summed over the scheduler groups (index 0 is
+/// the single-thread runs).
+#[derive(Default)]
+struct StealTotals {
+    steals: [u64; 2],
+    splits: [u64; 2],
+}
+
+impl StealTotals {
+    fn absorb(&mut self, [one, many]: [&StealReport; 2]) {
+        self.steals = [self.steals[0] + one.steals, self.steals[1] + many.steals];
+        self.splits = [self.splits[0] + one.splits, self.splits[1] + many.splits];
+    }
+
+    /// `sharded`: `unsat` or `enumerate` ran, whose proof-sized trees must
+    /// make N workers steal.
+    fn fields(&self, sharded: bool) -> Vec<Field> {
+        let ok = self.steals[0] == 0 && self.splits[0] == 0 && (!sharded || self.steals[1] > 0);
+        let mut fields = Vec::from(pair("steals", self.steals));
+        fields.extend(pair("splits", self.splits));
+        fields.push(gate("ok", ok));
+        fields
+    }
+}
+
+/// The random-network shape of a fixed-seed instance.
+fn spec(vars: usize, domain: usize, density: f64, tightness: f64, seed: u64) -> RandomNetworkSpec {
+    RandomNetworkSpec {
+        variables: vars,
+        domain_size: domain,
+        density,
+        tightness,
+        seed,
+    }
+}
+
+/// table2/table3: the paper benchmarks through `strategy`, timed by the
+/// report's `solution_time` (pure search: the network is built first).
+fn engine_group(threads: usize, strategy: &str, evaluate: bool) -> Vec<Entry> {
+    let engine = Engine::builder().parallelism(threads).build();
+    let session = engine.session();
+    let run = |benchmark: Benchmark| {
+        let program = benchmark.program();
+        let candidates = benchmark.candidate_options();
+        session.prepared(&program, &candidates).network(&program);
+        let mut request = OptimizeRequest::strategy(strategy)
+            .candidates(candidates)
+            .seed(SEED);
+        if evaluate {
+            // Sub-sampled traces: the evaluation stays deterministic (and
+            // comparable across thread counts) but the whole group runs in
+            // seconds instead of minutes on one CI core.
+            let trace = mlo_cachesim::TraceOptions {
+                max_trip_per_loop: 24,
+                ..mlo_cachesim::TraceOptions::default()
+            };
+            request = request.evaluate(EvaluationOptions::date05().trace(trace));
+        }
+        let (_, reports) = one_vs_n(threads, |workers| {
+            let request = request
+                .clone()
+                .with_budget(SearchBudget::new().workers(workers));
+            let report = session.optimize(&program, &request);
+            report.expect("perf-gate requests use the heuristic fallback policy")
+        });
+        let runs = reports.each_ref();
+        let wall_ms = runs.map(|r| r.solution_time.as_secs_f64() * 1e3);
+        let nodes = runs.map(|r| r.search_stats.map_or(0, |s| s.nodes_visited));
+        let cost = runs.map(|r| match &r.evaluation {
+            Some(evaluation) => evaluation.total_cycles as f64,
+            None => assignment_score(&program, &r.assignment) as f64,
+        });
+        Entry::new(benchmark.name(), wall_ms, nodes, cost)
+    };
+    Benchmark::all().into_iter().map(run).collect()
+}
+
+/// unsat: pigeonhole UNSAT proofs through the work-stealing scheduler.
+///
+/// `PHP(n+1, n)` refutation trees have no lucky exits, so a redundant race
+/// cannot speed them up and tree sharding speeds them up almost linearly.
+/// Per-node work is a pure function of the path, so the cost (the node
+/// count) must be identical at every worker count: cost parity doubles as
+/// the partition audit.
+fn unsat_group(h: &Harness, steals: &mut StealTotals) -> Vec<Entry> {
+    let mut run = |(name, holes)| {
+        let network = pigeonhole_network(holes);
+        let limits = SearchLimits::none();
+        let (wall_ms, runs) = one_vs_n(h.threads, |workers| {
+            h.scheduler(workers).solve_detailed(&network, &limits, None)
+        });
+        let proved = runs.iter().all(|r| r.result.proves_unsatisfiable());
+        assert!(proved, "pigeonhole proofs must complete");
+        steals.absorb(runs.each_ref().map(|r| &r.telemetry));
+        let nodes = runs.each_ref().map(|r| r.result.stats.nodes_visited);
+        Entry::new(name, wall_ms, nodes, nodes.map(|n| n as f64))
+    };
+    vec![run(("php-9", 9)), run(("php-10", 10))]
+}
+
+/// enumerate: exact model counts of loosely constrained random networks
+/// through the work-stealing scheduler.  Like a proof, an exhaustive count
+/// has no early exit, and the count must not depend on the worker count.
+fn enumerate_group(h: &Harness, steals: &mut StealTotals) -> Vec<Entry> {
+    let mut run = |name, variables, tightness, seed| {
+        // Planted-satisfiable: the count is at least one.
+        let (network, _) = satisfiable_network(&spec(variables, 4, 0.28, tightness, seed));
+        let limits = SearchLimits::none();
+        let (wall_ms, runs) = one_vs_n(h.threads, |workers| {
+            h.scheduler(workers).count_detailed(&network, &limits, None)
+        });
+        let exact = runs.iter().all(|r| r.is_exact());
+        assert!(exact, "enumeration runs must complete");
+        steals.absorb(runs.each_ref().map(|r| &r.telemetry));
+        let nodes = runs.each_ref().map(|r| r.stats.nodes_visited);
+        let count = runs.each_ref().map(|r| r.solutions as f64);
+        Entry::new(name, wall_ms, nodes, count)
+    };
+    vec![
+        run("enum-24", 24, 0.22, 15_2026),
+        run("enum-26", 26, 0.24, 16_2026),
+    ]
+}
+
+/// The `propagation` bitset-kernel microbench.
+struct Propagation {
+    variables: usize,
+    constraints: usize,
+    allowed_pairs: usize,
+    /// Cold kernel compilation (bit-matrices + support counts).
+    kernel_build_ms: f64,
+    /// At the fixpoint every pass revises each constraint's two arcs once
+    /// (nothing is removed, so nothing is re-queued).
+    revisions: u64,
+    /// Consistency checks over every timed pass.
+    checks: u64,
+    /// Wall clock of each batch of [`Propagation::BATCH_RUNS`] passes.
+    batch_ms: Vec<f64>,
+    /// Bytes the kernel touched over every timed revision, as accounted by
+    /// `SearchStats::bytes_touched`.
+    bytes_touched: u64,
+    /// The most one revision may touch under the padded lane layout.
+    bytes_budget_per_revision: u64,
+}
+
+impl Propagation {
+    const RUNS: usize = 400;
+    const BATCH_RUNS: usize = 50;
+
+    fn per_sec(&self, count: u64) -> f64 {
+        let seconds = self.batch_ms.iter().sum::<f64>() / 1e3;
+        count as f64 / seconds.max(1e-9)
+    }
+
+    fn revisions_per_sec(&self) -> f64 {
+        self.per_sec(self.revisions)
+    }
+
+    fn bytes_per_revision(&self) -> f64 {
+        self.bytes_touched as f64 / self.revisions.max(1) as f64
+    }
+
+    fn bytes_ok(&self) -> bool {
+        let budget = self.bytes_budget_per_revision as f64;
+        self.bytes_touched > 0 && self.bytes_per_revision() <= budget
+    }
+
+    fn fields(&self) -> Vec<Field> {
+        let batches = self.batch_ms.len() as f64;
+        let total_ms: f64 = self.batch_ms.iter().sum();
+        let mean = total_ms / batches;
+        let square = |ms: &f64| (ms - mean).powi(2);
+        let variance = self.batch_ms.iter().map(square).sum::<f64>() / batches;
+        let batch_ms = Json::Array(self.batch_ms.iter().map(|&ms| ms.into()).collect());
+        let mut fields =
+            fields!(self; variables, constraints, allowed_pairs, kernel_build_ms, revisions);
+        fields.extend([
+            field("ac3_runs", Self::RUNS),
+            field("ac3_total_ms", total_ms),
+            field("revisions_per_sec", self.revisions_per_sec()),
+            field("checks_per_sec", self.per_sec(self.checks)),
+            field("batch_runs", Self::BATCH_RUNS),
+            field("batch_ms", batch_ms),
+            field("batch_rel_std", variance.sqrt() / mean.max(1e-9)),
+            field("bytes_touched", self.bytes_touched),
+            field("bytes_per_revision", fixed(self.bytes_per_revision(), 2)),
+            field("bytes_budget_per_revision", self.bytes_budget_per_revision),
+            gate("bytes_ok", self.bytes_ok()),
+        ]);
+        fields
+    }
+}
+
+/// propagation: steady-state AC-3 revisions per second on the compiled
+/// kernel, batched so the per-batch spread is reported too.
+fn propagation_group() -> Propagation {
+    let (weighted, _) = planted_weighted_network(&spec(100, 6, 0.4, 0.25, 6_2025), 80.0, 8);
+    let network = weighted.network();
+    let start = Instant::now();
+    let kernel = Arc::clone(network.kernel());
+    let kernel_build_ms = start.elapsed().as_secs_f64() * 1e3;
+
+    // Drive AC-3 to its fixpoint once, so every timed pass does the same
+    // revisions.
+    let mut warm = kernel.full_domains();
+    let outcome = ac3_kernel(&kernel, &mut warm, &mut SearchStats::default());
+    assert!(
+        matches!(outcome, Ac3Outcome::Consistent),
+        "the propagation instance must be satisfiable at the fixpoint"
+    );
+    let mut stats = SearchStats::default();
+    let batch_ms = (0..Propagation::RUNS / Propagation::BATCH_RUNS)
+        .map(|_| {
+            let start = Instant::now();
+            for _ in 0..Propagation::BATCH_RUNS {
+                let outcome = ac3_kernel(&kernel, &mut warm.clone(), &mut stats);
+                assert!(matches!(outcome, Ac3Outcome::Consistent));
+            }
+            start.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+
+    // The worst directed arc (x revised against y) reads both live spans
+    // and, on the block-major path, at most one lane-padded row per live
+    // value of x.  Unpadded strides, scattered rows or re-scanned partners
+    // blow this ceiling even when wall clock hides the miss cost.
+    let padded_words = |size: usize| size.div_ceil(64).next_multiple_of(4).max(4) as u64;
+    let arc_budget = |ci| {
+        let c = kernel.constraint(ci);
+        let first = kernel.domain_size(c.first());
+        let second = kernel.domain_size(c.second());
+        let (pf, ps) = (padded_words(first), padded_words(second));
+        // Both arc directions: revise first-against-second and back.
+        8 * (pf + ps + first as u64 * ps).max(ps + pf + second as u64 * pf)
+    };
+    let constraints = network.constraint_count();
+    Propagation {
+        variables: network.variable_count(),
+        constraints,
+        allowed_pairs: network.constraints().iter().map(|c| c.pair_count()).sum(),
+        kernel_build_ms,
+        revisions: (2 * constraints * Propagation::RUNS) as u64,
+        checks: stats.consistency_checks,
+        batch_ms,
+        bytes_touched: stats.bytes_touched,
+        bytes_budget_per_revision: (0..constraints).map(arc_budget).max().unwrap_or(0),
+    }
+}
+
+/// The `weighted` group: the branch-and-bound entries, then the
+/// incremental-recompilation audit.
+struct WeightedGroup {
+    entries: Vec<Entry>,
+    audit: WeightedAudit,
+}
+
+/// Compile counts around a `set_weight` patch and a hard-constraint merge,
+/// and whether every untouched compiled matrix was reused by pointer.
+struct WeightedAudit {
+    weight_recompiles_on_set_weight: u64,
+    bit_recompiles_on_set_weight: u64,
+    bit_recompiles_on_merge: u64,
+    untouched_matrices_reused: bool,
+}
+
+impl WeightedAudit {
+    fn ok(&self) -> bool {
+        self.weight_recompiles_on_set_weight == 1
+            && self.bit_recompiles_on_set_weight == 0
+            && self.bit_recompiles_on_merge == 1
+            && self.untouched_matrices_reused
+    }
+
+    fn fields(&self) -> Vec<Field> {
+        let mut fields = fields!(self; weight_recompiles_on_set_weight,
+            bit_recompiles_on_set_weight, bit_recompiles_on_merge, untouched_matrices_reused);
+        fields.push(gate("ok", self.ok()));
+        fields
+    }
+}
+
+/// weighted: *noise-dominant* planted instances (noise above the planted
+/// bonus, so the weight-ordered value loop cannot shortcut the search and
+/// the bound has to work) through the scheduler's sharded branch and
+/// bound.  The strict-< incumbent contract makes the optimum independent
+/// of the worker count.
+fn weighted_group(h: &Harness, steals: &mut StealTotals) -> WeightedGroup {
+    // Budgets are 25% of each instance's BENCH_9 single-thread node count
+    // (391_608 / 1_324_312 / 36_965_312).
+    let mut run = |name, node_budget, variables, density, tightness, seed| {
+        let spec = spec(variables, 4, density, tightness, seed);
+        // Bonus far below the noise ceiling: the planted assignment is
+        // *not* the optimum and the bound must close the whole tree.
+        let (weighted, _) = planted_weighted_network(&spec, 4.0, 12);
+        let limits = SearchLimits::none();
+        let (wall_ms, runs) = one_vs_n(h.threads, |workers| {
+            h.scheduler(workers)
+                .optimize_detailed(&weighted, &limits, None)
+        });
+        let optimal = runs.iter().all(|r| r.optimal);
+        assert!(optimal, "weighted runs must complete");
+        steals.absorb(runs.each_ref().map(|r| &r.telemetry));
+        let stat =
+            |counter: fn(&SearchStats) -> u64| runs.each_ref().map(|r| counter(&r.result.stats));
+        let cost = runs
+            .each_ref()
+            .map(|r| r.canonical_weight.expect("satisfiable"));
+        let bound = Bound {
+            prunings: stat(|s| s.prunings),
+            bound_deletions: stat(|s| s.bound_deletions),
+            node_budget,
+        };
+        let mut entry = Entry::new(name, wall_ms, stat(|s| s.nodes_visited), cost);
+        entry.bound = Some(bound);
+        entry
+    };
+    let entries = vec![
+        run("noise-18", 97_902, 18, 0.5, 0.15, 17_2026),
+        run("noise-20", 331_078, 20, 0.45, 0.15, 18_2026),
+        run("noise-22", 9_241_328, 22, 0.45, 0.12, 19_2026),
+    ];
+    let audit = weighted_audit();
+    WeightedGroup { entries, audit }
+}
+
+/// Runs the incremental-recompilation audit.  Must run while no other
+/// thread compiles kernels: the compile counters are process-wide.
+fn weighted_audit() -> WeightedAudit {
+    let (weighted, _) = planted_weighted_network(&spec(40, 5, 0.4, 0.25, 14_2025), 60.0, 8);
+    let network = weighted.network().clone();
+    let constraints = network.constraint_count();
+    assert!(constraints > 1, "the audit needs untouched constraints");
+    // Force both compiled kernels before measuring.
+    let bit_kernel = Arc::clone(network.kernel());
+    let weight_kernel = Arc::clone(weighted.weight_kernel());
+    // Constraint 0 is the one patched: its matrix must be new, every other
+    // one shared.
+    let only_first_rebuilt = |same: &dyn Fn(usize) -> bool| !same(0) && (1..constraints).all(same);
+
+    // 1. A set_weight patch: exactly one weight matrix recompiled, zero
+    //    bit matrices.
+    let c0 = network.constraint(0);
+    let pair = c0.allowed_pairs().iter().copied().min();
+    let pair = pair.expect("constraints of planted networks allow pairs");
+    let va = *network.domain(c0.first()).value(pair.0);
+    let vb = *network.domain(c0.second()).value(pair.1);
+    let mut patched = weighted.clone();
+    let (bits_before, weights_before) = (bit_constraint_compiles(), weight_constraint_compiles());
+    patched
+        .set_weight(c0.first(), c0.second(), &va, &vb, 999.0)
+        .expect("pair comes from the network itself");
+    let weight_recompiles_on_set_weight = weight_constraint_compiles() - weights_before;
+    let bit_recompiles_on_set_weight = bit_constraint_compiles() - bits_before;
+    let patched_kernel = patched.weight_kernel();
+    let weights_reused = only_first_rebuilt(&|ci| {
+        Arc::ptr_eq(
+            weight_kernel.constraint_handle(ci),
+            patched_kernel.constraint_handle(ci),
+        )
+    });
+
+    // 2. A hard-constraint merge: exactly one bit matrix recompiled.
+    let mut fork = network.clone();
+    let bits_before = bit_constraint_compiles();
+    fork.add_constraint_by_index(c0.first(), c0.second(), HashSet::from([pair]))
+        .expect("merging into an existing constraint");
+    let bit_recompiles_on_merge = bit_constraint_compiles() - bits_before;
+    let fork_kernel = fork.kernel();
+    let bits_reused = only_first_rebuilt(&|ci| {
+        Arc::ptr_eq(
+            bit_kernel.constraint_handle(ci),
+            fork_kernel.constraint_handle(ci),
+        )
+    });
+
+    WeightedAudit {
+        weight_recompiles_on_set_weight,
+        bit_recompiles_on_set_weight,
+        bit_recompiles_on_merge,
+        untouched_matrices_reused: weights_reused && bits_reused,
+    }
+}
+
+/// The `service` group: queued throughput, coalescing, admission shedding
+/// and the served-vs-direct determinism audit.
+struct Service {
+    /// Requests the unbounded burst accepted.
+    requests: u64,
+    /// Wall clock of the whole burst (submit + drain).
+    wall_ms: f64,
+    /// Submissions the burst service counted (coalesced hits included).
+    submitted: u64,
+    /// Burst submissions that coalesced onto an in-flight solve.
+    coalesced: u64,
+    /// Submissions shed by the same burst against a 4-deep intake.
+    shed: u64,
+    /// Every served report matched its direct session call.
+    determinism_ok: bool,
+}
+
+impl Service {
+    fn fields(&self) -> Vec<Field> {
+        let ratio = |part: f64, whole: f64| if whole > 0.0 { part / whole } else { 0.0 };
+        let throughput = ratio(self.requests as f64, self.wall_ms / 1e3);
+        let hit_rate = ratio(self.coalesced as f64, self.submitted as f64);
+        let mut fields = fields!(self; requests, wall_ms, submitted, coalesced, shed);
+        fields.extend([
+            field("throughput_rps", throughput),
+            field("coalesce_hit_rate", hit_rate),
+            gate("determinism_ok", self.determinism_ok),
+        ]);
+        fields
+    }
+}
+
+/// One fixed-seed duplicate-heavy burst: every paper benchmark × 8 seeds,
+/// each `(program, request)` pair submitted twice back-to-back.  Returns
+/// the accepted count and the wall clock.
+fn service_burst(service: &MloService) -> (u64, f64) {
+    let programs: Vec<_> = Benchmark::all().iter().map(|b| b.program()).collect();
+    let mut handles = Vec::new();
+    let started = Instant::now();
+    for seed in 0..8u64 {
+        for program in &programs {
+            let request = OptimizeRequest::strategy("enhanced").seed(SEED ^ seed);
+            // A bounded intake may shed a submission; the service stats
+            // count that, it is not a failure.
+            handles.extend((0..2).filter_map(|_| service.submit(program, &request).ok()));
+        }
+    }
+    for handle in &handles {
+        let solved = handle.wait().is_ok();
+        assert!(solved, "a burst request failed to solve (service group)");
+    }
+    (handles.len() as u64, started.elapsed().as_secs_f64() * 1e3)
+}
+
+fn service_group(threads: usize) -> Service {
+    // Every service's engine outlives the service, so a pool thread never
+    // drops the last handle to its own pool.
+    let engines: [Engine; 3] =
+        std::array::from_fn(|_| Engine::builder().parallelism(threads).build());
+    let service = |i: usize, queue_limit| {
+        let config = ServiceConfig::new().queue_limit(queue_limit);
+        MloService::new(engines[i].session(), config)
+    };
+    let session = engines[0].session();
+    let audited = service(0, 0);
+    let mut determinism_ok = true;
+    for benchmark in Benchmark::all() {
+        let program = benchmark.program();
+        for strategy in ["enhanced", "weighted", "portfolio-steal"] {
+            let request = OptimizeRequest::strategy(strategy).seed(SEED);
+            let direct = session.optimize(&program, &request);
+            let direct = direct.expect("direct solve succeeds");
+            let served = audited.submit(&program, &request);
+            let served = served.expect("unbounded admission").wait();
+            let served = match served.as_ref() {
+                Ok(report) => report,
+                Err(error) => panic!("served solve failed: {error}"),
+            };
+            determinism_ok &= direct.assignment == served.assignment
+                && direct.search_stats == served.search_stats
+                && direct.satisfiable == served.satisfiable
+                && direct.fallback == served.fallback;
+        }
+    }
+
+    // Duplicates of an in-flight request coalesce instead of re-solving.
+    let burst = service(1, 0);
+    let (requests, wall_ms) = service_burst(&burst);
+    let stats = burst.stats();
+    // Admission control must shed instead of queueing without bound.
+    let bounded = service(2, 4);
+    service_burst(&bounded);
+    Service {
+        requests,
+        wall_ms,
+        submitted: stats.submitted,
+        coalesced: stats.coalesced,
+        shed: bounded.stats().shed,
+        determinism_ok,
+    }
+}
+
+/// The `faults` group: the resilience layer under scoped fault plans (see
+/// `mlo_csp::fault`).
+struct Faults {
+    /// Disarmed `fail_point!` cost per hit on the hot path.
+    disarmed_ns_per_hit: f64,
+    ladder_recovery_ms: f64,
+    /// The strategy that served the recovered request.
+    ladder_strategy: String,
+    /// The one injected panic came back as a degraded report.
+    ladder_ok: bool,
+    storm_requests: u64,
+    /// Strategy panics the resilience layer contained during the storm.
+    storm_panics: u64,
+    /// Every storm waiter completed with a typed error.
+    no_hung_waiters: bool,
+}
+
+impl Faults {
+    fn fields(&self) -> Vec<Field> {
+        let mut fields = fields!(self; disarmed_ns_per_hit, ladder_recovery_ms, storm_requests,
+            storm_panics);
+        fields.extend([
+            field("ladder_strategy", self.ladder_strategy.as_str()),
+            gate("ladder_ok", self.ladder_ok),
+            gate("no_hung_waiters", self.no_hung_waiters),
+        ]);
+        fields
+    }
+}
+
+/// faults: one bounded `engine.solve` panic must recover through the
+/// retry/fallback ladder; under an unbounded plan (every rung of every
+/// request dies) every waiter must still get a typed error.
+fn faults_group(threads: usize) -> Faults {
+    use mlo_csp::fault::{self, FaultPlan, FaultTrigger};
+    let timeout = std::time::Duration::from_secs(60);
+    let request = |seed| OptimizeRequest::strategy("enhanced").seed(SEED ^ seed);
+    let program = Benchmark::MxM.program();
+
+    // With no plan armed a failpoint must stay one relaxed atomic load.
+    drop(fault::scoped(FaultPlan::new()));
+    const HITS: u32 = 1_000_000;
+    let start = Instant::now();
+    for _ in 0..HITS {
+        std::hint::black_box(fault::hit(std::hint::black_box("perf.probe")));
+    }
+    let disarmed_ns_per_hit = start.elapsed().as_secs_f64() * 1e9 / f64::from(HITS);
+
+    // Each engine outlives its service (see `service_group`).
+    let (ladder_ok, ladder_strategy, ladder_recovery_ms) = {
+        let once = FaultTrigger::panic().times(1);
+        let _plan = fault::scoped(FaultPlan::new().with("engine.solve", once));
+        let engine = Engine::builder().parallelism(threads).build();
+        let service = MloService::new(engine.session(), ServiceConfig::new());
+        let start = Instant::now();
+        let handle = service
+            .submit(&program, &request(0))
+            .expect("unbounded admission");
+        let outcome = handle.wait_timeout(timeout);
+        let wall_ms = start.elapsed().as_secs_f64() * 1e3;
+        match outcome.as_deref() {
+            Some(Ok(report)) => {
+                let recovered = report.degraded && service.stats().panicked == 1;
+                (recovered, report.strategy.clone(), wall_ms)
+            }
+            _ => (false, String::new(), wall_ms),
+        }
+    };
+
+    const STORM: u64 = 8;
+    let (storm_panics, no_hung_waiters) = {
+        let _plan = fault::scoped(FaultPlan::new().with("engine.solve", FaultTrigger::panic()));
+        let engine = Engine::builder().parallelism(threads).build();
+        let service = MloService::new(engine.session(), ServiceConfig::new());
+        let submit = |seed| {
+            service
+                .submit(&program, &request(seed))
+                .expect("unbounded admission")
+        };
+        let handles: Vec<_> = (0..STORM).map(submit).collect();
+        let all_typed = handles
+            .iter()
+            .all(|handle| matches!(handle.wait_timeout(timeout).as_deref(), Some(Err(_))));
+        (service.stats().panicked, all_typed)
+    };
+
+    Faults {
+        disarmed_ns_per_hit,
+        ladder_recovery_ms,
+        ladder_strategy,
+        ladder_ok,
+        storm_requests: STORM,
+        storm_panics,
+        no_hung_waiters,
+    }
+}
+
+/// Every group's record; `None` for a group that did not run.
+#[derive(Default)]
+struct Run {
+    table2: Option<Vec<Entry>>,
+    table3: Option<Vec<Entry>>,
+    unsat: Option<Vec<Entry>>,
+    enumerate: Option<Vec<Entry>>,
+    propagation: Option<Propagation>,
+    weighted: Option<WeightedGroup>,
+    service: Option<Service>,
+    faults: Option<Faults>,
+    steals: StealTotals,
+}
+
+/// A group's runner: it fills the group's record in the [`Run`].
+type GroupRun = fn(&Harness, &mut Run);
+
+/// Every group `--only` can select, in run order, with the runner that
+/// fills its record.  Two rules fix the order: the weighted audit (the end
+/// of `weighted`) reads process-wide compile counters, so it runs after
+/// every group that solves on worker threads; and `faults` runs last, so
+/// its scoped fault plans cannot overlap the determinism-sensitive groups.
+const GROUPS: [(&str, GroupRun); 8] = [
+    ("table2", |h, run| {
+        run.table2 = Some(engine_group(h.threads, "portfolio", false))
+    }),
+    ("table3", |h, run| {
+        run.table3 = Some(engine_group(h.threads, "weighted", true))
+    }),
+    ("unsat", |h, run| {
+        run.unsat = Some(unsat_group(h, &mut run.steals))
+    }),
+    ("enumerate", |h, run| {
+        run.enumerate = Some(enumerate_group(h, &mut run.steals))
+    }),
+    ("propagation", |_, run| {
+        run.propagation = Some(propagation_group())
+    }),
+    ("weighted", |h, run| {
+        run.weighted = Some(weighted_group(h, &mut run.steals))
+    }),
+    ("service", |h, run| {
+        run.service = Some(service_group(h.threads))
+    }),
+    ("faults", |h, run| {
+        run.faults = Some(faults_group(h.threads))
+    }),
 ];
+
+impl Run {
+    /// The groups of [`Entry`] rows that ran, by artifact name.
+    fn tables(&self) -> Vec<(&'static str, &[Entry])> {
+        let weighted = self.weighted.as_ref().map(|w| &w.entries[..]);
+        let tables = [
+            ("table2", self.table2.as_deref()),
+            ("table3", self.table3.as_deref()),
+            ("unsat", self.unsat.as_deref()),
+            ("enumerate", self.enumerate.as_deref()),
+            ("weighted", weighted),
+        ];
+        somes(tables).collect()
+    }
+
+    /// The single-record blocks that ran: artifact key, the name of the
+    /// top-level verdict that all its gates hold (if it has one), fields.
+    fn blocks(&self) -> Vec<(&'static str, Option<&'static str>, Vec<Field>)> {
+        let sharded = self.unsat.is_some() || self.enumerate.is_some();
+        let steals = (sharded || self.weighted.is_some()).then(|| self.steals.fields(sharded));
+        let audit = self.weighted.as_ref().map(|w| w.audit.fields());
+        let propagation = self.propagation.as_ref().map(Propagation::fields);
+        let service = self.service.as_ref().map(Service::fields);
+        let faults = self.faults.as_ref().map(Faults::fields);
+        let blocks = [
+            (("steal_telemetry", None), steals),
+            (("weighted_audit", Some("weighted_ok")), audit),
+            (("propagation", Some("propagation_bytes_ok")), propagation),
+            (("service", Some("service_ok")), service),
+            (("faults", Some("faults_ok")), faults),
+        ];
+        somes(blocks)
+            .map(|((key, verdict), fields)| (key, verdict, fields))
+            .collect()
+    }
+
+    fn print(&self) {
+        for (name, rows) in self.tables() {
+            let rows: Vec<_> = rows.iter().map(Entry::fields).collect();
+            let mut table = TextTable::new(rows[0].iter().map(|f| f.key.as_str()).collect());
+            for row in &rows {
+                table.row(row.iter().map(|f| cell(&f.value)).collect());
+            }
+            println!("\n{name}\n{table}");
+        }
+        for (key, _, fields) in self.blocks() {
+            print_block(key, &fields);
+        }
+    }
+
+    /// Every failed gate of every record, named by group and entry.
+    fn failures(&self) -> Vec<String> {
+        let mut failures = Vec::new();
+        for (group, rows) in self.tables() {
+            for entry in rows {
+                let at = format!("{group} {}", entry.name);
+                failures.extend(failed(&entry.fields()).map(|gate| format!("{at}: {gate}")));
+            }
+        }
+        for (key, _, fields) in self.blocks() {
+            failures.extend(failed(&fields).map(|gate| format!("{key}: {gate}")));
+        }
+        failures
+    }
+
+    /// The artifact's top-level verdicts on the records that ran.
+    fn verdicts(&self) -> Vec<Field> {
+        let blocks = self.blocks().into_iter();
+        let all_hold = |(_, verdict, fields): (_, Option<_>, Vec<_>)| {
+            Some(field(verdict?, failed(&fields).next().is_none()))
+        };
+        let weighted = self.weighted.as_ref();
+        let nodes_ok = weighted.map(|w| w.entries.iter().all(Entry::nodes_ok));
+        let tables = self.tables();
+        let cost_parity = tables
+            .iter()
+            .all(|(_, rows)| rows.iter().all(Entry::cost_match));
+        let tables = somes([
+            ("weighted_nodes_ok", nodes_ok),
+            ("cost_parity", Some(cost_parity)),
+        ]);
+        blocks
+            .filter_map(all_hold)
+            .chain(tables.map(|(key, ok)| field(key, ok)))
+            .collect()
+    }
+}
+
+/// The pairs whose value is present.
+fn somes<K, V>(pairs: impl IntoIterator<Item = (K, Option<V>)>) -> impl Iterator<Item = (K, V)> {
+    pairs
+        .into_iter()
+        .filter_map(|(key, value)| Some((key, value?)))
+}
+
+/// Sum of the single-thread walls of `groups` in a previous artifact;
+/// `None` unless every group is there with at least one timed entry.
+fn baseline_wall_1t(baseline: &Json, groups: &[&str]) -> Option<f64> {
+    let group_wall = |group: &&str| {
+        let Json::Array(rows) = baseline.path(&format!("groups.{group}"))? else {
+            return None;
+        };
+        let walls: Vec<f64> = rows
+            .iter()
+            .filter_map(|row| row.path("wall_ms_1t")?.as_f64())
+            .collect();
+        (!walls.is_empty()).then(|| walls.iter().sum::<f64>())
+    };
+    groups.iter().map(group_wall).sum()
+}
+
+/// The figures that span groups, each next to the baseline's value for
+/// exactly the groups that ran, and the failures of the two gates that
+/// span groups: the wall gate and `--min-speedup`.
+fn summarize(
+    run: &Run,
+    baseline: Option<&(&str, Json)>,
+    config: &Config,
+    cores: usize,
+) -> (Vec<Field>, Vec<String>) {
+    let wall = |rows: &[&Entry], i| rows.iter().map(|e: &&Entry| e.wall_ms[i]).sum::<f64>();
+    let scaling: Vec<&Entry> = run.unsat.iter().chain(&run.enumerate).flatten().collect();
+    let scaling_speedup =
+        (!scaling.is_empty()).then(|| speedup([wall(&scaling, 0), wall(&scaling, 1)]));
+    let tables = [("table2", &run.table2), ("table3", &run.table3)];
+    let (names, rows): (Vec<&str>, Vec<_>) = somes(tables.map(|(n, t)| (n, t.as_ref()))).unzip();
+    let rows: Vec<&Entry> = rows.into_iter().flatten().collect();
+    let single_thread_ms = (!names.is_empty()).then(|| wall(&rows, 0));
+    let rps = run.propagation.as_ref().map(Propagation::revisions_per_sec);
+
+    let read = |path: &str| baseline.and_then(|(_, json)| json.path(path)?.as_f64());
+    let previous_ms = baseline.and_then(|(_, json)| baseline_wall_1t(json, &names));
+    let previous_rps = rps.and(read("propagation.revisions_per_sec"));
+    let previous = [
+        (
+            "scaling_speedup",
+            scaling_speedup.and(read("scaling_speedup")),
+        ),
+        ("single_thread_wall_ms", single_thread_ms.and(previous_ms)),
+        ("revisions_per_sec", previous_rps),
+    ];
+    let mut fields = Vec::new();
+    if let Some((file, _)) = baseline {
+        let mut recorded = vec![field("file", *file)];
+        recorded.extend(somes(previous).map(|(key, value)| field(key, value)));
+        fields.push(field("baseline", object(&recorded)));
+    }
+
+    let mut failures = Vec::new();
+    if let (Some(previous_ms), Some(ms)) = (previous_ms, single_thread_ms) {
+        let limit_ms = previous_ms * (1.0 + WALL_MARGIN);
+        let wall_gate = [
+            field("baseline_ms", previous_ms),
+            field("margin", WALL_MARGIN),
+            field("limit_ms", fixed(limit_ms, 3)),
+            field("current_ms", ms),
+            field("ok", ms <= limit_ms),
+        ];
+        fields.push(field("single_thread_improvement", previous_ms / ms));
+        if !config.no_wall_gate {
+            fields.push(field("wall_gate", object(&wall_gate)));
+        }
+        if !config.no_wall_gate && ms > limit_ms {
+            failures.push(format!(
+                "wall gate: single-thread {} wall {ms:.2}ms is over the baseline \
+                 {previous_ms:.2}ms + {:.0}% (limit {limit_ms:.2}ms)",
+                names.join("+"),
+                WALL_MARGIN * 100.0
+            ));
+        }
+    }
+    let enforced = config.min_speedup > 0.0 && cores >= config.threads;
+    if let Some(speedup) = scaling_speedup.filter(|&s| enforced && s < config.min_speedup) {
+        let required = config.min_speedup;
+        failures.push(format!(
+            "min speedup: aggregate scaling speedup {speedup:.2}x is below the required {required:.2}x"
+        ));
+    }
+    let ratio = |old: f64| Some(rps? / old);
+    let improvement = previous_rps.filter(|&old| old > 0.0).and_then(ratio);
+    let current = [
+        ("single_thread_wall_ms", single_thread_ms),
+        ("scaling_speedup", scaling_speedup),
+        ("propagation_improvement", improvement),
+    ];
+    fields.extend(somes(current).map(|(key, value)| field(key, value)));
+    (fields, failures)
+}
 
 struct Config {
     threads: usize,
-    out: String,
+    out: PathBuf,
     baseline: Option<String>,
     min_speedup: f64,
-    /// Allowed relative wall-clock regression vs the baseline artifact's
-    /// single-thread table2+table3 time (0.25 = +25%).
-    wall_margin: f64,
-    /// Disables the wall-clock regression gate (trend tracking only).
     no_wall_gate: bool,
     only: Option<String>,
 }
@@ -173,10 +1313,9 @@ struct Config {
 fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Config, String> {
     let mut config = Config {
         threads: 4,
-        out: "BENCH_10.json".to_string(),
+        out: std::env::temp_dir().join("perf_gate.json"),
         baseline: Some("BENCH_9.json".to_string()),
         min_speedup: 0.0,
-        wall_margin: 0.25,
         no_wall_gate: false,
         only: None,
     };
@@ -188,23 +1327,22 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Config, String> 
             "--baseline" => config.baseline = Some(flag_value(&mut args, "--baseline")?),
             "--no-baseline" => config.baseline = None,
             "--min-speedup" => config.min_speedup = flag_value(&mut args, "--min-speedup")?,
-            "--wall-margin" => config.wall_margin = flag_value(&mut args, "--wall-margin")?,
             "--no-wall-gate" => config.no_wall_gate = true,
             "--only" => {
                 let group: String = flag_value(&mut args, "--only")?;
-                if !GROUPS.contains(&group.as_str()) {
+                let names: Vec<&str> = GROUPS.iter().map(|(name, _)| *name).collect();
+                if !names.contains(&group.as_str()) {
+                    let names = names.join(", ");
                     return Err(format!(
-                        "unknown group {group:?} for --only (valid groups: {})",
-                        GROUPS.join(", ")
+                        "unknown group {group:?} for --only (valid groups: {names})"
                     ));
                 }
                 config.only = Some(group);
             }
             other => {
                 return Err(format!(
-                    "unknown argument {other:?} \
-                     (try --threads/--out/--baseline/--no-baseline/--min-speedup/\
-                     --wall-margin/--no-wall-gate/--only)"
+                    "unknown argument {other:?} (try --threads/--out/--baseline/\
+                     --no-baseline/--min-speedup/--no-wall-gate/--only)"
                 ))
             }
         }
@@ -223,1049 +1361,41 @@ fn flag_value<T: std::str::FromStr>(
         .map_err(|_| format!("{flag} got an invalid value {text:?}"))
 }
 
-/// Pulls one top-level numeric field out of a previous `BENCH_<pr>.json`.
-/// The *last* occurrence wins: `BENCH_3`-style files repeat the key inside
-/// their nested `"baseline"` object, which the emitter always writes
-/// before the top-level field.
-fn extract_json_number(json: &str, key: &str) -> Option<f64> {
-    let marker = format!("\"{key}\":");
-    let position = json.rfind(&marker)? + marker.len();
-    let rest = json[position..].trim_start();
-    let end = rest
-        .find(|c: char| c == ',' || c == '}' || c.is_whitespace())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Sums every `"wall_ms_1t"` value inside one `"<group>": [...]` section of
-/// a previous `BENCH_<pr>.json` — the single-thread wall-clock aggregate
-/// the kernel refactor is measured against.
-fn extract_group_wall_1t_sum(json: &str, group: &str) -> Option<f64> {
-    let start = json.find(&format!("\"{group}\": ["))?;
-    let section = &json[start..];
-    let section = &section[..section.find(']')?];
-    let marker = "\"wall_ms_1t\":";
-    let mut sum = 0.0;
-    let mut found = false;
-    let mut rest = section;
-    while let Some(position) = rest.find(marker) {
-        let tail = rest[position + marker.len()..].trim_start();
-        let end = tail.find([',', '}']).unwrap_or(tail.len());
-        if let Ok(value) = tail[..end].trim().parse::<f64>() {
-            sum += value;
-            found = true;
+/// Reads and parses a previous artifact; one that cannot be read or parsed
+/// is reported and not used.
+fn read_baseline(path: &str) -> Option<(&str, Json)> {
+    let text = std::fs::read_to_string(path).map_err(|error| error.to_string());
+    match text.and_then(|text| Json::parse(&text)) {
+        Ok(json) => Some((path, json)),
+        Err(error) => {
+            println!("note: baseline {path} not used: {error}");
+            None
         }
-        rest = &tail[end..];
     }
-    found.then_some(sum)
 }
 
-/// Runs one engine request and pulls out (wall ms, nodes, cost).
-fn measure_request(
-    session: &mlo_core::Session,
-    program: &mlo_ir::Program,
-    request: &OptimizeRequest,
-    cycles_as_cost: bool,
-) -> (f64, u64, f64) {
-    let report = session
-        .optimize(program, request)
-        .expect("perf-gate requests use the heuristic fallback policy");
-    let nodes = report.search_stats.map(|s| s.nodes_visited).unwrap_or(0);
-    let cost = if cycles_as_cost {
-        report
-            .evaluation
-            .as_ref()
-            .expect("evaluation requested")
-            .total_cycles as f64
-    } else {
-        assignment_score(program, &report.assignment) as f64
-    };
-    (report.solution_time.as_secs_f64() * 1e3, nodes, cost)
-}
-
-/// table2/table3: the paper benchmarks through a strategy at 1 vs N workers.
-fn engine_group(threads: usize, strategy: &str, cycles_as_cost: bool) -> Vec<Entry> {
-    let engine = Engine::builder().parallelism(threads).build();
-    let session = engine.session();
-    Benchmark::all()
+/// The artifact: the run's header, every record that ran, the summary and
+/// the verdicts.
+fn artifact(config: &Config, cores: usize, run: &Run, summary: Vec<Field>) -> Json {
+    let stem = config.out.file_stem().unwrap_or_default().to_string_lossy();
+    let table = |rows: &[Entry]| Json::Array(rows.iter().map(|e| object(&e.fields())).collect());
+    let tables = run
+        .tables()
         .into_iter()
-        .map(|benchmark| {
-            let program = benchmark.program();
-            // Pre-build the cached network so both runs time pure search.
-            session
-                .prepared(&program, &benchmark.candidate_options())
-                .network(&program);
-            let mut request = OptimizeRequest::strategy(strategy)
-                .candidates(benchmark.candidate_options())
-                .seed(SEED);
-            if cycles_as_cost {
-                // Sub-sampled traces: the evaluation stays deterministic
-                // (and comparable across thread counts) but the whole group
-                // runs in seconds instead of minutes on one CI core.
-                let trace = mlo_cachesim::TraceOptions {
-                    max_trip_per_loop: 24,
-                    ..mlo_cachesim::TraceOptions::default()
-                };
-                request = request.evaluate(EvaluationOptions::date05().trace(trace));
-            }
-            let (wall_ms_1t, nodes_1t, cost_1t) = measure_request(
-                &session,
-                &program,
-                &request.clone().with_budget(SearchBudget::new().workers(1)),
-                cycles_as_cost,
-            );
-            let (wall_ms_nt, nodes_nt, cost_nt) = measure_request(
-                &session,
-                &program,
-                &request
-                    .clone()
-                    .with_budget(SearchBudget::new().workers(threads)),
-                cycles_as_cost,
-            );
-            Entry {
-                name: benchmark.name().to_string(),
-                wall_ms_1t,
-                wall_ms_nt,
-                nodes_1t,
-                nodes_nt,
-                cost_1t,
-                cost_nt,
-            }
-        })
-        .collect()
-}
-
-/// Steal/split counters summed across a group's single-thread and
-/// N-worker passes — the telemetry the gate audits (a single-thread run
-/// must never steal; an N-worker run on proof-sized trees must).
-#[derive(Default)]
-struct StealTotals {
-    steals_1t: u64,
-    steals_nt: u64,
-    splits_1t: u64,
-    splits_nt: u64,
-}
-
-impl StealTotals {
-    fn absorb_1t(&mut self, telemetry: &mlo_csp::StealReport) {
-        self.steals_1t += telemetry.steals;
-        self.splits_1t += telemetry.splits;
-    }
-
-    fn absorb_nt(&mut self, telemetry: &mlo_csp::StealReport) {
-        self.steals_nt += telemetry.steals;
-        self.splits_nt += telemetry.splits;
-    }
-}
-
-/// unsat: pigeonhole UNSAT proofs through the work-stealing scheduler.
-///
-/// `PHP(n+1, n)` refutation trees have no lucky exits — every node must be
-/// visited — so this is the workload a redundant portfolio race cannot
-/// speed up at all (every racer walks the whole tree) and dynamic tree
-/// sharding speeds up almost linearly.  The scheduler's per-node work is a
-/// pure function of the path, so the frames partition the tree *exactly*:
-/// the entry's cost is the node count, and cost parity doubles as the
-/// partition audit (1-worker and N-worker proofs must visit the identical
-/// node total).
-fn unsat_group(threads: usize, pool: &Arc<WorkerPool>, totals: &mut StealTotals) -> Vec<Entry> {
-    [("php-9", 9usize), ("php-10", 10)]
-        .into_iter()
-        .map(|(name, holes)| {
-            let network = pigeonhole_network(holes);
-            let limits = SearchLimits::none();
-
-            let start = Instant::now();
-            let baseline = StealScheduler::new().solve_detailed(&network, &limits, None);
-            let wall_ms_1t = start.elapsed().as_secs_f64() * 1e3;
-
-            let start = Instant::now();
-            let parallel = StealScheduler::new()
-                .with_pool(Arc::clone(pool))
-                .parallelism(threads)
-                .solve_detailed(&network, &limits, None);
-            let wall_ms_nt = start.elapsed().as_secs_f64() * 1e3;
-
-            assert!(
-                baseline.result.proves_unsatisfiable() && parallel.result.proves_unsatisfiable(),
-                "pigeonhole proofs must complete"
-            );
-            totals.absorb_1t(&baseline.telemetry);
-            totals.absorb_nt(&parallel.telemetry);
-            Entry {
-                name: name.to_string(),
-                wall_ms_1t,
-                wall_ms_nt,
-                nodes_1t: baseline.result.stats.nodes_visited,
-                nodes_nt: parallel.result.stats.nodes_visited,
-                cost_1t: baseline.result.stats.nodes_visited as f64,
-                cost_nt: parallel.result.stats.nodes_visited as f64,
-            }
-        })
-        .collect()
-}
-
-/// enumerate: exact full-solution counts of loosely constrained random
-/// networks through the work-stealing scheduler.
-///
-/// Like UNSAT proofs, exhaustive enumeration has no early exit, so the
-/// speedup measures honest tree sharding; the exact count is the entry's
-/// cost and must be identical at every worker count.
-fn enumerate_group(threads: usize, pool: &Arc<WorkerPool>, totals: &mut StealTotals) -> Vec<Entry> {
-    let specs = [
-        (
-            "enum-24",
-            RandomNetworkSpec {
-                variables: 24,
-                domain_size: 4,
-                density: 0.28,
-                tightness: 0.22,
-                seed: 15_2026,
-            },
-        ),
-        (
-            "enum-26",
-            RandomNetworkSpec {
-                variables: 26,
-                domain_size: 4,
-                density: 0.28,
-                tightness: 0.24,
-                seed: 16_2026,
-            },
-        ),
+        .map(|(name, rows)| (name.to_string(), table(rows)));
+    let mut fields = vec![
+        field("benchmark", stem.as_ref()),
+        field("harness", "perf_gate"),
+        field("threads", config.threads),
+        field("cores", cores),
+        field("seed", SEED),
+        field("groups", Json::Object(tables.collect())),
     ];
-    specs
-        .into_iter()
-        .map(|(name, spec)| {
-            // Planted-satisfiable: the enumeration has at least one
-            // solution, and the count is the instance's exact model count.
-            let (network, _) = satisfiable_network(&spec);
-            let limits = SearchLimits::none();
-
-            let start = Instant::now();
-            let baseline = StealScheduler::new().count_detailed(&network, &limits, None);
-            let wall_ms_1t = start.elapsed().as_secs_f64() * 1e3;
-
-            let start = Instant::now();
-            let parallel = StealScheduler::new()
-                .with_pool(Arc::clone(pool))
-                .parallelism(threads)
-                .count_detailed(&network, &limits, None);
-            let wall_ms_nt = start.elapsed().as_secs_f64() * 1e3;
-
-            assert!(
-                baseline.is_exact() && parallel.is_exact(),
-                "enumeration runs must complete"
-            );
-            totals.absorb_1t(&baseline.telemetry);
-            totals.absorb_nt(&parallel.telemetry);
-            Entry {
-                name: name.to_string(),
-                wall_ms_1t,
-                wall_ms_nt,
-                nodes_1t: baseline.stats.nodes_visited,
-                nodes_nt: parallel.stats.nodes_visited,
-                cost_1t: baseline.solutions as f64,
-                cost_nt: parallel.solutions as f64,
-            }
-        })
-        .collect()
-}
-
-/// Metrics of the `propagation` bitset-kernel microbench.
-struct Propagation {
-    variables: usize,
-    constraints: usize,
-    allowed_pairs: usize,
-    /// Cold kernel-compilation time (bit-matrices + support counts).
-    kernel_build_ms: f64,
-    /// Full AC-3 passes measured at the arc-consistency fixpoint.
-    ac3_runs: usize,
-    /// Arc revisions performed (exactly `2 × constraints` per run at the
-    /// fixpoint — nothing is removed, so nothing is re-queued).
-    revisions: u64,
-    ac3_total_ms: f64,
-    revisions_per_sec: f64,
-    checks_per_sec: f64,
-    /// Fixpoint passes per timed batch (the runs are batched so the gate
-    /// can report per-batch variance, not just the aggregate).
-    batch_runs: usize,
-    /// Wall-clock milliseconds of each batch.
-    batch_ms: Vec<f64>,
-    /// Relative standard deviation of the per-batch walls (std / mean).
-    batch_rel_std: f64,
-    /// Bytes the kernel touched across all timed revisions (live spans +
-    /// probed rows, as accounted by `SearchStats::bytes_touched`).
-    bytes_touched: u64,
-    /// `bytes_touched / revisions`.
-    bytes_per_revision: f64,
-    /// The ceiling the padded lane layout implies for one revision of this
-    /// network (worst directed arc, every live row probed).
-    bytes_budget_per_revision: u64,
-    /// Whether the measured bytes per revision stayed within the budget —
-    /// the cache-blocking regression gate.
-    bytes_ok: bool,
-}
-
-/// The propagation-throughput scenario: steady-state AC-3 revisions per
-/// second on the compiled kernel.
-fn propagation_group() -> Propagation {
-    let spec = RandomNetworkSpec {
-        variables: 100,
-        domain_size: 6,
-        density: 0.4,
-        tightness: 0.25,
-        seed: 6_2025,
-    };
-    let (weighted, _) = planted_weighted_network(&spec, 80.0, 8);
-    let network = weighted.network();
-    let constraints = network.constraint_count();
-    let allowed_pairs: usize = network.constraints().iter().map(|c| c.pair_count()).sum();
-
-    // Cold kernel compile (the once-per-storage cost every solve amortizes).
-    let start = Instant::now();
-    let kernel = Arc::clone(network.kernel());
-    let kernel_build_ms = start.elapsed().as_secs_f64() * 1e3;
-
-    // Drive AC-3 to its fixpoint once; at the fixpoint each subsequent run
-    // performs exactly 2 revisions per constraint (no removals, no
-    // re-queues), so revisions/sec is an exact steady-state measure.
-    let mut warm = kernel.full_domains();
-    let mut warm_stats = SearchStats::default();
-    let outcome = ac3_kernel(&kernel, &mut warm, &mut warm_stats);
-    assert!(
-        matches!(outcome, Ac3Outcome::Consistent),
-        "the propagation instance must be satisfiable at the fixpoint"
-    );
-    const RUNS: usize = 400;
-    const BATCHES: usize = 8;
-    const BATCH_RUNS: usize = RUNS / BATCHES;
-    let mut total_checks = 0u64;
-    let mut bytes_touched = 0u64;
-    let mut batch_ms = Vec::with_capacity(BATCHES);
-    for _ in 0..BATCHES {
-        let start = Instant::now();
-        for _ in 0..BATCH_RUNS {
-            let mut live = warm.clone();
-            let mut stats = SearchStats::default();
-            let outcome = ac3_kernel(&kernel, &mut live, &mut stats);
-            assert!(matches!(outcome, Ac3Outcome::Consistent));
-            total_checks += stats.consistency_checks;
-            bytes_touched += stats.bytes_touched;
-        }
-        batch_ms.push(start.elapsed().as_secs_f64() * 1e3);
-    }
-    let ac3_total_ms: f64 = batch_ms.iter().sum();
-    let batch_mean = ac3_total_ms / BATCHES as f64;
-    let batch_var = batch_ms
-        .iter()
-        .map(|&ms| (ms - batch_mean) * (ms - batch_mean))
-        .sum::<f64>()
-        / BATCHES as f64;
-    let batch_rel_std = batch_var.sqrt() / batch_mean.max(1e-9);
-    let revisions = (2 * constraints * RUNS) as u64;
-    let seconds = (ac3_total_ms / 1e3).max(1e-9);
-
-    // The padded lane layout bounds what one revision may touch: the
-    // worst directed arc (x revised against y) reads both live spans and,
-    // on the block-major path, at most one lane-padded row per live value
-    // of x.  Staying under this ceiling is the cache-blocking contract —
-    // a layout regression (unpadded strides, scattered rows, re-scanned
-    // partners) blows it even when wall clock hides the miss cost.
-    let padded_words = |size: usize| size.div_ceil(64).next_multiple_of(4).max(4) as u64;
-    let bytes_budget_per_revision = (0..constraints)
-        .map(|ci| {
-            let c = kernel.constraint(ci);
-            let (first, second) = (
-                kernel.domain_size(c.first()) as u64,
-                kernel.domain_size(c.second()) as u64,
-            );
-            let (pf, ps) = (padded_words(first as usize), padded_words(second as usize));
-            // Both arc directions: revise first-against-second and back.
-            8 * (pf + ps + first * ps).max(ps + pf + second * pf)
-        })
-        .max()
-        .unwrap_or(0);
-    let bytes_per_revision = bytes_touched as f64 / revisions.max(1) as f64;
-    let bytes_ok = bytes_touched > 0 && bytes_per_revision <= bytes_budget_per_revision as f64;
-
-    Propagation {
-        variables: spec.variables,
-        constraints,
-        allowed_pairs,
-        kernel_build_ms,
-        ac3_runs: RUNS,
-        revisions,
-        ac3_total_ms,
-        revisions_per_sec: revisions as f64 / seconds,
-        checks_per_sec: total_checks as f64 / seconds,
-        batch_runs: BATCH_RUNS,
-        batch_ms,
-        batch_rel_std,
-        bytes_touched,
-        bytes_per_revision,
-        bytes_budget_per_revision,
-        bytes_ok,
-    }
-}
-
-/// One weighted branch-and-bound instance measured at 1 and N workers,
-/// with bound-prune counts (the weighted kernel's effectiveness metric).
-struct WeightedEntry {
-    name: String,
-    wall_ms_1t: f64,
-    wall_ms_nt: f64,
-    nodes_1t: u64,
-    nodes_nt: u64,
-    prunings_1t: u64,
-    prunings_nt: u64,
-    bound_deletions_1t: u64,
-    bound_deletions_nt: u64,
-    /// Hard ceiling on the instance's node counts: 25% of the node count
-    /// the same seed produced in `BENCH_9`, before the weighted
-    /// bound-consistency propagator existed.
-    node_budget: u64,
-    cost_1t: f64,
-    cost_nt: f64,
-}
-
-impl WeightedEntry {
-    fn speedup(&self) -> f64 {
-        if self.wall_ms_nt > 0.0 {
-            self.wall_ms_1t / self.wall_ms_nt
-        } else {
-            1.0
-        }
-    }
-
-    fn cost_match(&self) -> bool {
-        self.cost_1t == self.cost_nt
-    }
-
-    /// The node-budget gate: both the single-thread and the N-worker run
-    /// must stay within the propagation budget, and the single-thread run
-    /// must show the propagator fired (nonzero bound deletions).
-    fn nodes_ok(&self) -> bool {
-        self.nodes_1t <= self.node_budget
-            && self.nodes_nt <= self.node_budget
-            && self.bound_deletions_1t > 0
-    }
-}
-
-/// The incremental-recompilation audit of the weighted kernel: exact
-/// per-constraint compile counts around a `set_weight` patch and a
-/// hard-constraint merge (measured single-threaded via the process-wide
-/// compile counters) and pointer-reuse checks for every untouched compiled
-/// matrix.
-struct WeightedAudit {
-    /// Weight matrices recompiled by one `set_weight` (must be exactly 1).
-    weight_recompiles_on_set_weight: u64,
-    /// Bit matrices recompiled by that same `set_weight` (must be 0).
-    bit_recompiles_on_set_weight: u64,
-    /// Bit matrices recompiled by one hard-constraint merge (must be 1).
-    bit_recompiles_on_merge: u64,
-    /// Every untouched compiled matrix (bit and weight) reused by pointer.
-    untouched_matrices_reused: bool,
-    ok: bool,
-}
-
-/// weighted: *noise-dominant* planted branch-and-bound instances (random
-/// noise above the planted bonus, so the weight-ordered value loop cannot
-/// shortcut the search and the bound has to work) through the
-/// work-stealing scheduler's sharded branch and bound at fixed seeds.
-/// Integer weights keep every weight sum exact, so cost parity is
-/// bit-exact, and the strict-< incumbent contract makes the reported
-/// optimum thread-count-independent.
-///
-/// Historical note: through `BENCH_5` this group ran *planted-dominant*
-/// instances through the cooperative portfolio, which the dense weight
-/// kernel's value ordering had already collapsed to microsecond node
-/// counts; the noise-dominant rebuild restores a workload with real
-/// search in it.
-fn weighted_group(
-    threads: usize,
-    pool: &Arc<WorkerPool>,
-    totals: &mut StealTotals,
-) -> Vec<WeightedEntry> {
-    // Budgets are 25% of each instance's BENCH_9 single-thread node count
-    // (391_608 / 1_324_312 / 36_965_312) — the hard ceiling the weighted
-    // bound-consistency propagator must hold the tree under.
-    let specs = [
-        (
-            "noise-18",
-            97_902u64,
-            RandomNetworkSpec {
-                variables: 18,
-                domain_size: 4,
-                density: 0.5,
-                tightness: 0.15,
-                seed: 17_2026,
-            },
-        ),
-        (
-            "noise-20",
-            331_078,
-            RandomNetworkSpec {
-                variables: 20,
-                domain_size: 4,
-                density: 0.45,
-                tightness: 0.15,
-                seed: 18_2026,
-            },
-        ),
-        (
-            "noise-22",
-            9_241_328,
-            RandomNetworkSpec {
-                variables: 22,
-                domain_size: 4,
-                density: 0.45,
-                tightness: 0.12,
-                seed: 19_2026,
-            },
-        ),
-    ];
-    specs
-        .into_iter()
-        .map(|(name, node_budget, spec)| {
-            // Bonus far below the noise ceiling: the planted assignment is
-            // *not* the optimum and the bound must close the whole tree.
-            let (weighted, _) = planted_weighted_network(&spec, 4.0, 12);
-            let limits = SearchLimits::none();
-
-            let start = Instant::now();
-            let baseline = StealScheduler::new().optimize_detailed(&weighted, &limits, None);
-            let wall_ms_1t = start.elapsed().as_secs_f64() * 1e3;
-
-            let start = Instant::now();
-            let parallel = StealScheduler::new()
-                .with_pool(Arc::clone(pool))
-                .parallelism(threads)
-                .optimize_detailed(&weighted, &limits, None);
-            let wall_ms_nt = start.elapsed().as_secs_f64() * 1e3;
-
-            assert!(
-                baseline.optimal && parallel.optimal,
-                "weighted runs must complete"
-            );
-            totals.absorb_1t(&baseline.telemetry);
-            totals.absorb_nt(&parallel.telemetry);
-            WeightedEntry {
-                name: name.to_string(),
-                wall_ms_1t,
-                wall_ms_nt,
-                nodes_1t: baseline.result.stats.nodes_visited,
-                nodes_nt: parallel.result.stats.nodes_visited,
-                prunings_1t: baseline.result.stats.prunings,
-                prunings_nt: parallel.result.stats.prunings,
-                bound_deletions_1t: baseline.result.stats.bound_deletions,
-                bound_deletions_nt: parallel.result.stats.bound_deletions,
-                node_budget,
-                cost_1t: baseline.canonical_weight.expect("satisfiable"),
-                cost_nt: parallel.canonical_weight.expect("satisfiable"),
-            }
-        })
-        .collect()
-}
-
-/// Results of the `service` group: queued throughput, coalescing,
-/// admission shedding and the served-vs-direct determinism audit.
-struct ServiceGroup {
-    /// Requests pushed through the unbounded throughput burst.
-    requests: u64,
-    /// Wall clock of the whole burst (submit + drain).
-    wall_ms: f64,
-    /// Completed requests per second over the burst.
-    throughput_rps: f64,
-    /// Submissions the burst service accepted (coalesced hits included).
-    submitted: u64,
-    /// Burst submissions that coalesced onto an in-flight solve.
-    coalesced: u64,
-    /// `coalesced / submitted` over the burst.
-    coalesce_hit_rate: f64,
-    /// Submissions shed by the tightly bounded intake run.
-    shed: u64,
-    /// Whether every served report matched its direct session call.
-    determinism_ok: bool,
-}
-
-/// One fixed-seed duplicate-heavy burst: every paper benchmark × 8 seeds,
-/// each `(program, request)` pair submitted twice back-to-back.
-fn service_burst(service: &MloService) -> (u64, f64) {
-    let programs: Vec<_> = Benchmark::all().iter().map(|b| b.program()).collect();
-    let mut handles = Vec::new();
-    let started = Instant::now();
-    for seed in 0..8u64 {
-        for program in &programs {
-            let request = OptimizeRequest::strategy("enhanced").seed(SEED ^ seed);
-            for _ in 0..2 {
-                // A bounded intake may shed the submission; that's counted
-                // by the service stats rather than treated as a failure.
-                if let Ok(handle) = service.submit(program, &request) {
-                    handles.push(handle);
-                }
-            }
-        }
-    }
-    let accepted = handles.len() as u64;
-    for handle in &handles {
-        assert!(
-            handle.wait().is_ok(),
-            "a burst request failed to solve (service group)"
-        );
-    }
-    (accepted, started.elapsed().as_secs_f64() * 1e3)
-}
-
-fn service_group(threads: usize) -> ServiceGroup {
-    // Determinism audit: the queued path must reproduce the direct
-    // session's reports bit-for-bit at this worker count.
-    let engine = Engine::builder().parallelism(threads).build();
-    let session = engine.session();
-    let service = MloService::new(engine.session(), ServiceConfig::new().queue_limit(0));
-    let mut determinism_ok = true;
-    for benchmark in Benchmark::all() {
-        let program = benchmark.program();
-        for strategy in ["enhanced", "weighted", "portfolio-steal"] {
-            let request = OptimizeRequest::strategy(strategy).seed(SEED);
-            let direct = session
-                .optimize(&program, &request)
-                .expect("direct solve succeeds");
-            let served = service
-                .submit(&program, &request)
-                .expect("unbounded admission")
-                .wait();
-            let served = match served.as_ref() {
-                Ok(report) => report,
-                Err(error) => panic!("served solve failed: {error}"),
-            };
-            determinism_ok &= direct.assignment == served.assignment
-                && direct.search_stats == served.search_stats
-                && direct.satisfiable == served.satisfiable
-                && direct.fallback == served.fallback;
-        }
-    }
-
-    // Queued throughput with duplicate bursts through an unbounded intake:
-    // duplicates of an in-flight request coalesce instead of re-solving.
-    let burst_engine = Engine::builder().parallelism(threads).build();
-    let burst = MloService::new(burst_engine.session(), ServiceConfig::new().queue_limit(0));
-    let (requests, wall_ms) = service_burst(&burst);
-    let stats = burst.stats();
-    let throughput_rps = if wall_ms > 0.0 {
-        requests as f64 / (wall_ms / 1e3)
-    } else {
-        0.0
-    };
-    let coalesce_hit_rate = if stats.submitted > 0 {
-        stats.coalesced as f64 / stats.submitted as f64
-    } else {
-        0.0
-    };
-
-    // The same burst against a tightly bounded intake: admission control
-    // must shed instead of queueing without bound.
-    let bounded_engine = Engine::builder().parallelism(threads).build();
-    let bounded = MloService::new(
-        bounded_engine.session(),
-        ServiceConfig::new().queue_limit(4),
-    );
-    let _ = service_burst(&bounded);
-    let shed = bounded.stats().shed;
-
-    ServiceGroup {
-        requests,
-        wall_ms,
-        throughput_rps,
-        submitted: stats.submitted,
-        coalesced: stats.coalesced,
-        coalesce_hit_rate,
-        shed,
-        determinism_ok,
-    }
-}
-
-fn print_service(service: &Option<ServiceGroup>) {
-    let Some(s) = service else { return };
-    println!("\nservice — queued front-end over the session pool");
-    println!(
-        "  burst: {} accepted requests in {:.2}ms -> {:.0} req/s",
-        s.requests, s.wall_ms, s.throughput_rps
-    );
-    println!(
-        "  coalescing: {} of {} submissions hit an in-flight solve ({:.0}%)",
-        s.coalesced,
-        s.submitted,
-        s.coalesce_hit_rate * 100.0
-    );
-    println!(
-        "  admission: {} submissions shed under a 4-deep intake bound",
-        s.shed
-    );
-    println!(
-        "  served reports identical to direct session calls: {}",
-        if s.determinism_ok {
-            "yes"
-        } else {
-            "NO (VIOLATED)"
-        }
-    );
-}
-
-/// Results of the `faults` group: the resilience layer exercised under
-/// scoped fault-injection plans (see `mlo_csp::fault`).
-struct FaultsGroup {
-    /// Disarmed `fail_point!` cost on the hot path, in nanoseconds per
-    /// hit — the zero-cost-when-disabled contract, trend-tracked.
-    disarmed_ns_per_hit: f64,
-    /// Wall clock of the single-fault ladder recovery below.
-    ladder_recovery_ms: f64,
-    /// The strategy that served the recovered request.
-    ladder_strategy: String,
-    /// One injected `engine.solve` panic: the ladder must recover with a
-    /// degraded report from a healthy fallback rung.
-    ladder_ok: bool,
-    /// Requests submitted into the unbounded-panic storm.
-    storm_requests: u64,
-    /// Strategy panics the resilience layer contained during the storm.
-    storm_panics: u64,
-    /// Every storm waiter completed with a typed outcome — no `wait()`
-    /// ever hung on a panicked solve.
-    no_hung_waiters: bool,
-}
-
-/// The resilience scenario: deterministic fault plans through the queued
-/// service.  One bounded `engine.solve` panic must recover through the
-/// retry/fallback ladder; an unbounded panic plan (every rung of every
-/// request dies) must still complete every waiter with a typed error.
-fn faults_group(threads: usize) -> FaultsGroup {
-    use mlo_csp::fault::{self, FaultPlan, FaultTrigger};
-
-    // Disarmed failpoint overhead: the macro must stay a single relaxed
-    // atomic load when no plan is armed (the propagation group's wall and
-    // bytes gates already prove the hot loop didn't regress; this number
-    // tracks the raw per-hit cost).
-    let _clean = fault::scoped(FaultPlan::new());
-    drop(_clean);
-    const HITS: u32 = 1_000_000;
-    let start = Instant::now();
-    for _ in 0..HITS {
-        std::hint::black_box(fault::hit(std::hint::black_box("perf.probe")));
-    }
-    let disarmed_ns_per_hit = start.elapsed().as_secs_f64() * 1e9 / f64::from(HITS);
-
-    // Ladder recovery: exactly one injected panic, then a healthy rung.
-    let program = Benchmark::MxM.program();
-    let (ladder_ok, ladder_strategy, ladder_recovery_ms) = {
-        let _plan =
-            fault::scoped(FaultPlan::new().with("engine.solve", FaultTrigger::panic().times(1)));
-        let engine = Engine::builder().parallelism(threads).build();
-        let service = MloService::new(engine.session(), ServiceConfig::new());
-        let start = Instant::now();
-        let outcome = service
-            .submit(&program, &OptimizeRequest::strategy("enhanced").seed(SEED))
-            .expect("unbounded admission")
-            .wait_timeout(std::time::Duration::from_secs(60));
-        let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-        match outcome.as_deref() {
-            Some(Ok(report)) => (
-                report.degraded && service.stats().panicked == 1,
-                report.strategy.clone(),
-                wall_ms,
-            ),
-            _ => (false, String::new(), wall_ms),
-        }
-    };
-
-    // Panic storm: every rung of every request panics; each waiter must
-    // still observe a typed error within the timeout.
-    const STORM: u64 = 8;
-    let (storm_panics, no_hung_waiters) = {
-        let _plan = fault::scoped(FaultPlan::new().with("engine.solve", FaultTrigger::panic()));
-        let engine = Engine::builder().parallelism(threads).build();
-        let service = MloService::new(engine.session(), ServiceConfig::new());
-        let handles: Vec<_> = (0..STORM)
-            .map(|seed| {
-                service
-                    .submit(
-                        &program,
-                        &OptimizeRequest::strategy("enhanced").seed(SEED ^ seed),
-                    )
-                    .expect("unbounded admission")
-            })
-            .collect();
-        let all_typed = handles.iter().all(|handle| {
-            matches!(
-                handle
-                    .wait_timeout(std::time::Duration::from_secs(60))
-                    .as_deref(),
-                Some(Err(_))
-            )
-        });
-        (service.stats().panicked, all_typed)
-    };
-
-    FaultsGroup {
-        disarmed_ns_per_hit,
-        ladder_recovery_ms,
-        ladder_strategy,
-        ladder_ok,
-        storm_requests: STORM,
-        storm_panics,
-        no_hung_waiters,
-    }
-}
-
-fn print_faults(faults: &Option<FaultsGroup>) {
-    let Some(f) = faults else { return };
-    println!("\nfaults — deterministic fault injection through the resilience layer");
-    println!(
-        "  disarmed failpoint: {:.1}ns/hit on the hot path",
-        f.disarmed_ns_per_hit
-    );
-    println!(
-        "  ladder: one injected engine.solve panic recovered by `{}` in {:.2}ms -> {}",
-        f.ladder_strategy,
-        f.ladder_recovery_ms,
-        if f.ladder_ok { "ok" } else { "VIOLATED" }
-    );
-    println!(
-        "  storm: {} requests under an unbounded panic plan, {} contained panics, \
-         hung waiters: {}",
-        f.storm_requests,
-        f.storm_panics,
-        if f.no_hung_waiters {
-            "none (ok)"
-        } else {
-            "SOME (VIOLATED)"
-        }
-    );
-}
-
-/// Runs the incremental-recompilation audit (see [`WeightedAudit`]).  Must
-/// run while no other thread is compiling kernels: the compile counters are
-/// process-wide.
-fn weighted_audit() -> WeightedAudit {
-    let spec = RandomNetworkSpec {
-        variables: 40,
-        domain_size: 5,
-        density: 0.4,
-        tightness: 0.25,
-        seed: 14_2025,
-    };
-    let (weighted, _) = planted_weighted_network(&spec, 60.0, 8);
-    let network = weighted.network().clone();
-    let constraints = network.constraint_count();
-    assert!(constraints > 1, "the audit needs untouched constraints");
-    // Force both compiled kernels before measuring.
-    let bit_kernel = Arc::clone(network.kernel());
-    let weight_kernel = Arc::clone(weighted.weight_kernel());
-    let mut untouched_matrices_reused = true;
-
-    // 1. A set_weight patch: exactly one weight matrix recompiled, zero
-    //    bit matrices, every other compiled weight matrix reused.
-    let c0 = network.constraint(0);
-    let pair = c0
-        .allowed_pairs()
-        .iter()
-        .copied()
-        .min()
-        .expect("constraints of planted networks allow pairs");
-    let (va, vb) = (
-        *network.domain(c0.first()).value(pair.0),
-        *network.domain(c0.second()).value(pair.1),
-    );
-    let mut patched = weighted.clone();
-    let bits_before = bit_constraint_compiles();
-    let weights_before = weight_constraint_compiles();
-    patched
-        .set_weight(c0.first(), c0.second(), &va, &vb, 999.0)
-        .expect("pair comes from the network itself");
-    let weight_recompiles_on_set_weight = weight_constraint_compiles() - weights_before;
-    let bit_recompiles_on_set_weight = bit_constraint_compiles() - bits_before;
-    let patched_kernel = patched.weight_kernel();
-    untouched_matrices_reused &= !Arc::ptr_eq(
-        weight_kernel.constraint_handle(0),
-        patched_kernel.constraint_handle(0),
-    );
-    for ci in 1..constraints {
-        untouched_matrices_reused &= Arc::ptr_eq(
-            weight_kernel.constraint_handle(ci),
-            patched_kernel.constraint_handle(ci),
-        );
-    }
-
-    // 2. A hard-constraint merge: exactly one bit matrix recompiled, every
-    //    other compiled bit matrix reused.
-    let mut fork = network.clone();
-    let bits_before = bit_constraint_compiles();
-    let mut extra = HashSet::new();
-    extra.insert(pair);
-    fork.add_constraint_by_index(c0.first(), c0.second(), extra)
-        .expect("merging into an existing constraint");
-    let bit_recompiles_on_merge = bit_constraint_compiles() - bits_before;
-    let fork_kernel = fork.kernel();
-    untouched_matrices_reused &= !Arc::ptr_eq(
-        bit_kernel.constraint_handle(0),
-        fork_kernel.constraint_handle(0),
-    );
-    for ci in 1..constraints {
-        untouched_matrices_reused &= Arc::ptr_eq(
-            bit_kernel.constraint_handle(ci),
-            fork_kernel.constraint_handle(ci),
-        );
-    }
-
-    let ok = weight_recompiles_on_set_weight == 1
-        && bit_recompiles_on_set_weight == 0
-        && bit_recompiles_on_merge == 1
-        && untouched_matrices_reused;
-    WeightedAudit {
-        weight_recompiles_on_set_weight,
-        bit_recompiles_on_set_weight,
-        bit_recompiles_on_merge,
-        untouched_matrices_reused,
-        ok,
-    }
-}
-
-fn print_weighted(entries: &[WeightedEntry], audit: &Option<WeightedAudit>) {
-    if !entries.is_empty() {
-        println!("\nweighted — dense weight-kernel branch and bound (cost = solution weight)");
-        let mut table = TextTable::new(vec![
-            "Instance",
-            "Wall 1t",
-            "Wall Nt",
-            "Nodes 1t",
-            "Nodes Nt",
-            "Node budget",
-            "Deletions 1t",
-            "Deletions Nt",
-            "Speedup",
-            "Cost parity",
-        ]);
-        for e in entries {
-            table.row(vec![
-                e.name.clone(),
-                format!("{:.2}ms", e.wall_ms_1t),
-                format!("{:.2}ms", e.wall_ms_nt),
-                e.nodes_1t.to_string(),
-                e.nodes_nt.to_string(),
-                format!(
-                    "{} ({})",
-                    e.node_budget,
-                    if e.nodes_ok() { "ok" } else { "OVER" }
-                ),
-                e.bound_deletions_1t.to_string(),
-                e.bound_deletions_nt.to_string(),
-                format!("{:.2}x", e.speedup()),
-                if e.cost_match() { "ok" } else { "MISMATCH" }.to_string(),
-            ]);
-        }
-        println!("{table}");
-    }
-    if let Some(a) = audit {
-        println!("  incremental-recompile audit:");
-        println!(
-            "    set_weight: {} weight matrix recompiled (want 1), {} bit matrices (want 0)",
-            a.weight_recompiles_on_set_weight, a.bit_recompiles_on_set_weight
-        );
-        println!(
-            "    constraint merge: {} bit matrix recompiled (want 1)",
-            a.bit_recompiles_on_merge
-        );
-        println!(
-            "    untouched matrices reused: {}",
-            a.untouched_matrices_reused
-        );
-        println!("    audit: {}", if a.ok { "ok" } else { "VIOLATED" });
-    }
-}
-
-fn print_propagation(propagation: &Option<Propagation>) {
-    let Some(p) = propagation else { return };
-    println!("\npropagation — bitset kernel microbench");
-    println!(
-        "  instance: {} vars, {} constraints, {} allowed pairs (kernel compiled in {:.2}ms)",
-        p.variables, p.constraints, p.allowed_pairs, p.kernel_build_ms
-    );
-    println!(
-        "  ac3: {} fixpoint passes, {} revisions in {:.1}ms -> {:.2}M revisions/s \
-         ({:.1}M checks/s)",
-        p.ac3_runs,
-        p.revisions,
-        p.ac3_total_ms,
-        p.revisions_per_sec / 1e6,
-        p.checks_per_sec / 1e6,
-    );
-    println!(
-        "  batches: {} x {} passes, walls {:?} ms, rel std {:.1}%",
-        p.batch_ms.len(),
-        p.batch_runs,
-        p.batch_ms
-            .iter()
-            .map(|ms| (ms * 100.0).round() / 100.0)
-            .collect::<Vec<_>>(),
-        p.batch_rel_std * 100.0,
-    );
-    println!(
-        "  bytes touched: {} total, {:.1}/revision (lane-layout budget {}) -> {}",
-        p.bytes_touched,
-        p.bytes_per_revision,
-        p.bytes_budget_per_revision,
-        if p.bytes_ok { "ok" } else { "VIOLATED" }
-    );
-}
-
-fn json_entries(buffer: &mut String, entries: &[Entry]) {
-    for (i, e) in entries.iter().enumerate() {
-        let comma = if i + 1 < entries.len() { "," } else { "" };
-        writeln!(
-            buffer,
-            "      {{\"name\": \"{}\", \"wall_ms_1t\": {:.3}, \"wall_ms_nt\": {:.3}, \
-             \"nodes_1t\": {}, \"nodes_nt\": {}, \"cost_1t\": {}, \"cost_nt\": {}, \
-             \"speedup\": {:.3}, \"cost_match\": {}}}{comma}",
-            e.name,
-            e.wall_ms_1t,
-            e.wall_ms_nt,
-            e.nodes_1t,
-            e.nodes_nt,
-            e.cost_1t,
-            e.cost_nt,
-            e.speedup(),
-            e.cost_match(),
-        )
-        .expect("writing to a String");
-    }
-}
-
-fn print_group(title: &str, entries: &[Entry]) {
-    println!("\n{title}");
-    let mut table = TextTable::new(vec![
-        "Benchmark",
-        "Wall 1t",
-        "Wall Nt",
-        "Nodes 1t",
-        "Nodes Nt",
-        "Cost 1t",
-        "Cost Nt",
-        "Speedup",
-        "Cost parity",
-    ]);
-    for e in entries {
-        table.row(vec![
-            e.name.clone(),
-            format!("{:.2}ms", e.wall_ms_1t),
-            format!("{:.2}ms", e.wall_ms_nt),
-            e.nodes_1t.to_string(),
-            e.nodes_nt.to_string(),
-            format!("{}", e.cost_1t),
-            format!("{}", e.cost_nt),
-            format!("{:.2}x", e.speedup()),
-            if e.cost_match() { "ok" } else { "MISMATCH" }.to_string(),
-        ]);
-    }
-    println!("{table}");
+    let blocks = run.blocks().into_iter();
+    fields.extend(blocks.map(|(key, _, block)| field(key, object(&block))));
+    fields.extend(summary);
+    fields.extend(run.verdicts());
+    object(&fields)
 }
 
 fn main() -> ExitCode {
@@ -1276,499 +1406,43 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    println!(
-        "perf_gate: every group at 1 worker vs {} workers, plus determinism \
-         and kernel audits ({cores} core(s) available, seed {SEED:#x})",
-        config.threads
-    );
-    if cores < config.threads {
-        println!(
-            "note: only {cores} core(s) for {} workers — N-worker wall times measure \
-             scheduling overhead, not parallel speedup; the --min-speedup gate is \
-             suspended on this runner",
-            config.threads
-        );
-    }
-
-    let pool = Arc::new(WorkerPool::new(config.threads));
-    let wanted = |name: &str| config.only.as_deref().is_none_or(|only| only == name);
-    let mut steal_totals = StealTotals::default();
-    let table2 = if wanted("table2") {
-        engine_group(config.threads, "portfolio", false)
-    } else {
-        Vec::new()
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let threads = config.threads;
+    let note = match cores < threads {
+        true => ": N-worker walls measure scheduling overhead, and --min-speedup is not enforced",
+        false => "",
     };
-    let table3 = if wanted("table3") {
-        engine_group(config.threads, "weighted", true)
-    } else {
-        Vec::new()
-    };
-    let unsat = if wanted("unsat") {
-        unsat_group(config.threads, &pool, &mut steal_totals)
-    } else {
-        Vec::new()
-    };
-    let enumerate = if wanted("enumerate") {
-        enumerate_group(config.threads, &pool, &mut steal_totals)
-    } else {
-        Vec::new()
-    };
-    let propagation = wanted("propagation").then(propagation_group);
-    let weighted = if wanted("weighted") {
-        weighted_group(config.threads, &pool, &mut steal_totals)
-    } else {
-        Vec::new()
-    };
-    // The audit reads process-wide compile counters, so it runs after every
-    // concurrent group has finished its solves.
-    let audit = wanted("weighted").then(weighted_audit);
-    let service = wanted("service").then(|| service_group(config.threads));
-    // Runs last: its scoped plans serialize on the fault registry's test
-    // lock and must not overlap the determinism-sensitive groups.
-    let faults = wanted("faults").then(|| faults_group(config.threads));
+    println!("perf_gate: 1 vs {threads} workers on {cores} core(s), seed {SEED:#x}{note}");
 
-    print_group(
-        "table2 — portfolio strategy (cost = layout quality score)",
-        &table2,
-    );
-    print_group(
-        "table3 — weighted strategy (cost = simulated cycles)",
-        &table3,
-    );
-    print_group(
-        "unsat — work-stealing UNSAT proofs (cost = nodes visited, partition-exact)",
-        &unsat,
-    );
-    print_group(
-        "enumerate — work-stealing full enumeration (cost = exact solution count)",
-        &enumerate,
-    );
-    print_propagation(&propagation);
-    print_weighted(&weighted, &audit);
-    print_service(&service);
-    print_faults(&faults);
-
-    // The headline scaling metric: aggregate wall-clock speedup of the
-    // work-stealing groups (UNSAT proofs + enumerations), the workloads a
-    // redundant race cannot accelerate.
-    let scaling_1t: f64 = unsat.iter().chain(&enumerate).map(|e| e.wall_ms_1t).sum();
-    let scaling_nt: f64 = unsat.iter().chain(&enumerate).map(|e| e.wall_ms_nt).sum();
-    let scaling_speedup = if scaling_nt > 0.0 {
-        scaling_1t / scaling_nt
-    } else {
-        1.0
-    };
-    // Telemetry audit: sharding must be off single-threaded and actually
-    // engaged at N workers on the proof/enumeration trees.
-    let steal_group_ran = !unsat.is_empty() || !enumerate.is_empty();
-    let steals_ok = steal_totals.steals_1t == 0
-        && steal_totals.splits_1t == 0
-        && (!steal_group_ran || steal_totals.steals_nt > 0);
-    if steal_group_ran || !weighted.is_empty() {
-        println!(
-            "\nsteal telemetry: 1t {} steals / {} splits, {}t {} steals / {} splits ({})",
-            steal_totals.steals_1t,
-            steal_totals.splits_1t,
-            config.threads,
-            steal_totals.steals_nt,
-            steal_totals.splits_nt,
-            if steals_ok { "ok" } else { "VIOLATED" }
-        );
-    }
-    let cost_parity = table2
-        .iter()
-        .chain(&table3)
-        .chain(&unsat)
-        .chain(&enumerate)
-        .all(Entry::cost_match)
-        && weighted.iter().all(WeightedEntry::cost_match);
-    let bytes_ok = propagation.as_ref().is_none_or(|p| p.bytes_ok);
-    let weighted_ok = audit.as_ref().is_none_or(|a| a.ok);
-    let weighted_nodes_ok = weighted.iter().all(WeightedEntry::nodes_ok);
-
-    // The kernel refactor's headline metric: single-thread table2+table3
-    // wall clock, compared against the previous PR's artifact.
-    let single_thread_ms: f64 = table2
-        .iter()
-        .chain(&table3)
-        .map(|e| e.wall_ms_1t)
-        .sum::<f64>();
-
-    // Perf trajectory: read the previous PR's artifact (when present) and
-    // record its aggregate speedup — and its single-thread wall clock —
-    // next to this run's.
-    let baseline_stats = config.baseline.as_ref().and_then(|path| {
-        let previous = std::fs::read_to_string(path).ok()?;
-        let speedup = extract_json_number(&previous, "scaling_speedup")?;
-        println!(
-            "trajectory: {path} scaling speedup {speedup:.2}x -> this run {scaling_speedup:.2}x"
-        );
-        let single_thread = match (
-            extract_group_wall_1t_sum(&previous, "table2"),
-            extract_group_wall_1t_sum(&previous, "table3"),
-        ) {
-            (Some(t2), Some(t3)) => {
-                let total = t2 + t3;
-                if single_thread_ms > 0.0 {
-                    println!(
-                        "trajectory: {path} table2+table3 single-thread {total:.2}ms -> \
-                         this run {single_thread_ms:.2}ms ({:.2}x)",
-                        total / single_thread_ms
-                    );
-                }
-                Some(total)
-            }
-            _ => None,
-        };
-        Some((path.clone(), speedup, single_thread))
-    });
-
-    // Propagation trajectory: this run's steady-state revision throughput
-    // against the baseline artifact's (the SIMD/cache-blocking headline).
-    let propagation_improvement = match (&propagation, &config.baseline) {
-        (Some(p), Some(path)) => std::fs::read_to_string(path)
-            .ok()
-            .and_then(|previous| extract_json_number(&previous, "revisions_per_sec"))
-            .filter(|&previous_rps| previous_rps > 0.0)
-            .map(|previous_rps| {
-                let ratio = p.revisions_per_sec / previous_rps;
-                println!(
-                    "trajectory: {path} propagation {:.2}M revisions/s -> this run \
-                     {:.2}M revisions/s ({ratio:.2}x)",
-                    previous_rps / 1e6,
-                    p.revisions_per_sec / 1e6
-                );
-                ratio
-            }),
-        _ => None,
-    };
-
-    let mut json = String::new();
-    writeln!(json, "{{").unwrap();
-    writeln!(json, "  \"benchmark\": \"BENCH_10\",").unwrap();
-    writeln!(json, "  \"harness\": \"perf_gate\",").unwrap();
-    writeln!(json, "  \"threads\": {},", config.threads).unwrap();
-    writeln!(json, "  \"cores\": {cores},").unwrap();
-    writeln!(json, "  \"seed\": {SEED},").unwrap();
-    writeln!(json, "  \"groups\": {{").unwrap();
-    for (name, entries) in [
-        ("table2", &table2),
-        ("table3", &table3),
-        ("unsat", &unsat),
-        ("enumerate", &enumerate),
-    ] {
-        writeln!(json, "    \"{name}\": [").unwrap();
-        json_entries(&mut json, entries);
-        writeln!(json, "    ],").unwrap();
-    }
-    writeln!(json, "    \"weighted\": [").unwrap();
-    for (i, e) in weighted.iter().enumerate() {
-        let comma = if i + 1 < weighted.len() { "," } else { "" };
-        writeln!(
-            json,
-            "      {{\"name\": \"{}\", \"wall_ms_1t\": {:.3}, \"wall_ms_nt\": {:.3}, \
-             \"nodes_1t\": {}, \"nodes_nt\": {}, \"prunings_1t\": {}, \"prunings_nt\": {}, \
-             \"bound_deletions_1t\": {}, \"bound_deletions_nt\": {}, \"node_budget\": {}, \
-             \"nodes_ok\": {}, \"cost_1t\": {}, \"cost_nt\": {}, \"speedup\": {:.3}, \
-             \"cost_match\": {}}}{comma}",
-            e.name,
-            e.wall_ms_1t,
-            e.wall_ms_nt,
-            e.nodes_1t,
-            e.nodes_nt,
-            e.prunings_1t,
-            e.prunings_nt,
-            e.bound_deletions_1t,
-            e.bound_deletions_nt,
-            e.node_budget,
-            e.nodes_ok(),
-            e.cost_1t,
-            e.cost_nt,
-            e.speedup(),
-            e.cost_match(),
-        )
-        .unwrap();
-    }
-    writeln!(json, "    ]").unwrap();
-    writeln!(json, "  }},").unwrap();
-    if steal_group_ran || !weighted.is_empty() {
-        writeln!(json, "  \"steal_telemetry\": {{").unwrap();
-        writeln!(json, "    \"steals_1t\": {},", steal_totals.steals_1t).unwrap();
-        writeln!(json, "    \"splits_1t\": {},", steal_totals.splits_1t).unwrap();
-        writeln!(json, "    \"steals_nt\": {},", steal_totals.steals_nt).unwrap();
-        writeln!(json, "    \"splits_nt\": {},", steal_totals.splits_nt).unwrap();
-        writeln!(json, "    \"ok\": {steals_ok}").unwrap();
-        writeln!(json, "  }},").unwrap();
-    }
-    if let Some(a) = &audit {
-        writeln!(json, "  \"weighted_audit\": {{").unwrap();
-        writeln!(
-            json,
-            "    \"weight_recompiles_on_set_weight\": {},",
-            a.weight_recompiles_on_set_weight
-        )
-        .unwrap();
-        writeln!(
-            json,
-            "    \"bit_recompiles_on_set_weight\": {},",
-            a.bit_recompiles_on_set_weight
-        )
-        .unwrap();
-        writeln!(
-            json,
-            "    \"bit_recompiles_on_merge\": {},",
-            a.bit_recompiles_on_merge
-        )
-        .unwrap();
-        writeln!(
-            json,
-            "    \"untouched_matrices_reused\": {},",
-            a.untouched_matrices_reused
-        )
-        .unwrap();
-        writeln!(json, "    \"ok\": {}", a.ok).unwrap();
-        writeln!(json, "  }},").unwrap();
-    }
-    if let Some(p) = &propagation {
-        writeln!(json, "  \"propagation\": {{").unwrap();
-        writeln!(json, "    \"variables\": {},", p.variables).unwrap();
-        writeln!(json, "    \"constraints\": {},", p.constraints).unwrap();
-        writeln!(json, "    \"allowed_pairs\": {},", p.allowed_pairs).unwrap();
-        writeln!(json, "    \"kernel_build_ms\": {:.3},", p.kernel_build_ms).unwrap();
-        writeln!(json, "    \"ac3_runs\": {},", p.ac3_runs).unwrap();
-        writeln!(json, "    \"revisions\": {},", p.revisions).unwrap();
-        writeln!(json, "    \"ac3_total_ms\": {:.3},", p.ac3_total_ms).unwrap();
-        writeln!(
-            json,
-            "    \"revisions_per_sec\": {:.0},",
-            p.revisions_per_sec
-        )
-        .unwrap();
-        writeln!(json, "    \"checks_per_sec\": {:.0},", p.checks_per_sec).unwrap();
-        writeln!(json, "    \"batch_runs\": {},", p.batch_runs).unwrap();
-        let walls: Vec<String> = p.batch_ms.iter().map(|ms| format!("{ms:.3}")).collect();
-        writeln!(json, "    \"batch_ms\": [{}],", walls.join(", ")).unwrap();
-        writeln!(json, "    \"batch_rel_std\": {:.4},", p.batch_rel_std).unwrap();
-        writeln!(json, "    \"bytes_touched\": {},", p.bytes_touched).unwrap();
-        writeln!(
-            json,
-            "    \"bytes_per_revision\": {:.2},",
-            p.bytes_per_revision
-        )
-        .unwrap();
-        writeln!(
-            json,
-            "    \"bytes_budget_per_revision\": {},",
-            p.bytes_budget_per_revision
-        )
-        .unwrap();
-        writeln!(json, "    \"bytes_ok\": {}", p.bytes_ok).unwrap();
-        writeln!(json, "  }},").unwrap();
-    }
-    if let Some(s) = &service {
-        writeln!(json, "  \"service\": {{").unwrap();
-        writeln!(json, "    \"requests\": {},", s.requests).unwrap();
-        writeln!(json, "    \"wall_ms\": {:.3},", s.wall_ms).unwrap();
-        writeln!(json, "    \"throughput_rps\": {:.1},", s.throughput_rps).unwrap();
-        writeln!(json, "    \"submitted\": {},", s.submitted).unwrap();
-        writeln!(json, "    \"coalesced\": {},", s.coalesced).unwrap();
-        writeln!(
-            json,
-            "    \"coalesce_hit_rate\": {:.3},",
-            s.coalesce_hit_rate
-        )
-        .unwrap();
-        writeln!(json, "    \"shed\": {},", s.shed).unwrap();
-        writeln!(json, "    \"determinism_ok\": {}", s.determinism_ok).unwrap();
-        writeln!(json, "  }},").unwrap();
-    }
-    if let Some(f) = &faults {
-        writeln!(json, "  \"faults\": {{").unwrap();
-        writeln!(
-            json,
-            "    \"disarmed_ns_per_hit\": {:.2},",
-            f.disarmed_ns_per_hit
-        )
-        .unwrap();
-        writeln!(
-            json,
-            "    \"ladder_recovery_ms\": {:.3},",
-            f.ladder_recovery_ms
-        )
-        .unwrap();
-        writeln!(json, "    \"ladder_strategy\": \"{}\",", f.ladder_strategy).unwrap();
-        writeln!(json, "    \"ladder_ok\": {},", f.ladder_ok).unwrap();
-        writeln!(json, "    \"storm_requests\": {},", f.storm_requests).unwrap();
-        writeln!(json, "    \"storm_panics\": {},", f.storm_panics).unwrap();
-        writeln!(json, "    \"no_hung_waiters\": {}", f.no_hung_waiters).unwrap();
-        writeln!(json, "  }},").unwrap();
-    }
-    if let Some((path, speedup, single_thread)) = &baseline_stats {
-        match single_thread {
-            Some(previous_ms) => writeln!(
-                json,
-                "  \"baseline\": {{\"file\": \"{path}\", \"scaling_speedup\": {speedup:.3}, \
-                 \"single_thread_wall_ms\": {previous_ms:.3}}},"
-            )
-            .unwrap(),
-            None => writeln!(
-                json,
-                "  \"baseline\": {{\"file\": \"{path}\", \"scaling_speedup\": {speedup:.3}}},"
-            )
-            .unwrap(),
-        }
-        if let Some(previous_ms) = single_thread {
-            if single_thread_ms > 0.0 {
-                writeln!(
-                    json,
-                    "  \"single_thread_improvement\": {:.3},",
-                    previous_ms / single_thread_ms
-                )
-                .unwrap();
-            }
+    let pool = Arc::new(WorkerPool::new(threads));
+    let harness = Harness { threads, pool };
+    let mut run = Run::default();
+    for (name, group) in GROUPS {
+        if config.only.as_deref().is_none_or(|only| only == name) {
+            group(&harness, &mut run);
         }
     }
-    // The deferred wall-clock regression gate (ROADMAP open item, now on):
-    // this run's single-thread table2+table3 wall clock must stay within
-    // the noise margin of the baseline artifact's.
-    let wall_gate = if config.no_wall_gate || single_thread_ms <= 0.0 {
-        None
-    } else {
-        baseline_stats
-            .as_ref()
-            .and_then(|(_, _, single_thread)| *single_thread)
-            .map(|baseline_ms| {
-                let limit_ms = baseline_ms * (1.0 + config.wall_margin);
-                (baseline_ms, limit_ms, single_thread_ms <= limit_ms)
-            })
-    };
-    if let Some((baseline_ms, limit_ms, ok)) = wall_gate {
-        writeln!(
-            json,
-            "  \"wall_gate\": {{\"baseline_ms\": {baseline_ms:.3}, \"margin\": {:.3}, \
-             \"limit_ms\": {limit_ms:.3}, \"current_ms\": {single_thread_ms:.3}, \"ok\": {ok}}},",
-            config.wall_margin
-        )
-        .unwrap();
-    }
-    if !table2.is_empty() || !table3.is_empty() {
-        writeln!(json, "  \"single_thread_wall_ms\": {single_thread_ms:.3},").unwrap();
-    }
-    writeln!(json, "  \"scaling_speedup\": {scaling_speedup:.3},").unwrap();
-    if propagation.is_some() {
-        writeln!(json, "  \"propagation_bytes_ok\": {bytes_ok},").unwrap();
-    }
-    if let Some(ratio) = propagation_improvement {
-        writeln!(json, "  \"propagation_improvement\": {ratio:.3},").unwrap();
-    }
-    if audit.is_some() {
-        writeln!(json, "  \"weighted_ok\": {weighted_ok},").unwrap();
-    }
-    if !weighted.is_empty() {
-        writeln!(json, "  \"weighted_nodes_ok\": {weighted_nodes_ok},").unwrap();
-    }
-    if let Some(s) = &service {
-        writeln!(json, "  \"service_ok\": {},", s.determinism_ok).unwrap();
-    }
-    if let Some(f) = &faults {
-        writeln!(
-            json,
-            "  \"faults_ok\": {},",
-            f.ladder_ok && f.no_hung_waiters
-        )
-        .unwrap();
-    }
-    writeln!(json, "  \"cost_parity\": {cost_parity}").unwrap();
-    writeln!(json, "}}").unwrap();
-    std::fs::write(&config.out, &json).unwrap_or_else(|e| panic!("writing {}: {e}", config.out));
-    println!(
-        "\nwrote {} (aggregate scaling speedup {scaling_speedup:.2}x at {} workers)",
-        config.out, config.threads
-    );
+    let baseline = config.baseline.as_deref().and_then(read_baseline);
+    let (summary, cross_group_failures) = summarize(&run, baseline.as_ref(), &config, cores);
+    run.print();
+    print_block("summary", &summary);
 
-    if !cost_parity {
-        eprintln!(
-            "perf_gate FAILED: a parallel run's solution cost diverged from its \
-             single-thread baseline (see the MISMATCH rows above)"
-        );
-        return ExitCode::FAILURE;
+    let mut failures = run.failures();
+    failures.extend(cross_group_failures);
+    let json = artifact(&config, cores, &run, summary).render() + "\n";
+    match std::fs::write(&config.out, json) {
+        Ok(()) => println!("\nwrote {}", config.out.display()),
+        Err(error) => failures.push(format!("writing {}: {error}", config.out.display())),
     }
-    if !bytes_ok {
-        eprintln!(
-            "perf_gate FAILED: the propagation kernel touched more bytes per \
-             revision than the padded lane layout allows — a cache-blocking \
-             regression (see the bytes audit above)"
-        );
-        return ExitCode::FAILURE;
+    for failure in &failures {
+        eprintln!("perf_gate FAILED: {failure}");
     }
-    if !weighted_ok {
-        eprintln!(
-            "perf_gate FAILED: the incremental-recompilation audit was violated \
-             (a mutation recompiled more than the touched constraint — see the \
-             weighted audit above)"
-        );
-        return ExitCode::FAILURE;
+    if failures.is_empty() {
+        println!("perf_gate passed: every gate holds");
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
     }
-    if !weighted_nodes_ok {
-        eprintln!(
-            "perf_gate FAILED: a weighted instance's node count blew its \
-             propagation budget (25% of the pre-SoftAc3 BENCH_9 baseline), or \
-             its single-thread run deleted no value by bound consistency (see \
-             the node-budget and deletions columns above)"
-        );
-        return ExitCode::FAILURE;
-    }
-    if !steals_ok {
-        eprintln!(
-            "perf_gate FAILED: steal telemetry violated its contract (a \
-             single-thread run stole/split, or an N-worker proof run never \
-             stole — see the steal telemetry line above)"
-        );
-        return ExitCode::FAILURE;
-    }
-    if service.as_ref().is_some_and(|s| !s.determinism_ok) {
-        eprintln!(
-            "perf_gate FAILED: a report served through the mlo-service queue \
-             differed from the direct session call (see the service group above)"
-        );
-        return ExitCode::FAILURE;
-    }
-    if faults.as_ref().is_some_and(|f| !f.ladder_ok) {
-        eprintln!(
-            "perf_gate FAILED: the retry/fallback ladder did not recover from a \
-             single injected engine.solve panic (see the faults group above)"
-        );
-        return ExitCode::FAILURE;
-    }
-    if faults.as_ref().is_some_and(|f| !f.no_hung_waiters) {
-        eprintln!(
-            "perf_gate FAILED: a waiter hung (or saw a non-error) under the \
-             unbounded panic storm (see the faults group above)"
-        );
-        return ExitCode::FAILURE;
-    }
-    if let Some((baseline_ms, limit_ms, false)) = wall_gate {
-        eprintln!(
-            "perf_gate FAILED: single-thread table2+table3 wall clock \
-             {single_thread_ms:.2}ms regressed beyond the baseline {baseline_ms:.2}ms \
-             + {:.0}% margin (limit {limit_ms:.2}ms)",
-            config.wall_margin * 100.0
-        );
-        return ExitCode::FAILURE;
-    }
-    if config.min_speedup > 0.0 && cores >= config.threads && scaling_speedup < config.min_speedup {
-        eprintln!(
-            "perf_gate FAILED: aggregate scaling speedup {scaling_speedup:.2}x is below \
-             the required {:.2}x",
-            config.min_speedup
-        );
-        return ExitCode::FAILURE;
-    }
-    println!("perf_gate passed: cost parity holds across thread counts");
-    ExitCode::SUCCESS
 }
 
 #[cfg(test)]
@@ -1779,9 +1453,96 @@ mod tests {
         parse_args(args.iter().map(|arg| arg.to_string()))
     }
 
+    fn committed(file: &str) -> Json {
+        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../..")
+            .join(file);
+        let text = std::fs::read_to_string(&path).expect("committed artifact");
+        Json::parse(&text).unwrap_or_else(|error| panic!("{file}: {error}"))
+    }
+
+    fn entry(name: &str) -> Entry {
+        Entry::new(name, [2.0, 1.0], [10, 10], [5.0, 5.0])
+    }
+
+    /// A run of every group in which every gate holds.
+    fn passing_run() -> Run {
+        let bound = Bound {
+            prunings: [3, 3],
+            bound_deletions: [7, 7],
+            node_budget: 10,
+        };
+        Run {
+            table2: Some(vec![entry("MxM")]),
+            table3: Some(vec![entry("MxM")]),
+            unsat: Some(vec![entry("php-9")]),
+            enumerate: Some(vec![entry("enum-24")]),
+            propagation: Some(Propagation {
+                variables: 2,
+                constraints: 1,
+                allowed_pairs: 4,
+                kernel_build_ms: 0.1,
+                revisions: 800,
+                checks: 100,
+                batch_ms: vec![1.0; 8],
+                bytes_touched: 256 * 800,
+                bytes_budget_per_revision: 256,
+            }),
+            weighted: Some(WeightedGroup {
+                entries: vec![Entry {
+                    bound: Some(bound),
+                    ..entry("noise-18")
+                }],
+                audit: WeightedAudit {
+                    weight_recompiles_on_set_weight: 1,
+                    bit_recompiles_on_set_weight: 0,
+                    bit_recompiles_on_merge: 1,
+                    untouched_matrices_reused: true,
+                },
+            }),
+            service: Some(Service {
+                requests: 80,
+                wall_ms: 100.0,
+                submitted: 80,
+                coalesced: 39,
+                shed: 60,
+                determinism_ok: true,
+            }),
+            faults: Some(Faults {
+                disarmed_ns_per_hit: 1.5,
+                ladder_recovery_ms: 1.0,
+                ladder_strategy: "heuristic".to_string(),
+                ladder_ok: true,
+                storm_requests: 8,
+                storm_panics: 16,
+                no_hung_waiters: true,
+            }),
+            steals: StealTotals {
+                steals: [0, 160],
+                splits: [0, 400],
+            },
+        }
+    }
+
+    /// A baseline whose table2 and table3 single-thread walls are 2ms each.
+    fn baseline() -> Json {
+        Json::parse(
+            r#"{"groups": {"table2": [{"wall_ms_1t": 2.0}], "table3": [{"wall_ms_1t": 2.0}]},
+                "scaling_speedup": 1.5, "propagation": {"revisions_per_sec": 1000}}"#,
+        )
+        .expect("valid JSON")
+    }
+
+    fn failures(run: &Run, config: &Config, cores: usize) -> Vec<String> {
+        let baseline = ("base.json", baseline());
+        let mut failures = run.failures();
+        failures.extend(summarize(run, Some(&baseline), config, cores).1);
+        failures
+    }
+
     #[test]
     fn only_accepts_every_group_and_rejects_unknown_names() {
-        for group in GROUPS {
+        for (group, _) in GROUPS {
             let config = parse(&["--only", group]).expect("a known group parses");
             assert_eq!(config.only.as_deref(), Some(group));
         }
@@ -1792,7 +1553,7 @@ mod tests {
                 .err()
                 .expect("unknown group is rejected");
             assert!(
-                GROUPS.iter().all(|group| error.contains(group)),
+                GROUPS.iter().all(|(group, _)| error.contains(group)),
                 "the error lists every valid group: {error}"
             );
         }
@@ -1806,5 +1567,182 @@ mod tests {
         let config = parse(&["--threads", "1", "--no-baseline"]).expect("valid flags parse");
         assert_eq!(config.threads, 2, "at least two workers");
         assert!(config.baseline.is_none());
+    }
+
+    #[test]
+    fn the_default_output_is_a_temp_file_and_the_wall_margin_is_fixed() {
+        let config = parse(&[]).expect("no flags parse");
+        assert_eq!(config.out, std::env::temp_dir().join("perf_gate.json"));
+        let error = parse(&["--wall-margin", "0.25"])
+            .err()
+            .expect("--wall-margin is gone");
+        assert!(
+            error.starts_with("unknown argument \"--wall-margin\""),
+            "{error}"
+        );
+
+        let config = parse(&["--out", "dir/BENCH_12.json"]).expect("valid flags parse");
+        let json = artifact(&config, 1, &Run::default(), Vec::new());
+        assert_eq!(json.path("benchmark"), Some(&Json::from("BENCH_12")));
+    }
+
+    /// What the string-scanning extractors this reader replaced returned for
+    /// each committed artifact: `scaling_speedup`, the table2 + table3
+    /// single-thread wall sum and `revisions_per_sec`.
+    const COMMITTED: [(&str, f64, f64, Option<f64>); 9] = [
+        ("BENCH_2.json", 9.558, 11.781, None),
+        ("BENCH_3.json", 18.204, 17.672, None),
+        ("BENCH_4.json", 65.942, 5.857, Some(18_287_474.0)),
+        ("BENCH_5.json", 0.581, 5.015, Some(18_754_055.0)),
+        ("BENCH_6.json", 0.968, 5.005, Some(10_919_714.0)),
+        ("BENCH_7.json", 0.92, 5.879, Some(14_884_207.0)),
+        ("BENCH_8.json", 0.953, 6.484, Some(36_444_666.0)),
+        ("BENCH_9.json", 0.968, 6.501, Some(34_357_255.0)),
+        ("BENCH_10.json", 0.906, 6.361, Some(31_484_718.0)),
+    ];
+
+    #[test]
+    fn the_reader_matches_every_committed_artifact() {
+        let config = parse(&[]).expect("no flags parse");
+        for (file, speedup, wall_ms, rps) in COMMITTED {
+            let baseline = (file, committed(file));
+            let (fields, _) = summarize(&passing_run(), Some(&baseline), &config, 1);
+            let summary = object(&fields);
+            let read = |key| summary.path(key).and_then(Json::as_f64);
+            assert_eq!(read("baseline.scaling_speedup"), Some(speedup), "{file}");
+            let read_ms = read("baseline.single_thread_wall_ms").expect("table2 and table3");
+            assert!((read_ms - wall_ms).abs() < 1e-9, "{file}: {read_ms}");
+            assert_eq!(read("baseline.revisions_per_sec"), rps, "{file}");
+        }
+        let tree = committed("BENCH_10.json");
+        assert_eq!(Json::parse(&tree.render()), Ok(tree));
+        let awkward = Json::Array(vec![Json::from("a \"quoted\" \\ path\n"), Json::Null]);
+        assert_eq!(Json::parse(&awkward.render()), Ok(awkward));
+        let error = Json::parse(r#"{"open": [1, 2} and a long tail of text"#).unwrap_err();
+        assert_eq!(error, r#"expected ',' or ']' at "} and a long tail of""#);
+    }
+
+    #[test]
+    fn every_gate_fails_alone_and_names_its_check() {
+        type Breaks = fn(&mut Run, &mut Config);
+        fn weighted(run: &mut Run) -> &mut WeightedGroup {
+            run.weighted.as_mut().expect("weighted ran")
+        }
+        fn bound(run: &mut Run) -> &mut Bound {
+            weighted(run).entries[0]
+                .bound
+                .as_mut()
+                .expect("weighted entry")
+        }
+        let cases: [(&str, Breaks); 20] = [
+            ("table2 MxM: cost_match", |r, _| {
+                r.table2.as_mut().unwrap()[0].cost[1] = 6.0
+            }),
+            ("table3 MxM: cost_match", |r, _| {
+                r.table3.as_mut().unwrap()[0].cost[1] = 6.0
+            }),
+            ("unsat php-9: cost_match", |r, _| {
+                r.unsat.as_mut().unwrap()[0].cost[1] = 6.0
+            }),
+            ("enumerate enum-24: cost_match", |r, _| {
+                r.enumerate.as_mut().unwrap()[0].cost[1] = 6.0
+            }),
+            ("weighted noise-18: cost_match", |r, _| {
+                weighted(r).entries[0].cost[1] = 6.0
+            }),
+            ("propagation: bytes_ok", |r, _| {
+                r.propagation.as_mut().unwrap().bytes_touched = 257 * 800
+            }),
+            ("weighted_audit: ok", |r, _| {
+                weighted(r).audit.weight_recompiles_on_set_weight = 2
+            }),
+            ("weighted_audit: ok", |r, _| {
+                weighted(r).audit.bit_recompiles_on_set_weight = 1
+            }),
+            ("weighted_audit: ok", |r, _| {
+                weighted(r).audit.bit_recompiles_on_merge = 2
+            }),
+            ("weighted_audit: ok", |r, _| {
+                weighted(r).audit.untouched_matrices_reused = false
+            }),
+            ("weighted noise-18: nodes_ok", |r, _| {
+                weighted(r).entries[0].nodes = [10, 11]
+            }),
+            ("weighted noise-18: nodes_ok", |r, _| {
+                bound(r).bound_deletions[0] = 0
+            }),
+            ("steal_telemetry: ok", |r, _| r.steals.steals[0] = 1),
+            ("steal_telemetry: ok", |r, _| r.steals.splits[0] = 1),
+            ("steal_telemetry: ok", |r, _| r.steals.steals[1] = 0),
+            ("service: determinism_ok", |r, _| {
+                r.service.as_mut().unwrap().determinism_ok = false
+            }),
+            ("faults: ladder_ok", |r, _| {
+                r.faults.as_mut().unwrap().ladder_ok = false
+            }),
+            ("faults: no_hung_waiters", |r, _| {
+                r.faults.as_mut().unwrap().no_hung_waiters = false
+            }),
+            // 2ms + 2ms against the baseline's 4ms: 4ms + 25% is the limit.
+            ("wall gate", |r, _| {
+                r.table2.as_mut().unwrap()[0].wall_ms[0] = 3.1
+            }),
+            // The aggregate unsat + enumerate speedup is 2.0x.
+            ("min speedup", |_, config| config.min_speedup = 2.5),
+        ];
+        let config = || parse(&["--threads", "4", "--min-speedup", "2.0"]).expect("valid flags");
+        assert_eq!(failures(&passing_run(), &config(), 4), Vec::<String>::new());
+        for (check, breaks) in cases {
+            let (mut run, mut config) = (passing_run(), config());
+            breaks(&mut run, &mut config);
+            let failures = failures(&run, &config, 4);
+            assert!(
+                failures.len() == 1 && failures[0].starts_with(check),
+                "breaking {check} gave {failures:?}"
+            );
+        }
+        // On fewer cores than workers the speedup is not gated.
+        let mut slow = config();
+        slow.min_speedup = 2.5;
+        assert_eq!(failures(&passing_run(), &slow, 2), Vec::<String>::new());
+    }
+
+    #[test]
+    fn a_run_without_scaling_groups_records_and_gates_no_speedup() {
+        let run = Run {
+            table2: Some(vec![entry("MxM")]),
+            ..Run::default()
+        };
+        let config = parse(&["--only", "table2", "--threads", "2", "--min-speedup", "2.0"])
+            .expect("valid flags");
+        let baseline = ("base.json", baseline());
+        let (fields, failures) = summarize(&run, Some(&baseline), &config, 2);
+        assert_eq!(failures, Vec::<String>::new());
+        let json = artifact(&config, 2, &run, fields);
+        assert_eq!(json.path("scaling_speedup"), None);
+        assert_eq!(json.path("baseline.scaling_speedup"), None);
+    }
+
+    #[test]
+    fn the_wall_gate_compares_only_the_table_groups_that_ran() {
+        let bench_9 = ("BENCH_9.json", committed("BENCH_9.json"));
+        let run = |wall_1t| Run {
+            table2: Some(vec![Entry::new("MxM", [wall_1t, 1.0], [1, 1], [1.0, 1.0])]),
+            ..Run::default()
+        };
+        let config = parse(&["--only", "table2"]).expect("valid flags");
+        // BENCH_9's table2 alone took 4.508ms (its table3 another 1.993ms),
+        // so the limit is 5.635ms, not the two groups' 8.126ms.
+        let (fields, failures) = summarize(&run(6.0), Some(&bench_9), &config, 2);
+        let summary = object(&fields);
+        let read = |key| summary.path(key).and_then(Json::as_f64).expect(key);
+        assert!((read("wall_gate.baseline_ms") - 4.508).abs() < 1e-9);
+        assert_eq!(read("wall_gate.limit_ms"), 5.635);
+        assert!(
+            failures.len() == 1 && failures[0].contains("table2 wall 6.00ms"),
+            "{failures:?}"
+        );
+        let (_, failures) = summarize(&run(5.0), Some(&bench_9), &config, 2);
+        assert_eq!(failures, Vec::<String>::new());
     }
 }
