@@ -33,7 +33,7 @@ pub mod generators;
 pub mod random;
 pub mod suite;
 
-pub use random::{random_program, RandomProgramSpec};
+pub use random::{near_copy, random_program, ProgramEdit, RandomProgramSpec};
 pub use suite::{Benchmark, PaperRow};
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! Random affine programs for stress tests and scaling studies.
 
 use crate::generators::{add_stage, Pattern, StageSpec};
-use mlo_ir::{ArrayId, Program, ProgramBuilder};
+use mlo_ir::{AffineAccess, ArrayDecl, ArrayId, LoopNest, NestId, Program, ProgramBuilder};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -76,6 +76,79 @@ pub fn random_program(spec: &RandomProgramSpec) -> Program {
     b.build()
 }
 
+/// One structural edit [`near_copy`] applies.  Indices wrap modulo the
+/// program's arrays, references or nests.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ProgramEdit {
+    /// None: a structurally equal, separately built copy.
+    Unchanged,
+    /// The program name gains a suffix.
+    Name,
+    /// One array's first extent grows by one.
+    Extent(usize),
+    /// One array's element size doubles.
+    ElementSize(usize),
+    /// One reference's first access coefficient grows by one.
+    Coefficient(usize),
+    /// The first nest trades places with another (ids follow the new
+    /// order); a one-nest program is left unchanged.
+    NestOrder(usize),
+}
+
+/// A copy of `program` with one edit applied, rebuilt from its parts: the
+/// near-copies that program-identity tests set against the original.
+pub fn near_copy(program: &Program, edit: ProgramEdit) -> Program {
+    let mut name = program.name().to_string();
+    let mut arrays = program.arrays().to_vec();
+    let mut order: Vec<&LoopNest> = program.nests().iter().collect();
+    let mut bumped_reference = None;
+    match edit {
+        ProgramEdit::Unchanged => {}
+        ProgramEdit::Name => name.push('\''),
+        ProgramEdit::Extent(k) | ProgramEdit::ElementSize(k) => {
+            let index = k % arrays.len();
+            let array = &arrays[index];
+            let mut extents = array.extents().to_vec();
+            let mut element_size = array.element_size();
+            if matches!(edit, ProgramEdit::Extent(_)) {
+                extents[0] += 1;
+            } else {
+                element_size *= 2;
+            }
+            arrays[index] = ArrayDecl::new(array.id(), array.name(), extents, element_size);
+        }
+        ProgramEdit::Coefficient(k) => {
+            bumped_reference = Some(k % program.total_reference_count().max(1));
+        }
+        ProgramEdit::NestOrder(k) => {
+            let nests = order.len();
+            if nests > 1 {
+                order.swap(0, 1 + k % (nests - 1));
+            }
+        }
+    }
+    let mut reference_index = 0;
+    let nests = order
+        .into_iter()
+        .enumerate()
+        .map(|(i, nest)| {
+            let mut copy = LoopNest::new(NestId::new(i), nest.name(), nest.loops().to_vec());
+            copy.set_compute_per_iteration(nest.compute_per_iteration());
+            for reference in nest.references() {
+                let mut matrix = reference.access().matrix().clone();
+                if bumped_reference == Some(reference_index) {
+                    matrix.set(0, 0, matrix.get(0, 0) + 1);
+                }
+                reference_index += 1;
+                let access = AffineAccess::new(matrix, reference.access().offset().clone());
+                copy.add_reference(reference.array(), access, reference.kind());
+            }
+            copy
+        })
+        .collect();
+    Program::new(name, arrays, nests)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -99,6 +172,38 @@ mod tests {
             ..RandomProgramSpec::default()
         });
         assert_ne!(a, b);
+    }
+
+    #[test]
+    fn near_copies_differ_by_exactly_their_edit() {
+        let p = random_program(&RandomProgramSpec {
+            arrays: 4,
+            nests: 3,
+            extent: 16,
+            reads_per_nest: 2,
+            seed: 5,
+        });
+        assert_eq!(near_copy(&p, ProgramEdit::Unchanged), p);
+        for edit in [
+            ProgramEdit::Name,
+            ProgramEdit::Extent(1),
+            ProgramEdit::ElementSize(6),
+            ProgramEdit::Coefficient(4),
+            ProgramEdit::NestOrder(1),
+        ] {
+            let copy = near_copy(&p, edit);
+            assert_ne!(copy, p, "{edit:?}");
+            assert_eq!(copy.arrays().len(), p.arrays().len());
+            assert_eq!(copy.total_reference_count(), p.total_reference_count());
+        }
+        assert_eq!(
+            near_copy(&p, ProgramEdit::Extent(1)).arrays()[1].extent(0),
+            17
+        );
+        assert_eq!(
+            near_copy(&p, ProgramEdit::NestOrder(1)).nests()[0].name(),
+            "nest2"
+        );
     }
 
     #[test]

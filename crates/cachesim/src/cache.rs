@@ -4,7 +4,7 @@ use crate::stats::CacheStats;
 use crate::SimError;
 
 /// Geometry of one cache level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CacheConfig {
     /// Total capacity in bytes.
     pub size_bytes: u64,

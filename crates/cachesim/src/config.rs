@@ -3,7 +3,7 @@
 use crate::cache::CacheConfig;
 
 /// The processor and memory-hierarchy parameters of a simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MachineConfig {
     /// L1 data cache geometry.
     pub l1_data: CacheConfig,

@@ -15,7 +15,7 @@ use mlo_layout::{AddressMap, LayoutAssignment};
 use mlo_linalg::IntVec;
 
 /// Options controlling trace generation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TraceOptions {
     /// Loops whose trip count exceeds this bound are sub-sampled to roughly
     /// this many iterations (strides preserved).  Keeps very large nests

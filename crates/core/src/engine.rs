@@ -3,8 +3,9 @@
 //! [`Engine`] owns the [`StrategyRegistry`] and the defaults; a
 //! [`Session`] amortizes the expensive per-program work — candidate
 //! enumeration and constraint-network construction — across requests, keyed
-//! by program identity.  [`Session::optimize_many`] fans a batch of
-//! (program, request) pairs out over worker threads.
+//! by structural program identity ([`Program::fingerprint`] plus a full
+//! `==` on a hit) in a capped LRU.  [`Session::optimize_many`] fans a batch
+//! of (program, request) pairs out over worker threads.
 //!
 //! ```
 //! use mlo_core::{Engine, OptimizeRequest};
@@ -35,6 +36,7 @@ use mlo_layout::{
     heuristic_assignment, weights::WeightOptions, CandidateOptions, CandidateSet, Layout,
     LayoutAssignment, LayoutNetwork,
 };
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, RecvTimeoutError};
@@ -373,7 +375,7 @@ impl Engine {
         Session {
             inner: Arc::new(SessionInner {
                 engine: self.clone(),
-                prepared: Mutex::new(HashMap::new()),
+                prepared: Mutex::new(PreparedCache::new(Session::DEFAULT_PREPARED_CACHE_CAP)),
                 pool: OnceLock::new(),
                 weighted_cache_cap: Arc::new(AtomicUsize::new(Session::DEFAULT_WEIGHTED_CACHE_CAP)),
             }),
@@ -399,17 +401,104 @@ impl Engine {
     }
 }
 
-/// A cache key identifying one (program, candidate options) pair.
-///
-/// Program has no `Hash` impl; its `Debug` rendering covers the full
-/// structure (arrays, nests, accesses) and is stable within a build.  The
-/// full rendering is the key — not a truncated hash of it — so two distinct
-/// programs can never silently share a cache entry.  Rendering is linear in
-/// program size; every request also runs a search or the heuristic pass,
-/// both of which are at least linear in program size themselves, so the key
-/// is never the dominant per-request cost.
-fn program_key(program: &Program, options: &CandidateOptions) -> String {
-    format!("{options:?}\u{1f}{program:?}")
+/// Counters of a session's prepared-program cache, read in one snapshot by
+/// [`Session::prepared_stats`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PreparedStats {
+    /// Lookups that found their (program, candidate options) pair cached.
+    pub hits: u64,
+    /// Lookups that created a new entry.
+    pub misses: u64,
+    /// Entries dropped, least recently used first, to stay within the cap.
+    pub evictions: u64,
+    /// Entries cached now.
+    pub entries: usize,
+}
+
+/// One cached (program, candidate options) pair.
+#[derive(Debug)]
+struct PreparedEntry {
+    prepared: Arc<PreparedProgram>,
+    /// The recency clock at this entry's last lookup.
+    last_used: u64,
+}
+
+/// A session's prepared programs: an LRU keyed by (program, candidate
+/// options).  A lookup hashes the program's fingerprint; a hit costs one
+/// `==` on the program, and only an insert past the cap scans for the
+/// entry to evict.
+#[derive(Debug)]
+struct PreparedCache {
+    entries: HashMap<(Program, CandidateOptions), PreparedEntry>,
+    cap: usize,
+    /// Bumped by every lookup.
+    clock: u64,
+    hits: u64,
+    misses: u64,
+    evictions: u64,
+}
+
+impl PreparedCache {
+    fn new(cap: usize) -> Self {
+        PreparedCache {
+            entries: HashMap::new(),
+            cap,
+            clock: 0,
+            hits: 0,
+            misses: 0,
+            evictions: 0,
+        }
+    }
+
+    /// The entry of `program` under `options`, marked most recently used;
+    /// on a miss, a new entry from `make`, evicting least recently used
+    /// entries down to the cap.
+    fn get_or_insert(
+        &mut self,
+        program: &Program,
+        options: &CandidateOptions,
+        make: impl FnOnce() -> PreparedProgram,
+    ) -> Arc<PreparedProgram> {
+        self.clock += 1;
+        let clock = self.clock;
+        // The key clone shares the program's parts.
+        match self.entries.entry((program.clone(), *options)) {
+            Entry::Occupied(entry) => {
+                let entry = entry.into_mut();
+                entry.last_used = clock;
+                self.hits += 1;
+                Arc::clone(&entry.prepared)
+            }
+            Entry::Vacant(slot) => {
+                let prepared = Arc::new(make());
+                slot.insert(PreparedEntry {
+                    prepared: Arc::clone(&prepared),
+                    last_used: clock,
+                });
+                self.misses += 1;
+                while self.entries.len() > self.cap {
+                    let oldest = self
+                        .entries
+                        .iter()
+                        .min_by_key(|(_, entry)| entry.last_used)
+                        .map(|(key, _)| key.clone())
+                        .expect("a cache over its cap is not empty");
+                    self.entries.remove(&oldest);
+                    self.evictions += 1;
+                }
+                prepared
+            }
+        }
+    }
+
+    fn stats(&self) -> PreparedStats {
+        PreparedStats {
+            hits: self.hits,
+            misses: self.misses,
+            evictions: self.evictions,
+            entries: self.entries.len(),
+        }
+    }
 }
 
 /// A scope that amortizes candidate enumeration, network construction and
@@ -425,7 +514,7 @@ pub struct Session {
 #[derive(Debug)]
 pub(crate) struct SessionInner {
     engine: Engine,
-    prepared: Mutex<HashMap<String, Arc<PreparedProgram>>>,
+    prepared: Mutex<PreparedCache>,
     /// The session's worker pool, created on first parallel use so purely
     /// sequential sessions never spawn a thread.
     pool: OnceLock<Arc<WorkerPool>>,
@@ -439,6 +528,14 @@ impl Session {
     /// plenty for benchmark sweeps (which reuse one or two
     /// [`WeightOptions`]) while bounding long-lived serving sessions.
     pub const DEFAULT_WEIGHTED_CACHE_CAP: usize = 8;
+
+    /// LRU capacity of the prepared-program cache: well above the distinct
+    /// (program, candidate options) pairs of a benchmark corpus (149 in
+    /// perfbench's), while bounding a long-lived serving session.
+    /// Prepared state is a pure function of its key, so eviction never
+    /// changes a result; an evicted pair is prepared again on its next
+    /// request.
+    pub const DEFAULT_PREPARED_CACHE_CAP: usize = 256;
 
     /// The engine this session came from.
     pub fn engine(&self) -> &Engine {
@@ -459,10 +556,15 @@ impl Session {
             .store(cap.max(1), Ordering::Relaxed);
     }
 
-    /// Number of distinct (program, candidate-options) pairs prepared so
-    /// far.
+    /// Number of distinct (program, candidate-options) pairs cached now.
     pub fn prepared_programs(&self) -> usize {
-        lock_or_recover(&self.inner.prepared).len()
+        lock_or_recover(&self.inner.prepared).entries.len()
+    }
+
+    /// The prepared-program cache's hit, miss and eviction counters and its
+    /// current size, read in one snapshot.
+    pub fn prepared_stats(&self) -> PreparedStats {
+        lock_or_recover(&self.inner.prepared).stats()
     }
 
     /// The prepared (cached) state of a program under the given candidate
@@ -513,17 +615,9 @@ impl SessionInner {
     }
 
     fn prepared(&self, program: &Program, options: &CandidateOptions) -> Arc<PreparedProgram> {
-        let key = program_key(program, options);
-        let mut cache = lock_or_recover(&self.prepared);
-        cache
-            .entry(key)
-            .or_insert_with(|| {
-                Arc::new(PreparedProgram::new(
-                    *options,
-                    Arc::clone(&self.weighted_cache_cap),
-                ))
-            })
-            .clone()
+        lock_or_recover(&self.prepared).get_or_insert(program, options, || {
+            PreparedProgram::new(*options, Arc::clone(&self.weighted_cache_cap))
+        })
     }
 
     /// Serves one request end to end: solve, then (when requested) evaluate
@@ -690,39 +784,21 @@ impl Session {
     /// Serves a batch of requests across the session's worker pool.
     ///
     /// Borrowed-program convenience over [`Session::optimize_many_shared`]:
-    /// each *distinct* program is copied into an [`Arc`] once and shared by
-    /// its jobs.  Callers that already hold `Arc<Program>` handles should
-    /// submit them directly via `optimize_many_shared`, which copies
-    /// nothing.
+    /// each job's program is cloned into an [`Arc`], and a clone shares the
+    /// caller's program's parts rather than copying them.
     pub fn optimize_many(
         &self,
         jobs: &[(&Program, OptimizeRequest)],
     ) -> Vec<Result<OptimizeReport, OptimizeError>> {
-        // Sequential batches never reach the pool, so don't pay the
-        // Arc-wrapping program copies either.
-        if jobs.len() <= 1 || self.inner.engine.default_parallelism() <= 1 {
-            return jobs
-                .iter()
-                .map(|(program, request)| self.optimize(program, request))
-                .collect();
-        }
-        let mut owned: HashMap<*const Program, Arc<Program>> = HashMap::new();
         let shared: Vec<(Arc<Program>, OptimizeRequest)> = jobs
             .iter()
-            .map(|(program, request)| {
-                let program = owned
-                    .entry(*program as *const Program)
-                    .or_insert_with(|| Arc::new((*program).clone()))
-                    .clone();
-                (program, request.clone())
-            })
+            .map(|(program, request)| (Arc::new((*program).clone()), request.clone()))
             .collect();
         self.optimize_many_shared(&shared)
     }
 
     /// Serves a batch of requests across the session's worker pool, taking
-    /// shared program handles (the zero-copy form — nothing is cloned on
-    /// the way to the workers).
+    /// shared program handles.
     ///
     /// Results come back in submission order, one per job, each
     /// independently a success or a typed error — one failed request never
@@ -900,6 +976,9 @@ impl Session {
         )
     }
 }
+
+#[cfg(test)]
+mod identity;
 
 #[cfg(test)]
 mod tests {

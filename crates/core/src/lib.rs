@@ -68,7 +68,8 @@ pub mod request;
 pub mod strategy;
 
 pub use engine::{
-    Engine, EngineBuilder, NetworkSummary, OptimizeReport, PreparedProgram, Session, SolveHooks,
+    Engine, EngineBuilder, NetworkSummary, OptimizeReport, PreparedProgram, PreparedStats, Session,
+    SolveHooks,
 };
 pub use error::{Fallback, FallbackReason, OptimizeError};
 pub use report::TextTable;

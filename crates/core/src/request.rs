@@ -137,7 +137,7 @@ impl PartialEq<&str> for StrategyId {
 }
 
 /// What to do when a strategy cannot return a solution of its own.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum FallbackPolicy {
     /// Return the heuristic baseline's layouts, recording the reason in the
     /// report's [`Fallback`](crate::Fallback).
@@ -149,7 +149,7 @@ pub enum FallbackPolicy {
 }
 
 /// Optional cache-hierarchy evaluation of the chosen layouts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct EvaluationOptions {
     /// The machine model to simulate.
     pub machine: MachineConfig,
@@ -201,7 +201,7 @@ impl EvaluationOptions {
 /// request.budget_mut().nodes = budget.nodes;
 /// # assert_eq!(request.budget.nodes, Some(100_000));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct SearchBudget {
     /// Node budget for the search (`None` = unlimited).
     ///
@@ -276,7 +276,7 @@ impl SearchBudget {
 /// let report = session.optimize(&program, &request).unwrap();
 /// assert!(report.assignment.len() >= program.arrays().len());
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct OptimizeRequest {
     /// The strategy to run.
     pub strategy: StrategyId,

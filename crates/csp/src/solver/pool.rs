@@ -22,7 +22,10 @@
 //!   triggering failpoint as a typed [`JobPanic`], so the submitter can
 //!   publish a failure result instead of hanging.
 //! * **Shutdown joins.**  Dropping the pool closes the injector and joins
-//!   every worker, so tests can assert that no threads leak.
+//!   every worker, so tests can assert that no threads leak.  When the last
+//!   handle drops inside a job, the worker running that job is not joined
+//!   (a thread cannot join itself); it exits on its own once the job
+//!   returns.
 
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex, TryLockError};
@@ -215,8 +218,13 @@ impl Drop for WorkerPool {
         // queue drains; joining then guarantees no leaked threads.
         drop(lock_or_recover(&self.injector).take());
         let workers = std::mem::take(&mut *lock_or_recover(&self.workers));
+        let current = std::thread::current().id();
         for worker in workers {
-            let _ = worker.join();
+            // Dropped from inside a job: this worker finds the injector
+            // closed once the job returns, and exits detached.
+            if worker.thread().id() != current {
+                let _ = worker.join();
+            }
         }
     }
 }
@@ -254,6 +262,26 @@ mod tests {
         pool.execute(move || tx.send(7u32).unwrap());
         assert_eq!(rx.recv().unwrap(), 7);
         drop(pool); // must not hang
+    }
+
+    #[test]
+    fn dropping_the_last_handle_inside_a_job_does_not_panic() {
+        let pool = Arc::new(WorkerPool::new(2));
+        let (go_tx, go_rx) = channel::<()>();
+        let (tx, rx) = channel();
+        let last = Arc::clone(&pool);
+        pool.execute(move || {
+            go_rx.recv().unwrap();
+            // The test has dropped its handle: the pool drops on this worker.
+            let dropped = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| drop(last)));
+            tx.send(dropped.is_ok()).unwrap();
+        });
+        drop(pool);
+        go_tx.send(()).unwrap();
+        assert!(
+            rx.recv().unwrap(),
+            "dropping the pool inside a job panicked"
+        );
     }
 
     #[test]

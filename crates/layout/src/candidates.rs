@@ -7,7 +7,7 @@ use mlo_ir::{ArrayId, Program};
 use std::sync::Arc;
 
 /// Options controlling candidate enumeration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CandidateOptions {
     /// Always include the canonical row-major and column-major layouts.
     pub include_canonical: bool,

@@ -575,13 +575,25 @@ struct ServiceCore {
     /// Queued-or-running solves (coalesced duplicates excluded).
     depth: AtomicUsize,
     /// In-flight solves by request identity, for coalescing.
-    inflight: Mutex<HashMap<String, Weak<ResponseSlot>>>,
+    inflight: Mutex<HashMap<InflightKey, Weak<ResponseSlot>>>,
     /// Per-tenant in-flight counts.
     tenants: Mutex<HashMap<String, usize>>,
     counters: Counters,
     /// Armed deadlines, present only when the config enables the
     /// watchdog.
     watchdog: Option<Arc<WatchdogState>>,
+}
+
+/// The identity of a solve: two submissions coalesce iff their keys are
+/// equal.  The key hashes the request and the program's fingerprint, and
+/// compares programs in full, so unequal programs that share a fingerprint
+/// never coalesce.  No part of it is rendered to text.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+struct InflightKey {
+    streaming: bool,
+    request: OptimizeRequest,
+    /// A clone of the submitted program, sharing its parts.
+    program: Program,
 }
 
 /// Idempotent completion bookkeeping for one admitted solve.
@@ -591,7 +603,11 @@ struct ServiceCore {
 /// resources (queue depth, tenant budget, in-flight map entry) exactly
 /// once, guarded by `done`.
 struct Cleanup {
-    key: String,
+    /// What the job solves, and its in-flight map key.
+    key: InflightKey,
+    /// The job's own slot: the map entry is removed only while it still
+    /// points here, never after a resubmission has replaced it.
+    slot: Weak<ResponseSlot>,
     tenant: Option<String>,
     done: AtomicBool,
 }
@@ -599,9 +615,6 @@ struct Cleanup {
 /// One queued unit of work, moved onto the pool.
 struct Job {
     slot: Arc<ResponseSlot>,
-    program: Program,
-    request: OptimizeRequest,
-    streaming: bool,
     cleanup: Arc<Cleanup>,
 }
 
@@ -712,10 +725,11 @@ impl ServiceCore {
             Err(ServiceError::Injected { site: fault.site })
         });
 
-        let key = format!(
-            "{}\u{1f}{request:?}\u{1f}{program:?}",
-            if streaming { "stream" } else { "plain" }
-        );
+        let key = InflightKey {
+            streaming,
+            request: request.clone(),
+            program: program.clone(),
+        };
 
         // The map lock spans lookup and insertion so coalesce-or-create is
         // atomic with respect to concurrent submitters.
@@ -764,19 +778,16 @@ impl ServiceCore {
 
         let cleanup = Arc::new(Cleanup {
             key,
+            slot: Arc::downgrade(&slot),
             tenant: tenant.map(str::to_string),
             done: AtomicBool::new(false),
         });
         let job = Job {
             slot: Arc::clone(&slot),
-            program: program.clone(),
-            request: request.clone(),
-            streaming,
             cleanup: Arc::clone(&cleanup),
         };
         let core = Arc::clone(self);
         let observer_core = Arc::clone(self);
-        let strategy = request.strategy.to_string();
         // The observer is the last line of defense: `run` contains rung
         // panics itself, so this only fires when the run path *itself*
         // dies (e.g. an injected `pool.job` or `service.publish` panic).
@@ -792,7 +803,7 @@ impl ServiceCore {
                     .fetch_add(1, Ordering::Relaxed);
                 slot.publish(Arc::new(Err(ServiceError::Solve(
                     OptimizeError::StrategyPanicked {
-                        strategy,
+                        strategy: cleanup.key.request.strategy.to_string(),
                         message: panic.message,
                         failpoint: panic.failpoint,
                     },
@@ -803,20 +814,15 @@ impl ServiceCore {
     }
 
     fn run(&self, job: Job) {
-        let Job {
-            slot,
-            program,
-            request,
-            streaming,
-            cleanup,
-        } = job;
+        let Job { slot, cleanup } = job;
         let outcome: SharedResult = if slot.cancel.is_cancelled() {
             // Every handle cancelled while we were queued: drain without
             // solving.
             self.counters.cancelled.fetch_add(1, Ordering::Relaxed);
             Arc::new(Err(ServiceError::Cancelled))
         } else {
-            Arc::new(self.serve(&slot, &program, &request, streaming))
+            let key = &cleanup.key;
+            Arc::new(self.serve(&slot, &key.program, &key.request, key.streaming))
         };
 
         // All bookkeeping strictly precedes publication, so a caller that
@@ -992,7 +998,14 @@ impl ServiceCore {
         if cleanup.done.swap(true, Ordering::AcqRel) {
             return;
         }
-        lock_or_recover(&self.inflight).remove(&cleanup.key);
+        let mut inflight = lock_or_recover(&self.inflight);
+        if inflight
+            .get(&cleanup.key)
+            .is_some_and(|slot| slot.ptr_eq(&cleanup.slot))
+        {
+            inflight.remove(&cleanup.key);
+        }
+        drop(inflight);
         if let Some(tenant) = &cleanup.tenant {
             let mut tenants = lock_or_recover(&self.tenants);
             if let Some(count) = tenants.get_mut(tenant) {
@@ -1006,3 +1019,6 @@ impl ServiceCore {
         self.counters.completed.fetch_add(1, Ordering::Relaxed);
     }
 }
+
+#[cfg(test)]
+mod identity;

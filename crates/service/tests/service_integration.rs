@@ -9,8 +9,8 @@
 
 use mlo_benchmarks::Benchmark;
 use mlo_core::{
-    Engine, LayoutStrategy, OptimizeError, OptimizeReport, OptimizeRequest, SearchBudget, Session,
-    StrategyContext, StrategyId, StrategyOutcome,
+    Engine, LayoutStrategy, OptimizeError, OptimizeReport, OptimizeRequest, PreparedStats,
+    SearchBudget, Session, StrategyContext, StrategyId, StrategyOutcome,
 };
 use mlo_service::{MloService, ServiceConfig, ServiceError};
 use std::sync::{Arc, Condvar, Mutex};
@@ -131,6 +131,53 @@ fn admission_sheds_when_the_intake_queue_is_full() {
 }
 
 #[test]
+fn only_admitted_solves_touch_the_prepared_cache() {
+    let (service, blocker) =
+        single_worker_service(ServiceConfig::new().queue_limit(2).tenant_budget("acme", 0));
+    let session = service.session();
+    let mxm = Benchmark::MxM.program();
+    let track = Benchmark::Track.program();
+
+    // A cold request records one miss and no hit.
+    let cold = service.submit(&mxm, &blocker_request(1)).unwrap();
+    blocker.wait_started(1);
+    let one_miss = PreparedStats {
+        hits: 0,
+        misses: 1,
+        evictions: 0,
+        entries: 1,
+    };
+    assert_eq!(session.prepared_stats(), one_miss);
+
+    // A coalesced duplicate, a budget rejection, a queued solve and a shed
+    // submission record nothing.
+    let duplicate = service.submit(&mxm, &blocker_request(1)).unwrap();
+    assert!(duplicate.is_coalesced());
+    match service.submit_for_tenant("acme", &track, &blocker_request(2)) {
+        Err(ServiceError::TenantBudgetExhausted { .. }) => {}
+        other => panic!("expected TenantBudgetExhausted, got {other:?}"),
+    }
+    let queued = service.submit(&mxm, &blocker_request(3)).unwrap();
+    match service.submit(&track, &blocker_request(4)) {
+        Err(ServiceError::QueueFull { depth: 2, limit: 2 }) => {}
+        other => panic!("expected QueueFull, got {other:?}"),
+    }
+    assert_eq!(session.prepared_stats(), one_miss);
+
+    // Serving the queued solve is one hit.
+    blocker.release_all();
+    assert!(Arc::ptr_eq(&cold.wait(), &duplicate.wait()));
+    assert!(queued.wait().is_ok());
+    assert_eq!(
+        session.prepared_stats(),
+        PreparedStats {
+            hits: 1,
+            ..one_miss
+        }
+    );
+}
+
+#[test]
 fn coalesced_duplicates_share_one_pointer_identical_result() {
     let (service, blocker) = single_worker_service(ServiceConfig::new());
     let program = Benchmark::MxM.program();
@@ -191,6 +238,42 @@ fn cancelling_every_handle_drains_queued_requests() {
     assert_eq!(stats.completed, 2);
     assert_eq!(service.queue_depth(), 0);
     assert!(parked.wait().is_ok());
+}
+
+#[test]
+fn a_drained_cancelled_solve_leaves_its_resubmission_coalescable() {
+    let (service, blocker) = single_worker_service(ServiceConfig::new());
+    let program = Benchmark::MxM.program();
+
+    // Park the only worker on a plain pool job, so nothing starts yet.
+    let (release, parked) = std::sync::mpsc::channel::<()>();
+    service.session().worker_pool().execute(move || {
+        let _ = parked.recv();
+    });
+
+    // Cancel a queued request, then resubmit it: a fresh solve queues
+    // behind the cancelled one.
+    let request = blocker_request(2);
+    let cancelled = service.submit(&program, &request).unwrap();
+    cancelled.cancel();
+    let fresh = service.submit(&program, &request).unwrap();
+    assert!(!fresh.is_coalesced());
+
+    // The cancelled job drains first; the fresh one then parks in the
+    // blocker, still in flight.
+    drop(release);
+    assert!(matches!(*cancelled.wait(), Err(ServiceError::Cancelled)));
+    blocker.wait_started(1);
+
+    // The drained job must not have unregistered its successor.
+    let third = service.submit(&program, &request).unwrap();
+    assert!(third.is_coalesced());
+    assert_eq!(service.queue_depth(), 1);
+
+    blocker.release_all();
+    let result = fresh.wait();
+    assert!(result.is_ok());
+    assert!(Arc::ptr_eq(&result, &third.wait()));
 }
 
 #[test]
