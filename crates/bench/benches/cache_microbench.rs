@@ -1,8 +1,12 @@
-//! Microbenchmarks of the cache-simulator substrate: raw access throughput
-//! and the layout sensitivity of a strided sweep.
+//! Microbenchmarks of the cache simulator: raw access throughput of one
+//! level and of the hierarchy on strided streams, and the whole per-access
+//! path of `Simulator::simulate` (address walk plus both levels) on the
+//! paper programs.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use mlo_cachesim::{Cache, CacheConfig, MachineConfig, MemoryHierarchy};
+use mlo_benchmarks::Benchmark;
+use mlo_cachesim::{Cache, CacheConfig, MachineConfig, MemoryHierarchy, Simulator, TraceOptions};
+use mlo_layout::heuristic_assignment;
 
 fn cache_access_throughput(c: &mut Criterion) {
     let mut group = c.benchmark_group("cache_microbench");
@@ -46,5 +50,34 @@ fn cache_access_throughput(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, cache_access_throughput);
+/// Each paper program under its heuristic assignment on the paper's
+/// machine at 32 trips per loop, the fidelity of perfbench's `evaluate`
+/// workload.
+fn simulate_paper_programs(c: &mut Criterion) {
+    let mut group = c.benchmark_group("simulate");
+    group.sample_size(20);
+    let simulator = Simulator::new(MachineConfig::date05()).trace_options(TraceOptions {
+        max_trip_per_loop: 32,
+        ..TraceOptions::default()
+    });
+    for benchmark in Benchmark::all() {
+        let program = benchmark.program();
+        let assignment = heuristic_assignment(&program).assignment;
+        group.bench_with_input(
+            BenchmarkId::new("heuristic_date05_32_trips", benchmark.name()),
+            &program,
+            |b, program| {
+                b.iter(|| {
+                    simulator
+                        .simulate(program, &assignment)
+                        .expect("simulates")
+                        .total_cycles
+                })
+            },
+        );
+    }
+    group.finish();
+}
+
+criterion_group!(benches, cache_access_throughput, simulate_paper_programs);
 criterion_main!(benches);

@@ -75,12 +75,14 @@ pub enum AccessOutcome {
 
 /// One set-associative cache with true-LRU replacement.
 ///
-/// The tags live in one flat array of `sets × ways` slots.  Each set keeps
-/// its resident tags in its first `fill` slots, most recently used first, so
-/// a hit moves its tag to the front and a miss shifts the set down by one,
-/// dropping the least recently used tag when the set is full.  Set and tag
-/// come from shifts and a mask, since line size and set count are powers of
-/// two.
+/// The tags live in one flat array of `sets × ways` slots, each set most
+/// recently used first.  An empty way holds a sentinel that no resident tag
+/// equals, and empty ways always trail the resident ones.  An access checks
+/// the most recently used slot, then shifts the set down by one slot while
+/// it searches, carrying the new tag in at the front: a hit stops at the
+/// slot the tag left, and a miss pushes the last slot out, which evicts a
+/// line unless that slot was empty.  Set and tag come from shifts and a
+/// mask, since line size and set count are powers of two.
 ///
 /// # Examples
 ///
@@ -103,8 +105,10 @@ pub struct Cache {
     set_mask: u64,
     /// Set `s` owns slots `s * ways .. (s + 1) * ways`.
     tags: Vec<u64>,
-    /// Number of resident tags of each set.
-    fill: Vec<usize>,
+    /// The tag of an empty way.  Tags are at most `u64::MAX >> (line_shift
+    /// + set_shift)`, so only a single set of 1-byte lines can meet it; such
+    /// an access moves it first (see [`Cache::move_empty`]).
+    empty: u64,
     stats: CacheStats,
 }
 
@@ -125,8 +129,8 @@ impl Cache {
             line_shift: config.line_bytes.trailing_zeros(),
             set_shift: sets.trailing_zeros(),
             set_mask: sets - 1,
-            tags: vec![0; sets as usize * ways],
-            fill: vec![0; sets as usize],
+            tags: vec![u64::MAX; sets as usize * ways],
+            empty: u64::MAX,
             stats: CacheStats::default(),
         }
     }
@@ -145,38 +149,63 @@ impl Cache {
     #[inline]
     pub fn access(&mut self, address: u64) -> AccessOutcome {
         let line = address >> self.line_shift;
-        let set = (line & self.set_mask) as usize;
         let tag = line >> self.set_shift;
-        let start = set * self.ways;
-        let fill = self.fill[set];
+        if tag == self.empty {
+            self.move_empty();
+        }
+        let start = (line & self.set_mask) as usize * self.ways;
         let slots = &mut self.tags[start..start + self.ways];
         self.stats.accesses += 1;
-        // Shift slots[..end] down by one and put `tag` in front.
-        let (outcome, end) = match slots[..fill].iter().position(|&t| t == tag) {
-            Some(pos) => {
-                self.stats.hits += 1;
-                (AccessOutcome::Hit, pos)
-            }
-            None => {
-                self.stats.misses += 1;
-                if fill == self.ways {
-                    self.stats.evictions += 1;
-                } else {
-                    self.fill[set] = fill + 1;
-                }
-                (AccessOutcome::Miss, fill.min(self.ways - 1))
-            }
-        };
-        for i in (1..=end).rev() {
-            slots[i] = slots[i - 1];
+        if slots[0] == tag {
+            self.stats.hits += 1;
+            return AccessOutcome::Hit;
         }
-        slots[0] = tag;
-        outcome
+        let mut carried = tag;
+        for slot in slots.iter_mut() {
+            let displaced = std::mem::replace(slot, carried);
+            if displaced == tag {
+                self.stats.hits += 1;
+                return AccessOutcome::Hit;
+            }
+            carried = displaced;
+        }
+        self.stats.misses += 1;
+        if carried != self.empty {
+            self.stats.evictions += 1;
+        }
+        AccessOutcome::Miss
+    }
+
+    /// Gives empty ways a sentinel that is neither resident nor the current
+    /// one (which an access is about to bring in).  Of the `slots + 1`
+    /// values counted down from it, one is free.
+    #[cold]
+    #[inline(never)]
+    fn move_empty(&mut self) {
+        let candidates = self.tags.len() + 1;
+        let mut taken = vec![false; candidates];
+        for &tag in &self.tags {
+            let distance = self.empty.wrapping_sub(tag);
+            if (1..=candidates as u64).contains(&distance) {
+                taken[distance as usize - 1] = true;
+            }
+        }
+        let free = taken
+            .iter()
+            .position(|&taken| !taken)
+            .expect("slots + 1 candidates cannot all be resident");
+        let fresh = self.empty.wrapping_sub(free as u64 + 1);
+        for tag in &mut self.tags {
+            if *tag == self.empty {
+                *tag = fresh;
+            }
+        }
+        self.empty = fresh;
     }
 
     /// Empties the cache (statistics are kept).
     pub fn flush(&mut self) {
-        self.fill.fill(0);
+        self.tags.fill(self.empty);
     }
 
     /// Resets the statistics (contents are kept).

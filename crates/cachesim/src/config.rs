@@ -1,6 +1,7 @@
 //! Machine configurations.
 
 use crate::cache::CacheConfig;
+use crate::SimError;
 
 /// The processor and memory-hierarchy parameters of a simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -46,6 +47,41 @@ impl MachineConfig {
             issue_width: 2,
         }
     }
+
+    /// The latencies of an access served by L2 (`l1 + l2`) and of one
+    /// served by memory (`l1 + l2 + memory`).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::InvalidMachineConfig`] when a sum overflows.
+    pub(crate) fn miss_latencies(&self) -> crate::Result<(u64, u64)> {
+        let overflow = || {
+            SimError::InvalidMachineConfig(format!(
+                "latencies {} + {} + {} cycles overflow a u64",
+                self.l1_latency, self.l2_latency, self.memory_latency
+            ))
+        };
+        let l2_hit = self
+            .l1_latency
+            .checked_add(self.l2_latency)
+            .ok_or_else(overflow)?;
+        let memory = l2_hit
+            .checked_add(self.memory_latency)
+            .ok_or_else(overflow)?;
+        Ok((l2_hit, memory))
+    }
+
+    /// Re-runs [`CacheConfig::new`]'s checks on both levels and
+    /// [`MachineConfig::miss_latencies`]'s, for configurations built as
+    /// struct literals.
+    pub(crate) fn validated(self) -> crate::Result<Self> {
+        self.miss_latencies()?;
+        Ok(MachineConfig {
+            l1_data: self.l1_data.validated()?,
+            l2: self.l2.validated()?,
+            ..self
+        })
+    }
 }
 
 impl Default for MachineConfig {
@@ -72,6 +108,36 @@ mod tests {
         assert_eq!(c.memory_latency, 70);
         assert_eq!(c.issue_width, 2);
         assert_eq!(MachineConfig::default(), c);
+    }
+
+    #[test]
+    fn overflowing_latencies_are_rejected() {
+        let date05 = MachineConfig::date05();
+        assert_eq!(date05.miss_latencies(), Ok((7, 77)));
+        assert_eq!(date05.validated(), Ok(date05));
+        for machine in [
+            MachineConfig {
+                memory_latency: u64::MAX - 3,
+                ..date05
+            },
+            MachineConfig {
+                l2_latency: u64::MAX,
+                memory_latency: 0,
+                ..date05
+            },
+        ] {
+            assert!(matches!(
+                machine.validated(),
+                Err(SimError::InvalidMachineConfig(msg)) if msg.contains("overflow")
+            ));
+        }
+        let largest = MachineConfig {
+            l1_latency: 0,
+            l2_latency: 0,
+            memory_latency: u64::MAX,
+            ..date05
+        };
+        assert_eq!(largest.miss_latencies(), Ok((0, u64::MAX)));
     }
 
     #[test]

@@ -21,15 +21,32 @@ pub struct MemoryHierarchy {
     config: MachineConfig,
     l1_data: Cache,
     l2: Cache,
+    /// `l1 + l2` latency.
+    l2_hit_latency: u64,
+    /// `l1 + l2 + memory` latency.
+    memory_access_latency: u64,
 }
 
 impl MemoryHierarchy {
     /// Creates an empty hierarchy for the given machine.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a cache level has a geometry [`CacheConfig::new`] rejects,
+    /// or if the latency of an access served by memory (`l1 + l2 + memory`)
+    /// overflows a `u64`.  [`Simulator::simulate`] returns both as errors.
+    ///
+    /// [`CacheConfig::new`]: crate::CacheConfig::new
+    /// [`Simulator::simulate`]: crate::Simulator::simulate
     pub fn new(config: MachineConfig) -> Self {
+        let (l2_hit_latency, memory_access_latency) =
+            config.miss_latencies().unwrap_or_else(|e| panic!("{e}"));
         MemoryHierarchy {
             l1_data: Cache::new(config.l1_data),
             l2: Cache::new(config.l2),
             config,
+            l2_hit_latency,
+            memory_access_latency,
         }
     }
 
@@ -40,18 +57,13 @@ impl MemoryHierarchy {
 
     /// Performs one data access and returns where it was served from and
     /// its latency in cycles.
+    #[inline]
     pub fn access(&mut self, address: u64) -> (HierarchyOutcome, u64) {
         match self.l1_data.access(address) {
             AccessOutcome::Hit => (HierarchyOutcome::L1Hit, self.config.l1_latency),
             AccessOutcome::Miss => match self.l2.access(address) {
-                AccessOutcome::Hit => (
-                    HierarchyOutcome::L2Hit,
-                    self.config.l1_latency + self.config.l2_latency,
-                ),
-                AccessOutcome::Miss => (
-                    HierarchyOutcome::MemoryAccess,
-                    self.config.l1_latency + self.config.l2_latency + self.config.memory_latency,
-                ),
+                AccessOutcome::Hit => (HierarchyOutcome::L2Hit, self.l2_hit_latency),
+                AccessOutcome::Miss => (HierarchyOutcome::MemoryAccess, self.memory_access_latency),
             },
         }
     }
@@ -107,6 +119,15 @@ mod tests {
         assert_eq!(lat, 1 + 6);
         assert!(h.l2_stats().accesses > 0);
         assert!(h.l1_stats().misses >= 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid machine configuration")]
+    fn new_rejects_overflowing_latencies() {
+        MemoryHierarchy::new(MachineConfig {
+            memory_latency: u64::MAX - 3,
+            ..MachineConfig::date05()
+        });
     }
 
     #[test]

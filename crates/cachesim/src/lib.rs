@@ -19,11 +19,15 @@
 //! 2. Once per nest (under the loop order chosen for it), each reference's
 //!    access matrix, offset and address form fold into flat byte
 //!    coefficients.  A reference that can leave its array box over the
-//!    walked space keeps a per-dimension clamp; every other one costs one
-//!    affine dot product per access.
-//! 3. An odometer walks the sub-sampled iteration space in execution order
-//!    and streams each address straight into the [`MemoryHierarchy`], whose
-//!    [`Cache`] levels are flat tag arrays with true-LRU replacement.
+//!    walked space keeps a per-dimension clamp.
+//! 3. The sub-sampled iteration space is walked one innermost-loop row at a
+//!    time, in execution order.  Each row is split where some clamp
+//!    switches on or off (at most twice per clamped dimension); inside a
+//!    segment every address moves by a fixed stride, so the dot products
+//!    run once per segment and each access costs one add.  Every address
+//!    streams straight into the [`MemoryHierarchy`], whose [`Cache`] levels
+//!    are flat tag arrays with true-LRU replacement: empty ways hold a
+//!    sentinel tag, and one loop shifts a set down while it searches.
 //!
 //! Reads and writes are modelled alike: every reference costs one access
 //! that allocates its line on a miss, and nothing is written back.
@@ -82,6 +86,9 @@ pub enum SimError {
     /// A cache parameter was invalid (zero or not a power of two where one
     /// is required).
     InvalidCacheConfig(String),
+    /// The machine's latencies overflow a cycle count: the latency of an
+    /// access served by memory, or a nest's cycles.
+    InvalidMachineConfig(String),
     /// An array referenced by the program has no layout in the assignment.
     MissingLayout(mlo_ir::ArrayId),
     /// The layout could not be turned into an address map.
@@ -92,6 +99,9 @@ impl std::fmt::Display for SimError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             SimError::InvalidCacheConfig(msg) => write!(f, "invalid cache configuration: {msg}"),
+            SimError::InvalidMachineConfig(msg) => {
+                write!(f, "invalid machine configuration: {msg}")
+            }
             SimError::MissingLayout(id) => write!(f, "array {id} has no layout assigned"),
             SimError::Layout(e) => write!(f, "layout error: {e}"),
         }
@@ -118,6 +128,9 @@ mod tests {
         assert!(SimError::InvalidCacheConfig("assoc 0".into())
             .to_string()
             .contains("assoc 0"));
+        assert!(SimError::InvalidMachineConfig("latency".into())
+            .to_string()
+            .contains("invalid machine configuration: latency"));
         assert!(SimError::MissingLayout(mlo_ir::ArrayId::new(2))
             .to_string()
             .contains("Q2"));

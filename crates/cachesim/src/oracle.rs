@@ -345,9 +345,9 @@ mod tests {
         prop_oneof![Just(8i64), Just(64), Just(256)]
     }
 
-    /// A valid geometry: 1–8 ways, 8–128-byte lines, 1–64 sets.
+    /// A valid geometry: 1–8 ways, 1–128-byte lines, 1–64 sets.
     fn geometry() -> impl Strategy<Value = CacheConfig> {
-        (1u64..9, 3u32..8, 0u32..7).prop_map(|(ways, line_log, sets_log)| {
+        (1u64..9, 0u32..8, 0u32..7).prop_map(|(ways, line_log, sets_log)| {
             let line = 1u64 << line_log;
             CacheConfig::new(ways * line * (1u64 << sets_log), ways, line)
                 .expect("powers of two divide evenly")
@@ -355,12 +355,146 @@ mod tests {
     }
 
     /// Addresses clustered in four hot regions, so every geometry sees hits,
-    /// conflicts and evictions.
+    /// conflicts and evictions: two at the bottom of the address space, one
+    /// just below its top and the last 64 addresses, whose tags reach
+    /// all-ones under 1-byte lines in a single set.
     fn address_stream(max_len: usize) -> impl Strategy<Value = Vec<u64>> {
         proptest::collection::vec(
-            (0u64..4, 0u64..4096).prop_map(|(region, offset)| region * 0x1_0000 + offset),
+            (0u64..4, 0u64..4096).prop_map(|(region, offset)| match region {
+                0 | 1 => region * 0x1_0000 + offset,
+                2 => u64::MAX - 0x1_0000 - offset,
+                _ => u64::MAX - offset % 64,
+            }),
             1..max_len,
         )
+    }
+
+    /// Every address each nest streams under every legal loop order equals
+    /// the oracle trace's, under each assignment.
+    fn assert_walks_match_the_oracle(
+        program: &Program,
+        assignments: &[(&str, LayoutAssignment)],
+        options: TraceOptions,
+    ) {
+        let generator = TraceGenerator::new(options);
+        for (label, assignment) in assignments {
+            let plan = generator.plan_memory(program, assignment).unwrap();
+            let oracle_plan = MemoryPlan::new(&options, program, assignment).unwrap();
+            for nest in program.nests() {
+                for transform in legal_permutations(nest) {
+                    let trace = nest_trace(&options, program, nest.id(), &transform, &oracle_plan);
+                    let mut streamed = Vec::new();
+                    generator
+                        .compile_nest(program, nest.id(), &transform, &plan)
+                        .run(|address| streamed.push(address));
+                    let expected: Vec<u64> = trace.iter().map(|a| a.address).collect();
+                    assert_eq!(
+                        streamed,
+                        expected,
+                        "{program:?} / {label} / {} trips / nest {} / {transform}",
+                        options.max_trip_per_loop,
+                        nest.name()
+                    );
+                }
+            }
+        }
+    }
+
+    /// One loop: a lower bound in -3..=3 and 1–7 or 32 trips.
+    fn loop_bounds() -> impl Strategy<Value = (i64, i64)> {
+        (-3i64..4, prop_oneof![1i64..8, Just(32i64)])
+            .prop_map(|(lower, trips)| (lower, lower + trips))
+    }
+
+    /// One reference: which array (modulo the array count), whether it
+    /// writes, its coefficients (`[d * 4 + level]` for dimension `d` and
+    /// loop `level`; zeros and negatives included) and its offsets.
+    type RefSpec = (usize, bool, Vec<i64>, Vec<i64>);
+
+    fn reference_spec() -> impl Strategy<Value = RefSpec> {
+        (
+            0usize..3,
+            any::<bool>(),
+            proptest::collection::vec(-2i64..3, 12),
+            proptest::collection::vec(-6i64..7, 3),
+        )
+    }
+
+    /// One nest of depth 0–4 with 1–4 references to 1–3 arrays of rank 1–3
+    /// and extents 1–9.  Negative lower bounds, zero and negative
+    /// coefficients and offsets push subscripts out of the array box on
+    /// either side, so clamps switch on and off in the middle of a row.
+    fn nest_program() -> impl Strategy<Value = Program> {
+        (
+            proptest::collection::vec(loop_bounds(), 0..5),
+            proptest::collection::vec((1usize..4, proptest::collection::vec(1i64..10, 3)), 1..4),
+            proptest::collection::vec(reference_spec(), 1..5),
+        )
+            .prop_map(|(loops, arrays, references)| {
+                const NAMES: [&str; 4] = ["i", "j", "k", "l"];
+                let mut b = ProgramBuilder::new("nest");
+                let arrays: Vec<(ArrayId, usize)> = arrays
+                    .iter()
+                    .enumerate()
+                    .map(|(i, (rank, extents))| {
+                        (
+                            b.array(format!("A{i}"), extents[..*rank].to_vec(), 4),
+                            *rank,
+                        )
+                    })
+                    .collect();
+                let depth = loops.len();
+                let loops = loops
+                    .iter()
+                    .zip(NAMES)
+                    .map(|(&(lower, upper), name)| (name, lower, upper))
+                    .collect();
+                b.nest("n", loops, |n| {
+                    for (pick, write, coefficients, offsets) in references {
+                        let (array, rank) = arrays[pick % arrays.len()];
+                        let mut access = AccessBuilder::new(rank, depth);
+                        for d in 0..rank {
+                            for level in 0..depth {
+                                access = access.coeff(d, level, coefficients[d * 4 + level]);
+                            }
+                            access = access.offset(d, offsets[d]);
+                        }
+                        if write {
+                            n.write(array, access.build());
+                        } else {
+                            n.read(array, access.build());
+                        }
+                    }
+                });
+                b.build()
+            })
+    }
+
+    /// Walks of generated nests against the oracle trace under every legal
+    /// order, row-major, column-major and mixed, at full fidelity and
+    /// sub-sampled (strides of 5 over 32 trips).
+    fn check_nest_walks(program: &Program, trips: i64) {
+        let column_major = {
+            let mut assignment = LayoutAssignment::new();
+            for array in program.arrays() {
+                assignment.set(array.id(), Layout::column_major(array.rank()));
+            }
+            assignment
+        };
+        let assignments = [
+            ("row-major", LayoutAssignment::all_row_major(program)),
+            ("column-major", column_major),
+            ("mixed", mixed_assignment(program)),
+        ];
+        let options = TraceOptions {
+            max_trip_per_loop: trips,
+            ..TraceOptions::default()
+        };
+        assert_walks_match_the_oracle(program, &assignments, options);
+    }
+
+    fn walk_fidelity() -> impl Strategy<Value = i64> {
+        prop_oneof![Just(7i64), Just(256)]
     }
 
     /// A program whose references leave their array box (boundary shifts and
@@ -437,30 +571,8 @@ mod tests {
             max_trip_per_loop: 7,
             ..TraceOptions::default()
         };
-        let generator = TraceGenerator::new(options);
         for program in [edge_program(), Benchmark::MedIm04.program()] {
-            for (label, assignment) in assignments(&program) {
-                let plan = generator.plan_memory(&program, &assignment).unwrap();
-                let oracle_plan = MemoryPlan::new(&options, &program, &assignment).unwrap();
-                for nest in program.nests() {
-                    for transform in legal_permutations(nest) {
-                        let trace =
-                            nest_trace(&options, &program, nest.id(), &transform, &oracle_plan);
-                        let mut streamed = Vec::new();
-                        generator
-                            .compile_nest(&program, nest.id(), &transform, &plan)
-                            .run(|address| streamed.push(address));
-                        let expected: Vec<u64> = trace.iter().map(|a| a.address).collect();
-                        assert_eq!(
-                            streamed,
-                            expected,
-                            "{} / {label} / nest {} / {transform}",
-                            program.name(),
-                            nest.name()
-                        );
-                    }
-                }
-            }
+            assert_walks_match_the_oracle(&program, &assignments(&program), options);
         }
     }
 
@@ -501,12 +613,38 @@ mod tests {
         }
     }
 
+    #[test]
+    fn the_flat_cache_matches_the_oracle_on_all_ones_tags() {
+        // With 1-byte lines in a single set every u64 is a tag, the empty
+        // ways' sentinel included.
+        let top: Vec<u64> = (0..2_000u64)
+            .map(|i| u64::MAX - ((i * 2_654_435_761) >> 7) % 9)
+            .collect();
+        for ways in [1, 2, 3, 8] {
+            let config = CacheConfig::new(ways, ways, 1).unwrap();
+            assert_caches_agree(config, &[u64::MAX, u64::MAX, u64::MAX - 1, u64::MAX]);
+            assert_caches_agree(config, &top);
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(6))]
 
         #[test]
         fn random_programs_match_the_oracle(spec in random_spec(48), trips in fidelity()) {
             check_everything(&random_program(&spec), trips);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn generated_nest_walks_match_the_oracle(
+            program in nest_program(),
+            trips in walk_fidelity(),
+        ) {
+            check_nest_walks(&program, trips);
         }
     }
 
@@ -532,6 +670,15 @@ mod tests {
             trips in fidelity(),
         ) {
             check_everything(&random_program(&spec), trips);
+        }
+
+        #[test]
+        #[ignore = "heavy: 256 generated nests"]
+        fn generated_nest_walks_match_the_oracle_heavy(
+            program in nest_program(),
+            trips in walk_fidelity(),
+        ) {
+            check_nest_walks(&program, trips);
         }
 
         #[test]

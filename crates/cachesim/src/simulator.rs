@@ -4,7 +4,7 @@ use crate::config::MachineConfig;
 use crate::hierarchy::MemoryHierarchy;
 use crate::stats::CacheStats;
 use crate::trace::{TraceGenerator, TraceOptions};
-use crate::Result;
+use crate::{Result, SimError};
 use mlo_ir::{LoopTransform, NestId, Program};
 use mlo_layout::{quality, LayoutAssignment};
 use std::fmt;
@@ -103,8 +103,9 @@ impl Simulator {
     /// # Errors
     ///
     /// Fails when a cache level has a geometry [`CacheConfig::new`] rejects
-    /// (a struct literal can bypass it), when an array has no layout, or
-    /// when a layout cannot be linearized.
+    /// (a struct literal can bypass it), when the machine's latencies
+    /// overflow a cycle count, when an array has no layout, or when a
+    /// layout cannot be linearized.
     ///
     /// [`CacheConfig::new`]: crate::CacheConfig::new
     pub fn simulate(
@@ -112,19 +113,15 @@ impl Simulator {
         program: &Program,
         assignment: &LayoutAssignment,
     ) -> Result<SimulationReport> {
-        let config = MachineConfig {
-            l1_data: self.config.l1_data.validated()?,
-            l2: self.config.l2.validated()?,
-            ..self.config
-        };
+        let config = self.config.validated()?;
         let generator = TraceGenerator::new(self.trace_options);
         let plan = generator.plan_memory(program, assignment)?;
         let mut hierarchy = MemoryHierarchy::new(config);
         // The L1 hit latency is hidden by the pipeline; only the stall
-        // beyond it costs extra cycles.
-        let l2_stall = (config.l1_latency + config.l2_latency).saturating_sub(config.l1_latency);
-        let memory_stall = (config.l1_latency + config.l2_latency + config.memory_latency)
-            .saturating_sub(config.l1_latency);
+        // beyond it costs extra cycles.  `validated` checked that
+        // `l1 + l2 + memory` fits.
+        let l2_stall = config.l2_latency;
+        let memory_stall = config.l2_latency + config.memory_latency;
         let mut total_cycles = 0u64;
         let mut nest_cycles = Vec::new();
         let mut nest_transforms = Vec::new();
@@ -143,8 +140,8 @@ impl Simulator {
             // Every access that reaches L2 either hits there or goes on to
             // memory.
             let after = hierarchy.l2_stats();
-            let stall_cycles = (after.hits - before.hits) * l2_stall
-                + (after.misses - before.misses) * memory_stall;
+            let (l2_hits, memory_accesses) =
+                (after.hits - before.hits, after.misses - before.misses);
 
             // Scale factor: the sub-sampled walk visits fewer iterations
             // than the real nest; cycles are scaled back up so that nests
@@ -159,9 +156,21 @@ impl Simulator {
                 nest.compute_per_iteration() as u64 + nest.references().len() as u64;
             let issue_cycles_per_iteration =
                 per_iteration_instructions.div_ceil(config.issue_width.max(1));
-            let nest_cycle_count = stall_cycles + issue_cycles_per_iteration * simulated_iterations;
+            let overflow = || {
+                SimError::InvalidMachineConfig(format!(
+                    "the cycles of nest `{}` overflow a u64",
+                    nest.name()
+                ))
+            };
+            let cycles = || {
+                l2_hits
+                    .checked_mul(l2_stall)?
+                    .checked_add(memory_accesses.checked_mul(memory_stall)?)?
+                    .checked_add(issue_cycles_per_iteration.checked_mul(simulated_iterations)?)
+            };
+            let nest_cycle_count = cycles().ok_or_else(overflow)?;
             let scaled = (nest_cycle_count as f64 * scale).round() as u64;
-            total_cycles += scaled;
+            total_cycles = total_cycles.checked_add(scaled).ok_or_else(overflow)?;
             nest_cycles.push((nest.id(), scaled));
             nest_transforms.push((nest.id(), transform.describe()));
         }
@@ -259,6 +268,29 @@ mod tests {
         assert!(report.total_accesses > 0);
         assert!(!report.to_string().is_empty());
         assert_eq!(report.l1_data.accesses, report.total_accesses);
+    }
+
+    #[test]
+    fn overflowing_latencies_are_typed_errors() {
+        let p = column_walk_program();
+        let asg = LayoutAssignment::all_row_major(&p);
+        let date05 = Simulator::new(MachineConfig::date05()).without_restructuring();
+        assert_eq!(date05.simulate(&p, &asg).unwrap().total_cycles, 5_177_344);
+        // `l1 + l2 + memory` overflows; then only the cycles of a nest do
+        // (its 65,536 memory accesses times the stall).
+        for memory_latency in [u64::MAX - 3, u64::MAX / 1024] {
+            let machine = MachineConfig {
+                memory_latency,
+                ..MachineConfig::date05()
+            };
+            let result = Simulator::new(machine)
+                .without_restructuring()
+                .simulate(&p, &asg);
+            assert!(
+                matches!(&result, Err(SimError::InvalidMachineConfig(_))),
+                "memory latency {memory_latency} gave {result:?}"
+            );
+        }
     }
 
     #[test]

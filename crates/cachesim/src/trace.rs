@@ -6,8 +6,8 @@
 //! then compiled once per (nest, transform, plan) into a walk: each
 //! reference's access matrix, offset and address map fold into flat byte
 //! coefficients, and the nest's sub-sampled [`IterationSpace`] is walked in
-//! execution order, streaming one byte address per reference per iteration
-//! without allocating.
+//! execution order, one innermost-loop row at a time, streaming one byte
+//! address per reference per iteration.
 
 use crate::{Result, SimError};
 use mlo_ir::{IterationSpace, LoopTransform, NestId, Program};
@@ -129,7 +129,7 @@ impl TraceGenerator {
                         .arrays
                         .get(reference.array().index())
                         .expect("references only name arrays declared by the program");
-                    CompiledRef::new(reference.access(), array, &extremes)
+                    CompiledRef::new(reference.access(), array, &extremes, space.innermost())
                 })
                 .collect()
         };
@@ -187,9 +187,12 @@ struct CompiledRef {
     constant: i64,
     /// Byte stride per unit of each loop index; unused when clamped.
     strides: Vec<i64>,
+    /// Byte stride per step of the innermost loop; unused when clamped.
+    step: i64,
     /// Per array dimension, when some index of the walk leaves the array
-    /// box: the subscript row and offset, the largest valid index, and the
-    /// byte coefficient of the dimension.
+    /// box: the subscript row and offset, the largest valid index, the byte
+    /// coefficient of the dimension, and how far the subscript moves per
+    /// step of the innermost loop.
     clamped: Vec<ClampedDim>,
 }
 
@@ -199,12 +202,49 @@ struct ClampedDim {
     offset: i64,
     max: i64,
     coefficient: i64,
+    slope: i64,
+}
+
+impl ClampedDim {
+    /// Pushes the steps `t` in `1..trips` at which the clamp switches on or
+    /// off along a row that starts at `start`: the subscript is linear in
+    /// `t`, so it enters and leaves `0..=max` at most once each.
+    fn switches(&self, start: &[i64], trips: i64, cuts: &mut Vec<i64>) {
+        let slope = i128::from(self.slope);
+        if slope == 0 {
+            return;
+        }
+        // Negated when it falls, the subscript rises as `value + |slope| · t`
+        // and enters and leaves the box where it first reaches a threshold.
+        let subscript = i128::from(dot(self.offset, &self.row, start));
+        let max = i128::from(self.max);
+        let (value, thresholds) = if slope > 0 {
+            (subscript, [0, max + 1])
+        } else {
+            (-subscript, [-max, 1])
+        };
+        for threshold in thresholds {
+            let gap = threshold - value;
+            if gap > 0 {
+                let t = (gap + slope.abs() - 1) / slope.abs();
+                if t < i128::from(trips) {
+                    cuts.push(t as i64);
+                }
+            }
+        }
+    }
 }
 
 impl CompiledRef {
     /// `extremes` bounds every iteration vector of the walk (see
-    /// [`IterationSpace::extremes`]).
-    fn new(access: &mlo_ir::AffineAccess, array: &PlannedArray, extremes: &[(i64, i64)]) -> Self {
+    /// [`IterationSpace::extremes`]); `innermost` is the walk's fastest loop
+    /// and its step.
+    fn new(
+        access: &mlo_ir::AffineAccess,
+        array: &PlannedArray,
+        extremes: &[(i64, i64)],
+        innermost: Option<(usize, i64)>,
+    ) -> Self {
         let rank = array.extents.len();
         assert_eq!(
             access.array_rank(),
@@ -214,6 +254,10 @@ impl CompiledRef {
         let matrix = access.matrix();
         let offset = access.offset();
         let depth = matrix.cols();
+        // Movement per innermost step of a per-loop quantity.
+        let per_step = |per_loop: &[i64]| {
+            innermost.map_or(0, |(inner, step)| per_loop[inner].wrapping_mul(step))
+        };
         // Exact (i128) bounds of each subscript over the walked box.
         let inside = (0..rank).all(|d| {
             let (mut low, mut high) = (i128::from(offset[d]), i128::from(offset[d]));
@@ -227,42 +271,57 @@ impl CompiledRef {
         });
         let base = (array.base as i64).wrapping_add(array.constant);
         if inside {
+            let strides: Vec<i64> = (0..depth)
+                .map(|k| dot(0, &array.coefficients, matrix.col(k).as_slice()))
+                .collect();
             CompiledRef {
                 constant: dot(base, &array.coefficients, offset.as_slice()),
-                strides: (0..depth)
-                    .map(|k| dot(0, &array.coefficients, matrix.col(k).as_slice()))
-                    .collect(),
+                step: per_step(&strides),
+                strides,
                 clamped: Vec::new(),
             }
         } else {
             let clamped = (0..rank)
-                .map(|d| ClampedDim {
-                    row: matrix.row(d).into_inner(),
-                    offset: offset[d],
-                    max: array.extents[d] - 1,
-                    coefficient: array.coefficients[d],
+                .map(|d| {
+                    let row = matrix.row(d).into_inner();
+                    ClampedDim {
+                        slope: per_step(&row),
+                        row,
+                        offset: offset[d],
+                        max: array.extents[d] - 1,
+                        coefficient: array.coefficients[d],
+                    }
                 })
                 .collect();
             CompiledRef {
                 constant: base,
                 strides: Vec::new(),
+                step: 0,
                 clamped,
             }
         }
     }
 
-    /// The byte address of this reference at one iteration vector.
+    /// The byte address of this reference at one iteration vector, and its
+    /// byte stride per innermost step for as long as no clamp switches.
     #[inline]
-    fn address(&self, iteration: &[i64]) -> u64 {
-        let address = if self.clamped.is_empty() {
-            dot(self.constant, &self.strides, iteration)
-        } else {
-            self.clamped.iter().fold(self.constant, |sum, dim| {
-                let index = dot(dim.offset, &dim.row, iteration).clamp(0, dim.max);
-                sum.wrapping_add(dim.coefficient.wrapping_mul(index))
-            })
-        };
-        address as u64
+    fn address_and_step(&self, iteration: &[i64]) -> (u64, u64) {
+        if self.clamped.is_empty() {
+            return (
+                dot(self.constant, &self.strides, iteration) as u64,
+                self.step as u64,
+            );
+        }
+        let (mut address, mut step) = (self.constant, 0i64);
+        for dim in &self.clamped {
+            let subscript = dot(dim.offset, &dim.row, iteration);
+            let index = subscript.clamp(0, dim.max);
+            address = address.wrapping_add(dim.coefficient.wrapping_mul(index));
+            if index == subscript {
+                step = step.wrapping_add(dim.coefficient.wrapping_mul(dim.slope));
+            }
+        }
+        (address as u64, step as u64)
     }
 }
 
@@ -290,10 +349,44 @@ impl NestWalk {
 
     /// Streams every address in execution order: per iteration vector, one
     /// address per reference in body order.
+    ///
+    /// Each innermost-loop row is split where some clamp switches on or
+    /// off.  Inside a segment every address moves by a fixed stride per
+    /// step, so the dot products run once per segment and each access costs
+    /// one add.
     pub(crate) fn run(&self, mut visit: impl FnMut(u64)) {
-        self.space.for_each_point(|point| {
+        let innermost = self.space.innermost();
+        // (address, stride) of each reference at the current step.
+        let mut cursors = vec![(0u64, 0u64); self.references.len()];
+        let mut cuts = Vec::new();
+        let mut point = Vec::new();
+        self.space.for_each_row(|start, trips| {
+            cuts.clear();
             for reference in &self.references {
-                visit(reference.address(point));
+                for dim in &reference.clamped {
+                    dim.switches(start, trips, &mut cuts);
+                }
+            }
+            cuts.push(trips);
+            cuts.sort_unstable();
+            cuts.dedup();
+            point.clear();
+            point.extend_from_slice(start);
+            let mut from = 0;
+            for &to in &cuts {
+                if let Some((inner, step)) = innermost {
+                    point[inner] = start[inner] + from * step;
+                }
+                for (cursor, reference) in cursors.iter_mut().zip(&self.references) {
+                    *cursor = reference.address_and_step(&point);
+                }
+                for _ in from..to {
+                    for (address, step) in &mut cursors {
+                        visit(*address);
+                        *address = address.wrapping_add(*step);
+                    }
+                }
+                from = to;
             }
         });
     }

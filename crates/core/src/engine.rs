@@ -1674,6 +1674,35 @@ mod tests {
     }
 
     #[test]
+    fn overflowing_machine_latencies_are_typed_errors() {
+        // `l1 + l2 + memory` overflows; then only a nest's stall cycles do.
+        let engine = Engine::new();
+        let program = Benchmark::MxM.program();
+        let trace = mlo_cachesim::TraceOptions {
+            max_trip_per_loop: 8,
+            array_alignment: 64,
+        };
+        for memory_latency in [u64::MAX - 3, u64::MAX / 4] {
+            let machine = MachineConfig {
+                memory_latency,
+                ..MachineConfig::date05()
+            };
+            let request = OptimizeRequest::strategy("heuristic")
+                .evaluate(EvaluationOptions::on(machine).trace(trace));
+            match engine.optimize(&program, &request) {
+                Err(OptimizeError::Evaluation { strategy, message }) => {
+                    assert_eq!(strategy, "heuristic");
+                    assert!(
+                        message.contains("invalid machine configuration"),
+                        "{message}"
+                    );
+                }
+                other => panic!("memory latency {memory_latency} gave {other:?}"),
+            }
+        }
+    }
+
+    #[test]
     fn custom_strategies_slot_into_the_engine() {
         #[derive(Debug)]
         struct EscalatingStrategy;

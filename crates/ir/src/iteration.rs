@@ -126,26 +126,41 @@ impl IterationSpace {
             .collect()
     }
 
-    /// Calls `visit` with each remaining iteration vector, in the iterator's
-    /// order, without allocating a vector per iteration.
-    pub fn for_each_point(&self, mut visit: impl FnMut(&[i64])) {
+    /// The loop that varies fastest (an original loop index) and its step,
+    /// or `None` for a depth-0 space.
+    pub fn innermost(&self) -> Option<(usize, i64)> {
+        self.order.last().map(|&inner| (inner, self.steps[inner]))
+    }
+
+    /// Calls `visit(start, trips)` once per row of the innermost loop, in
+    /// the iterator's order, without allocating a vector per row.  A row
+    /// is the `trips` remaining points that start at `start` and advance
+    /// along [`IterationSpace::innermost`] by its step; a depth-0 space has
+    /// one row of one point.
+    pub fn for_each_row(&self, mut visit: impl FnMut(&[i64], i64)) {
         let Some(mut point) = self.current.clone() else {
             return;
         };
+        let Some((&inner, outer)) = self.order.split_last() else {
+            visit(&point, 1);
+            return;
+        };
+        let (upper, step) = (self.uppers[inner], self.steps[inner]);
         loop {
-            visit(&point);
-            if !self.advance(&mut point) {
+            visit(&point, (upper - point[inner] + step - 1) / step);
+            point[inner] = self.lowers[inner];
+            if !self.advance(outer, &mut point) {
                 return;
             }
         }
     }
 
-    /// Moves `point` to the next iteration vector like an odometer following
-    /// `order`, innermost (last position in `order`) fastest; `false` once
-    /// the walk is over.
+    /// Moves `point` to the next iteration vector like an odometer over the
+    /// loops of `order`, its last loop fastest; `false` once the walk is
+    /// over.
     #[inline]
-    fn advance(&self, point: &mut [i64]) -> bool {
-        for &loop_idx in self.order.iter().rev() {
+    fn advance(&self, order: &[usize], point: &mut [i64]) -> bool {
+        for &loop_idx in order.iter().rev() {
             point[loop_idx] += self.steps[loop_idx];
             if point[loop_idx] < self.uppers[loop_idx] {
                 return true;
@@ -162,7 +177,7 @@ impl Iterator for IterationSpace {
     fn next(&mut self) -> Option<IntVec> {
         let mut current = self.current.take()?;
         let result = IntVec::from(current.clone());
-        if self.advance(&mut current) {
+        if self.advance(&self.order, &mut current) {
             self.current = Some(current);
         }
         Some(result)
@@ -252,26 +267,41 @@ mod tests {
     }
 
     #[test]
-    fn for_each_point_and_extremes_follow_the_iterator() {
+    fn rows_and_extremes_follow_the_iterator() {
         let n = nest(&[(0, 10), (-3, 4), (2, 3)]);
         for t in [
             LoopTransform::identity(3),
             LoopTransform::permutation(&[2, 0, 1]),
+            LoopTransform::permutation(&[1, 2, 0]),
         ] {
             let ws = IterationSpace::transformed(&n, &t).subsampled(3);
+            let (inner, step) = ws.innermost().unwrap();
             let mut visited = Vec::new();
-            ws.for_each_point(|p| visited.push(p.to_vec()));
+            ws.for_each_row(|start, trips| {
+                for k in 0..trips {
+                    let mut point = start.to_vec();
+                    point[inner] += k * step;
+                    visited.push(point);
+                }
+            });
             let iterated: Vec<Vec<i64>> = ws.clone().map(IntVec::into_inner).collect();
             assert_eq!(visited, iterated);
             // Loop 0 steps by 4 (0, 4, 8), loop 1 by 3 (-3, 0, 3).
             assert_eq!(ws.extremes(), vec![(0, 8), (-3, 3), (2, 2)]);
         }
-        let mut partly = IterationSpace::new(&n);
+        // A partly consumed walk starts mid-row.
+        let mut partly = IterationSpace::new(&nest(&[(0, 2), (0, 3)]));
         partly.next();
-        let mut rest = 0;
-        partly.for_each_point(|_| rest += 1);
-        assert_eq!(rest, partly.count());
-        IterationSpace::new(&nest(&[(0, 0)])).for_each_point(|_| panic!("empty space"));
+        let mut rows = Vec::new();
+        partly.for_each_row(|start, trips| rows.push((start.to_vec(), trips)));
+        assert_eq!(rows, vec![(vec![0, 1], 2), (vec![1, 0], 3)]);
+        // A depth-0 space is one row of one point; an empty one has none.
+        let mut rows = Vec::new();
+        IterationSpace::new(&nest(&[]))
+            .for_each_row(|start, trips| rows.push((start.len(), trips)));
+        assert_eq!(rows, vec![(0, 1)]);
+        assert_eq!(IterationSpace::new(&nest(&[])).innermost(), None);
+        IterationSpace::new(&nest(&[(0, 0)])).for_each_row(|_, _| panic!("empty space"));
     }
 
     #[test]
