@@ -93,6 +93,20 @@ pub enum SimError {
     MissingLayout(mlo_ir::ArrayId),
     /// The layout could not be turned into an address map.
     Layout(mlo_layout::LayoutError),
+    /// A reference cannot be walked: it names an array the program does
+    /// not declare, or indexes one with a subscript count other than the
+    /// array's rank.
+    MalformedReference {
+        /// The nest that makes the reference.
+        nest: String,
+        /// The array the reference names.
+        array: mlo_ir::ArrayId,
+        /// How many subscripts the reference has.
+        subscripts: usize,
+        /// The array's declared rank; `None` when the program does not
+        /// declare it.
+        declared_rank: Option<usize>,
+    },
 }
 
 impl std::fmt::Display for SimError {
@@ -104,6 +118,22 @@ impl std::fmt::Display for SimError {
             }
             SimError::MissingLayout(id) => write!(f, "array {id} has no layout assigned"),
             SimError::Layout(e) => write!(f, "layout error: {e}"),
+            SimError::MalformedReference {
+                nest,
+                array,
+                subscripts,
+                declared_rank,
+            } => {
+                write!(
+                    f,
+                    "malformed reference: nest `{nest}` indexes {array} with {subscripts} \
+                     subscripts, but "
+                )?;
+                match declared_rank {
+                    Some(rank) => write!(f, "its declared rank is {rank}"),
+                    None => write!(f, "the program declares no such array"),
+                }
+            }
         }
     }
 }
@@ -136,5 +166,17 @@ mod tests {
             .contains("Q2"));
         let e: SimError = mlo_layout::LayoutError::MissingLayout(mlo_ir::ArrayId::new(1)).into();
         assert!(e.to_string().contains("layout error"));
+        let malformed = |declared_rank| SimError::MalformedReference {
+            nest: "main".into(),
+            array: mlo_ir::ArrayId::new(0),
+            subscripts: 3,
+            declared_rank,
+        };
+        assert!(malformed(Some(2))
+            .to_string()
+            .contains("nest `main` indexes Q0 with 3 subscripts, but its declared rank is 2"));
+        assert!(malformed(None)
+            .to_string()
+            .contains("the program declares no such array"));
     }
 }

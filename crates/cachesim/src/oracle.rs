@@ -386,6 +386,7 @@ mod tests {
                     let mut streamed = Vec::new();
                     generator
                         .compile_nest(program, nest.id(), &transform, &plan)
+                        .unwrap()
                         .run(|address| streamed.push(address));
                     let expected: Vec<u64> = trace.iter().map(|a| a.address).collect();
                     assert_eq!(

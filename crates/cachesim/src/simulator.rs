@@ -104,8 +104,9 @@ impl Simulator {
     ///
     /// Fails when a cache level has a geometry [`CacheConfig::new`] rejects
     /// (a struct literal can bypass it), when the machine's latencies
-    /// overflow a cycle count, when an array has no layout, or when a
-    /// layout cannot be linearized.
+    /// overflow a cycle count, when an array has no layout, when a layout
+    /// cannot be linearized, or when a reference names an undeclared array
+    /// or has a subscript count other than its array's rank.
     ///
     /// [`CacheConfig::new`]: crate::CacheConfig::new
     pub fn simulate(
@@ -132,7 +133,7 @@ impl Simulator {
             } else {
                 LoopTransform::identity(nest.depth())
             };
-            let walk = generator.compile_nest(program, nest.id(), &transform, &plan);
+            let walk = generator.compile_nest(program, nest.id(), &transform, &plan)?;
             let before = *hierarchy.l2_stats();
             walk.run(|address| {
                 hierarchy.access(address);

@@ -104,18 +104,36 @@ impl TraceGenerator {
     /// allocated element, the way an edge-padded kernel would behave.  This
     /// keeps every streamed address inside the array's allocation.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on malformed IR: a reference to an array the plan does not
-    /// cover, or an access whose rank differs from its array's.
+    /// Fails with [`SimError::MalformedReference`] when a reference names
+    /// an array the plan does not cover or has a subscript count other
+    /// than its array's rank.
     pub(crate) fn compile_nest(
         &self,
         program: &Program,
         nest_id: NestId,
         transform: &LoopTransform,
         plan: &MemoryPlan,
-    ) -> NestWalk {
+    ) -> Result<NestWalk> {
         let nest = &program.nests()[nest_id.index()];
+        let arrays = nest
+            .references()
+            .iter()
+            .map(|reference| {
+                let array = plan.arrays.get(reference.array().index());
+                let subscripts = reference.access().array_rank();
+                match array {
+                    Some(array) if array.extents.len() == subscripts => Ok(array),
+                    _ => Err(SimError::MalformedReference {
+                        nest: nest.name().to_string(),
+                        array: reference.array(),
+                        subscripts,
+                        declared_rank: array.map(|array| array.extents.len()),
+                    }),
+                }
+            })
+            .collect::<Result<Vec<_>>>()?;
         let space =
             IterationSpace::transformed(nest, transform).subsampled(self.options.max_trip_per_loop);
         let references = if space.is_empty() {
@@ -124,16 +142,13 @@ impl TraceGenerator {
             let extremes = space.extremes();
             nest.references()
                 .iter()
-                .map(|reference| {
-                    let array = plan
-                        .arrays
-                        .get(reference.array().index())
-                        .expect("references only name arrays declared by the program");
+                .zip(arrays)
+                .map(|(reference, array)| {
                     CompiledRef::new(reference.access(), array, &extremes, space.innermost())
                 })
                 .collect()
         };
-        NestWalk { space, references }
+        Ok(NestWalk { space, references })
     }
 }
 
@@ -236,7 +251,8 @@ impl ClampedDim {
 }
 
 impl CompiledRef {
-    /// `extremes` bounds every iteration vector of the walk (see
+    /// `access` has one subscript per dimension of `array`; `extremes`
+    /// bounds every iteration vector of the walk (see
     /// [`IterationSpace::extremes`]); `innermost` is the walk's fastest loop
     /// and its step.
     fn new(
@@ -246,11 +262,6 @@ impl CompiledRef {
         innermost: Option<(usize, i64)>,
     ) -> Self {
         let rank = array.extents.len();
-        assert_eq!(
-            access.array_rank(),
-            rank,
-            "access rank must match its array's rank"
-        );
         let matrix = access.matrix();
         let offset = access.offset();
         let depth = matrix.cols();
@@ -425,6 +436,7 @@ mod tests {
         let mut out = Vec::new();
         generator
             .compile_nest(program, NestId::new(0), transform, plan)
+            .unwrap()
             .run(|address| out.push(address));
         out
     }
@@ -469,7 +481,9 @@ mod tests {
         let asg = LayoutAssignment::all_row_major(&p);
         let gen = TraceGenerator::with_defaults();
         let plan = gen.plan_memory(&p, &asg).unwrap();
-        let walk = gen.compile_nest(&p, NestId::new(0), &LoopTransform::identity(2), &plan);
+        let walk = gen
+            .compile_nest(&p, NestId::new(0), &LoopTransform::identity(2), &plan)
+            .unwrap();
         assert_eq!(walk.iterations(), 8 * 8);
         let trace = addresses(&gen, &p, &LoopTransform::identity(2), &plan);
         assert_eq!(trace.len(), 8 * 8 * 2);

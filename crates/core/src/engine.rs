@@ -99,8 +99,8 @@ impl NetworkSummary {
 
 /// The per-program state a session caches: candidate layouts, the
 /// constraint network (whose storage also carries the compiled bitset
-/// kernel) and any derived weighted networks, all built lazily at most
-/// once.
+/// kernel), any derived weighted networks and the heuristic baseline's
+/// layouts, all built lazily at most once.
 ///
 /// Every cached artifact is `Arc`-backed (see `mlo_layout` / `mlo_csp`), so
 /// handing it to a strategy, a scheduler worker or a batch job shares
@@ -114,6 +114,8 @@ pub struct PreparedProgram {
     options: CandidateOptions,
     candidates: OnceLock<CandidateSet>,
     network: OnceLock<LayoutNetwork>,
+    /// What heuristic requests and every fallback answer with.
+    heuristic: OnceLock<LayoutAssignment>,
     /// Weighted networks derived from the cached hard network, one per
     /// distinct [`WeightOptions`], most recently used first (a short list:
     /// requests overwhelmingly reuse the strategy default).
@@ -137,6 +139,7 @@ impl PreparedProgram {
             options,
             candidates: OnceLock::new(),
             network: OnceLock::new(),
+            heuristic: OnceLock::new(),
             weighted: Mutex::new(Vec::new()),
             weighted_cap,
         }
@@ -153,6 +156,15 @@ impl PreparedProgram {
     pub fn network(&self, program: &Program) -> &LayoutNetwork {
         self.network
             .get_or_init(|| mlo_layout::build_network_from(program, self.candidates(program)))
+    }
+
+    /// The heuristic baseline's layouts (see [`heuristic_assignment`]),
+    /// computed on first use.  Heuristic requests and the fallbacks of
+    /// unsatisfiable or exhausted searches read them.  Computing them
+    /// builds neither the candidates nor the network.
+    pub fn heuristic(&self, program: &Program) -> &LayoutAssignment {
+        self.heuristic
+            .get_or_init(|| heuristic_assignment(program).assignment)
     }
 
     /// The compiled execution kernel of the cached network (forced on
@@ -243,7 +255,12 @@ pub struct OptimizeReport {
     pub assignment: LayoutAssignment,
     /// The registry name of the strategy that ran.
     pub strategy: String,
-    /// Time spent determining the layouts (the paper's Table 2 metric).
+    /// Time spent determining the layouts (the paper's Table 2 metric):
+    /// the strategy, any heuristic fallback, and whatever part of the
+    /// program's preparation they build on first use.  The heuristic's
+    /// layouts are cached per prepared program, so on a warm session a
+    /// heuristic request or a fallback reads them instead of running the
+    /// heuristic.
     pub solution_time: Duration,
     /// Search statistics, when a constraint search ran.
     pub search_stats: Option<SearchStats>,
@@ -724,7 +741,7 @@ impl SessionInner {
                     });
                 }
                 OptimizeReport {
-                    assignment: heuristic_assignment(program).assignment,
+                    assignment: prepared.heuristic(program).clone(),
                     strategy: strategy.name().to_string(),
                     solution_time: start.elapsed(),
                     search_stats: stats,
@@ -744,7 +761,7 @@ impl SessionInner {
                     });
                 }
                 OptimizeReport {
-                    assignment: heuristic_assignment(program).assignment,
+                    assignment: prepared.heuristic(program).clone(),
                     strategy: strategy.name().to_string(),
                     solution_time: start.elapsed(),
                     search_stats: stats,
@@ -1192,6 +1209,54 @@ mod tests {
             )
             .unwrap();
         assert_eq!(heuristic.network, None);
+    }
+
+    #[test]
+    fn heuristic_reports_and_fallbacks_carry_the_cached_assignment() {
+        // MxM's network is unsatisfiable; Track's search gets no nodes.
+        let cases = [
+            (
+                Benchmark::MxM,
+                SearchBudget::new(),
+                FallbackReason::Unsatisfiable,
+            ),
+            (
+                Benchmark::Track,
+                SearchBudget::new().nodes(0),
+                FallbackReason::NodeBudgetExhausted,
+            ),
+        ];
+        for (benchmark, budget, reason) in cases {
+            let program = benchmark.program();
+            let options = benchmark.candidate_options();
+            let expected = heuristic_assignment(&program).assignment;
+            let heuristic = OptimizeRequest::strategy("heuristic").candidates(options);
+            let fallback = OptimizeRequest::strategy("enhanced")
+                .candidates(options)
+                .with_budget(budget);
+            let warm = Engine::new().session();
+            for _ in 0..2 {
+                for (request, fell_back) in [(&heuristic, None), (&fallback, Some(reason))] {
+                    let cold = Engine::new().session().optimize(&program, request);
+                    for report in [cold, warm.optimize(&program, request)] {
+                        let report = report.unwrap();
+                        assert_eq!(report.assignment, expected, "{benchmark:?}");
+                        assert_eq!(report.fallback.reason(), fell_back, "{benchmark:?}");
+                    }
+                }
+            }
+
+            // A heuristic request fills the cache without building the
+            // network; a later fallback reads the same assignment.
+            let session = Engine::new().session();
+            session.optimize(&program, &heuristic).unwrap();
+            let prepared = session.prepared(&program, &options);
+            assert!(!prepared.network_built());
+            let cached = prepared.heuristic(&program);
+            session.optimize(&program, &fallback).unwrap();
+            assert!(prepared.network_built());
+            assert!(std::ptr::eq(cached, prepared.heuristic(&program)));
+        }
     }
 
     #[test]
@@ -1671,6 +1736,71 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// One 8×8 nest over declared 2-D arrays `A` and `C` that writes `C`
+    /// and reads `read` through `access`.
+    fn one_read_program(read: mlo_ir::ArrayId, access: mlo_ir::AffineAccess) -> Program {
+        let mut b = mlo_ir::ProgramBuilder::new("malformed");
+        b.array("A", vec![8, 8], 4);
+        let c = b.array("C", vec![8, 8], 4);
+        b.nest("main", vec![("i", 0, 8), ("j", 0, 8)], |nest| {
+            nest.write(
+                c,
+                mlo_ir::AccessBuilder::new(2, 2)
+                    .row(0, [1, 0])
+                    .row(1, [0, 1])
+                    .build(),
+            );
+            nest.read(read, access);
+        });
+        b.build()
+    }
+
+    /// Every strategy solves `program`, and evaluating its layouts fails
+    /// with a typed error whose message contains `expected`.
+    fn assert_evaluation_rejects(program: &Program, expected: &str) {
+        let engine = Engine::new();
+        for strategy in ["heuristic", "enhanced"] {
+            let request = OptimizeRequest::strategy(strategy);
+            assert!(engine.optimize(program, &request).is_ok(), "{strategy}");
+            match engine.optimize(program, &request.evaluate(EvaluationOptions::date05())) {
+                Err(OptimizeError::Evaluation {
+                    strategy: failed,
+                    message,
+                }) => {
+                    assert_eq!(failed, strategy);
+                    assert!(message.contains(expected), "{message}");
+                }
+                other => panic!("{strategy} gave {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn rank_mismatched_references_are_typed_evaluation_errors() {
+        // A 2-D `A` read as `A[i][j][i+j]`.
+        let access = mlo_ir::AccessBuilder::new(3, 2)
+            .row(0, [1, 0])
+            .row(1, [0, 1])
+            .row(2, [1, 1])
+            .build();
+        assert_evaluation_rejects(
+            &one_read_program(mlo_ir::ArrayId::new(0), access),
+            "nest `main` indexes Q0 with 3 subscripts, but its declared rank is 2",
+        );
+    }
+
+    #[test]
+    fn references_to_undeclared_arrays_are_typed_evaluation_errors() {
+        let access = mlo_ir::AccessBuilder::new(2, 2)
+            .row(0, [0, 1])
+            .row(1, [1, 0])
+            .build();
+        assert_evaluation_rejects(
+            &one_read_program(mlo_ir::ArrayId::new(2), access),
+            "nest `main` indexes Q2 with 2 subscripts, but the program declares no such array",
+        );
     }
 
     #[test]

@@ -19,9 +19,7 @@ use mlo_csp::{
     SearchLimits, SearchStats, SolveResult, StealScheduler, WeightedNetwork, WorkerPool,
 };
 use mlo_ir::Program;
-use mlo_layout::{
-    heuristic_assignment, weights, CandidateSet, Layout, LayoutAssignment, LayoutNetwork,
-};
+use mlo_layout::{weights, CandidateSet, Layout, LayoutAssignment, LayoutNetwork};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::fmt;
@@ -206,10 +204,11 @@ impl<'a> StrategyContext<'a> {
         StdRng::seed_from_u64(self.request.seed)
     }
 
-    /// Runs the heuristic baseline (never fails, not cached — it is cheap
-    /// relative to any search).
+    /// The heuristic baseline's layouts (never fails; session-cached, so
+    /// only the first heuristic request or fallback for a program runs
+    /// it).
     pub fn heuristic(&self) -> LayoutAssignment {
-        heuristic_assignment(self.program).assignment
+        self.prepared.heuristic(self.program).clone()
     }
 
     /// Converts a constraint-network solution into a complete layout

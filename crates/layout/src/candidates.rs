@@ -1,6 +1,6 @@
 //! Enumerating the candidate layouts of every array (the domains `M_i`).
 
-use crate::analysis::NestAnalysis;
+use crate::analysis::ProgramAnalysis;
 use crate::constraints::Contribution;
 use crate::hyperplane::Layout;
 use mlo_ir::{ArrayId, Program};
@@ -48,31 +48,32 @@ pub struct CandidateSet {
 impl CandidateSet {
     /// Enumerates the candidate layouts of every array of `program`.
     pub fn enumerate(program: &Program, options: &CandidateOptions) -> Self {
-        let analyses: Vec<NestAnalysis> = program.nests().iter().map(NestAnalysis::new).collect();
-        Self::from_analyses(program, &analyses, options)
+        Self::from_analysis(program, &mut ProgramAnalysis::new(program), options)
     }
 
-    /// Enumerates from the analyses of `program`'s nests, by nest id: every
-    /// layout a nest prefers under one of its first `max_transforms_per_nest`
-    /// orders, in order, then the canonical additions.
-    pub(crate) fn from_analyses(
+    /// Enumerates from the analysis of `program`: every layout a nest
+    /// prefers under one of its first `max_transforms_per_nest` orders, in
+    /// order, then the canonical additions.  Domains hold interned layout
+    /// indices until the end, so deduplication compares integers.
+    pub(crate) fn from_analysis(
         program: &Program,
-        analyses: &[NestAnalysis],
+        analysis: &mut ProgramAnalysis,
         options: &CandidateOptions,
     ) -> Self {
-        let mut per_array: Vec<Vec<Layout>> = vec![Vec::new(); program.arrays().len()];
+        let mut per_array: Vec<Vec<usize>> = vec![Vec::new(); program.arrays().len()];
         let mut contributions = Vec::new();
         let mut value_indices = Vec::new();
-        for (nest, analysis) in program.nests().iter().zip(analyses) {
-            let orders = analysis.orders().iter().enumerate();
+        for (nest, nest_analysis) in program.nests().iter().zip(analysis.nests()) {
+            let orders = nest_analysis.orders().iter().enumerate();
             for (order, transform) in orders.take(options.max_transforms_per_nest.max(1)) {
-                let mut preferences = Vec::new();
-                for &array in analysis.arrays() {
-                    let Some(layout) = analysis.preferred_layout(program, order, array) else {
+                let preferred = analysis.preferred(nest.id(), order);
+                let mut preferences = Vec::with_capacity(preferred.len());
+                for (&array, &layout) in nest_analysis.arrays().iter().zip(preferred) {
+                    let Some(layout) = layout else {
                         continue;
                     };
-                    value_indices.push(index_or_push(&mut per_array[array.index()], &layout));
-                    preferences.push((array, layout));
+                    value_indices.push(index_or_push(&mut per_array[array.index()], layout));
+                    preferences.push((array, analysis.layout(layout).clone()));
                 }
                 if !preferences.is_empty() {
                     contributions.push(Contribution {
@@ -83,20 +84,39 @@ impl CandidateSet {
                 }
             }
         }
+        // The interned canonical additions of each rank met so far.
+        let mut additions: Vec<(usize, Vec<usize>)> = Vec::new();
         for (array, layouts) in program.arrays().iter().zip(&mut per_array) {
             let rank = array.rank();
-            if options.include_canonical && rank >= 1 {
-                index_or_push(layouts, &Layout::row_major(rank));
-                index_or_push(layouts, &Layout::column_major(rank));
-            }
-            if options.include_diagonals && rank == 2 {
-                index_or_push(layouts, &Layout::diagonal());
-                index_or_push(layouts, &Layout::anti_diagonal());
+            let known = additions.iter().position(|(known, _)| *known == rank);
+            let added = known.unwrap_or_else(|| {
+                let mut added = Vec::new();
+                if options.include_canonical && rank >= 1 {
+                    added.extend([Layout::row_major(rank), Layout::column_major(rank)]);
+                }
+                if options.include_diagonals && rank == 2 {
+                    added.extend([Layout::diagonal(), Layout::anti_diagonal()]);
+                }
+                let added = added.into_iter().map(|l| analysis.intern(l)).collect();
+                additions.push((rank, added));
+                additions.len() - 1
+            });
+            for &layout in &additions[added].1 {
+                index_or_push(layouts, layout);
             }
             if layouts.is_empty() && rank >= 1 {
-                layouts.push(Layout::row_major(rank));
+                layouts.push(analysis.intern(Layout::row_major(rank)));
             }
         }
+        let per_array = per_array
+            .iter()
+            .map(|layouts| {
+                layouts
+                    .iter()
+                    .map(|&layout| analysis.layout(layout).clone())
+                    .collect()
+            })
+            .collect();
         CandidateSet {
             options: *options,
             per_array: Arc::new(per_array),
@@ -140,12 +160,16 @@ impl CandidateSet {
     }
 }
 
-/// The index of `layout` in `layouts`, appending it first when absent.
-fn index_or_push(layouts: &mut Vec<Layout>, layout: &Layout) -> usize {
-    layouts.iter().position(|l| l == layout).unwrap_or_else(|| {
-        layouts.push(layout.clone());
-        layouts.len() - 1
-    })
+/// The position of interned `layout` in a domain, appending it first when
+/// absent.
+fn index_or_push(layouts: &mut Vec<usize>, layout: usize) -> usize {
+    layouts
+        .iter()
+        .position(|&l| l == layout)
+        .unwrap_or_else(|| {
+            layouts.push(layout);
+            layouts.len() - 1
+        })
 }
 
 #[cfg(test)]

@@ -22,7 +22,7 @@
 //! the static locality model because the model scores each reference against
 //! its own array's layout only.
 
-use crate::analysis::NestAnalysis;
+use crate::analysis::{NestAnalysis, ProgramAnalysis};
 use crate::apply::LayoutAssignment;
 use crate::candidates::{CandidateOptions, CandidateSet};
 use crate::hyperplane::Layout;
@@ -236,14 +236,14 @@ pub fn dynamic_plan(
     segmentation: &Segmentation,
     options: &DynamicOptions,
 ) -> DynamicPlan {
-    let analyses: Vec<NestAnalysis> = program.nests().iter().map(NestAnalysis::new).collect();
-    let candidates = CandidateSet::from_analyses(program, &analyses, &options.candidates);
+    let mut analysis = ProgramAnalysis::new(program);
+    let candidates = CandidateSet::from_analysis(program, &mut analysis, &options.candidates);
     let mut schedules = Vec::new();
     for array in program.arrays() {
         let domain = candidates.of(array.id());
         schedules.push(schedule_array(
             program,
-            &analyses,
+            analysis.nests(),
             segmentation,
             array.id(),
             domain,
@@ -277,7 +277,8 @@ fn segment_miss_cost(
         let iterations = program.nests()[nest_id.index()].iteration_count() as f64;
         // Best legal restructuring for this array: the one minimizing the
         // number of its references without locality.
-        let best_missing = (0..analysis.orders().len())
+        let best_missing = analysis
+            .first_orders()
             .map(|order| analysis.references_without_locality(order, array, layout))
             .min()
             .unwrap_or(usize::MAX);

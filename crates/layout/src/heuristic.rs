@@ -9,7 +9,7 @@
 //! propagate from costly nests to cheaper ones and the requirements of the
 //! costliest nests always win.
 
-use crate::analysis::NestAnalysis;
+use crate::analysis::ProgramAnalysis;
 use crate::apply::LayoutAssignment;
 use crate::hyperplane::Layout;
 use mlo_ir::{rank_nests_by_cost, ArrayId, NestId, Program};
@@ -37,36 +37,40 @@ pub struct HeuristicResult {
 pub fn heuristic_assignment(program: &Program) -> HeuristicResult {
     let start = Instant::now();
     let order = rank_nests_by_cost(program);
+    let analysis = ProgramAnalysis::new(program);
     let mut assignment = LayoutAssignment::new();
     let mut chosen_transforms: Vec<(NestId, String)> = Vec::new();
 
     for &nest_id in &order {
-        let analysis = NestAnalysis::new(&program.nests()[nest_id.index()]);
+        let nest = &analysis.nests()[nest_id.index()];
         // The best loop order so far, its score and the layouts it fixes.
         let (mut best, mut best_score, mut best_fixed) = (0, None, Vec::new());
-        for loop_order in 0..analysis.orders().len() {
+        // Orders that put the same loop innermost fix the same layouts and
+        // score alike, so only the first of them can be the best.
+        for loop_order in nest.first_orders() {
             // Tentatively give every not-yet-fixed array its preferred
             // layout under this loop order.
-            let newly_fixed: Vec<(ArrayId, Layout)> = analysis
+            let newly_fixed: Vec<(ArrayId, usize)> = nest
                 .arrays()
                 .iter()
-                .filter(|&&array| !assignment.contains(array))
-                .filter_map(|&a| Some((a, analysis.preferred_layout(program, loop_order, a)?)))
+                .zip(analysis.preferred(nest_id, loop_order))
+                .filter(|(&array, _)| !assignment.contains(array))
+                .filter_map(|(&array, &layout)| Some((array, layout?)))
                 .collect();
-            let score = analysis.score(loop_order, |array| {
+            let score = nest.score(loop_order, |array| {
                 let fixed = newly_fixed.iter().find(|(fixed, _)| *fixed == array);
                 assignment
                     .layout_of(array)
-                    .or(fixed.map(|(_, layout)| layout))
+                    .or(fixed.map(|&(_, layout)| analysis.layout(layout)))
             });
             if best_score.is_none_or(|best_score| score > best_score) {
                 (best, best_score, best_fixed) = (loop_order, Some(score), newly_fixed);
             }
         }
         for (array, layout) in best_fixed {
-            assignment.set(array, layout);
+            assignment.set(array, analysis.layout(layout).clone());
         }
-        chosen_transforms.push((nest_id, analysis.orders()[best].describe()));
+        chosen_transforms.push((nest_id, nest.orders()[best].describe()));
     }
 
     // Complete the assignment with row-major defaults.

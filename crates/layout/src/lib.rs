@@ -12,8 +12,13 @@
 //!   direction its references move per innermost-loop iteration (the
 //!   `(y1 y2) · d1 = (y1 y2) · d2` condition of Section 2),
 //! * [`analysis`] — [`NestAnalysis`]: one nest's legal loop orders and each
-//!   reference's innermost movement under each; preferred layouts and
-//!   locality scores derive from it, and every layer below reads it,
+//!   reference's innermost movement, kept once per innermost loop (every
+//!   legal order is a permutation, so orders that put the same loop
+//!   innermost move every reference alike); locality scores derive from it.
+//!   [`ProgramAnalysis`] holds every nest's analysis and the preferred
+//!   layouts, derived once per distinct set of movement directions and
+//!   interned in a table indexed by (nest, innermost loop, array); candidate
+//!   enumeration, the heuristic and dynamic plans read that table,
 //! * [`candidates`] — enumerating each array's candidate layouts across all
 //!   nests and legal loop restructurings (the domains `M_i`),
 //! * [`constraints`] — building the binary constraint network `S` whose
@@ -72,7 +77,7 @@ mod oracle;
 pub mod quality;
 pub mod weights;
 
-pub use analysis::NestAnalysis;
+pub use analysis::{NestAnalysis, ProgramAnalysis};
 pub use apply::{AddressMap, LayoutAssignment};
 pub use candidates::{CandidateOptions, CandidateSet};
 pub use constraints::{build_network, build_network_from, LayoutNetwork};

@@ -18,12 +18,31 @@ use mlo_linalg::{kernel_basis, IntMat, IntVec};
 pub(crate) fn layout_for_directions<'a>(
     directions: impl IntoIterator<Item = &'a IntVec>,
 ) -> Option<Layout> {
-    let mut moving: Vec<IntVec> = Vec::new();
+    let mut moving = Vec::new();
+    moving_directions(directions, &mut moving);
+    layout_for_moving(&moving)
+}
+
+/// Replaces `moving` with the distinct non-zero `directions` of more than
+/// one dimension, in first-appearance order: the whole input of
+/// [`layout_for_moving`].
+pub(crate) fn moving_directions<'a>(
+    directions: impl IntoIterator<Item = &'a IntVec>,
+    moving: &mut Vec<&'a IntVec>,
+) {
+    moving.clear();
     for direction in directions {
-        if direction.dim() > 1 && !direction.is_zero() && !moving.contains(direction) {
-            moving.push(direction.clone());
+        if direction.dim() > 1 && !direction.is_zero() && !moving.contains(&direction) {
+            moving.push(direction);
         }
     }
+}
+
+/// The layout keeping all of `moving` (see [`moving_directions`]) in one
+/// hyperplane block, else the longest prefix of it that one layout can
+/// keep; `None` when nothing moves.
+pub(crate) fn layout_for_moving(moving: &[&IntVec]) -> Option<Layout> {
+    let moving: Vec<IntVec> = moving.iter().map(|&direction| direction.clone()).collect();
     (1..=moving.len())
         .rev()
         .find_map(|take| layout_orthogonal_to(&moving[..take]))

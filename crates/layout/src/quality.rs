@@ -18,7 +18,9 @@ pub fn best_nest_score(nest: &LoopNest, assignment: &LayoutAssignment) -> (LoopT
     let analysis = NestAnalysis::new(nest);
     let layout_of = |array| assignment.layout_of(array);
     let mut best = (0, analysis.score(0, layout_of));
-    for order in 1..analysis.orders().len() {
+    // The identity comes first; orders sharing an innermost loop with an
+    // earlier one score alike and cannot be the first best.
+    for order in analysis.first_orders().skip(1) {
         let score = analysis.score(order, layout_of);
         if score > best.1 {
             best = (order, score);

@@ -16,10 +16,11 @@
 
 use mlo_benchmarks::Benchmark;
 use mlo_core::{
-    Engine, LayoutStrategy, OptimizeError, OptimizeRequest, StrategyContext, StrategyId,
-    StrategyOutcome,
+    Engine, EvaluationOptions, LayoutStrategy, OptimizeError, OptimizeRequest, StrategyContext,
+    StrategyId, StrategyOutcome,
 };
 use mlo_csp::fault::{self, FaultPlan, FaultTrigger};
+use mlo_ir::{AccessBuilder, AffineAccess, ArrayId, Program, ProgramBuilder};
 use mlo_service::{MloService, ServiceConfig, ServiceError};
 use proptest::prelude::*;
 use std::sync::{Arc, Condvar, Mutex};
@@ -258,4 +259,69 @@ fn every_submission_terminates_under_ambient_fault_plans() {
             }
         }
     }
+}
+
+/// One 8×8 nest over declared 2-D arrays `A` and `C` that writes `C` and
+/// reads `read` through `access`.
+fn one_read_program(read: ArrayId, access: AffineAccess) -> Program {
+    let mut b = ProgramBuilder::new(format!("reads_{read}"));
+    b.array("A", vec![8, 8], 4);
+    let c = b.array("C", vec![8, 8], 4);
+    b.nest("main", vec![("i", 0, 8), ("j", 0, 8)], |nest| {
+        nest.write(
+            c,
+            AccessBuilder::new(2, 2)
+                .row(0, [1, 0])
+                .row(1, [0, 1])
+                .build(),
+        );
+        nest.read(read, access);
+    });
+    b.build()
+}
+
+#[test]
+fn malformed_references_fail_typed_on_the_first_rung() {
+    let _plan = fault::scoped(FaultPlan::new());
+    let service = service();
+    // A 2-D `A` read as `A[i][j][i+j]`, and a read of an undeclared array.
+    let programs = [
+        one_read_program(
+            ArrayId::new(0),
+            AccessBuilder::new(3, 2)
+                .row(0, [1, 0])
+                .row(1, [0, 1])
+                .row(2, [1, 1])
+                .build(),
+        ),
+        one_read_program(
+            ArrayId::new(2),
+            AccessBuilder::new(2, 2)
+                .row(0, [0, 1])
+                .row(1, [1, 0])
+                .build(),
+        ),
+    ];
+    let request = OptimizeRequest::strategy("heuristic").evaluate(EvaluationOptions::date05());
+    for program in &programs {
+        let result = service
+            .submit(program, &request)
+            .unwrap()
+            .wait_timeout(NO_HANG)
+            .expect("waiter hung");
+        match result.as_ref() {
+            Err(ServiceError::Solve(OptimizeError::Evaluation { strategy, message })) => {
+                assert_eq!(strategy, "heuristic");
+                assert!(message.contains("malformed reference"), "{message}");
+            }
+            other => panic!(
+                "{}: expected a typed evaluation error, got {other:?}",
+                program.name()
+            ),
+        }
+    }
+    // Neither request panicked a rung or descended the ladder.
+    let stats = service.stats();
+    assert_eq!(stats.panicked, 0);
+    assert_eq!(stats.degraded, 0);
 }
