@@ -1,6 +1,6 @@
-//! Scaling study beyond the paper: solver behaviour on growing random
-//! planted-satisfiable networks (ablation bench for the solver design
-//! choices called out in DESIGN.md).
+//! Scaling study beyond the paper: the base, enhanced and forward-checking
+//! schemes on growing random planted-satisfiable networks (10, 20 and 40
+//! variables of 4 values each).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mlo_csp::random::{satisfiable_network, RandomNetworkSpec};

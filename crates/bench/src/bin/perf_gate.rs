@@ -48,8 +48,9 @@
 //!
 //! 1. cost parity: every N-worker cost equals its single-thread cost;
 //! 2. `propagation.bytes_ok`: bytes per revision stay within the ceiling
-//!    the padded lane layout implies (a cache-blocking regression fails
-//!    even when wall clock hides it);
+//!    the kernel's row width implies (`size.div_ceil(64).max(1)` words per
+//!    live span and bit-row; a cache-blocking regression fails even when
+//!    wall clock hides it);
 //! 3. `weighted_audit.ok`: a `set_weight` recompiles exactly one weight
 //!    matrix and no bit matrix, a hard-constraint merge exactly one bit
 //!    matrix, and every untouched compiled matrix is reused by pointer;
@@ -621,7 +622,8 @@ struct Propagation {
     /// Bytes the kernel touched over every timed revision, as accounted by
     /// `SearchStats::bytes_touched`.
     bytes_touched: u64,
-    /// The most one revision may touch under the padded lane layout.
+    /// The most one revision may touch when every live span and bit-row is
+    /// `size.div_ceil(64).max(1)` words wide.
     bytes_budget_per_revision: u64,
 }
 
@@ -703,15 +705,17 @@ fn propagation_group() -> Propagation {
         .collect();
 
     // The worst directed arc (x revised against y) reads both live spans
-    // and, on the block-major path, at most one lane-padded row per live
-    // value of x.  Unpadded strides, scattered rows or re-scanned partners
-    // blow this ceiling even when wall clock hides the miss cost.
-    let padded_words = |size: usize| size.div_ceil(64).next_multiple_of(4).max(4) as u64;
+    // and, on the block-major path, at most one row per live value of x.
+    // Wider strides, scattered rows or re-scanned partners blow this
+    // ceiling even when wall clock hides the miss cost.  The row width is
+    // restated here, not read back from the kernel, so a kernel that
+    // widens its rows fails the gate.
+    let span_words = |size: usize| size.div_ceil(64).max(1) as u64;
     let arc_budget = |ci| {
         let c = kernel.constraint(ci);
         let first = kernel.domain_size(c.first());
         let second = kernel.domain_size(c.second());
-        let (pf, ps) = (padded_words(first), padded_words(second));
+        let (pf, ps) = (span_words(first), span_words(second));
         // Both arc directions: revise first-against-second and back.
         8 * (pf + ps + first as u64 * ps).max(ps + pf + second as u64 * pf)
     };

@@ -13,6 +13,7 @@ fn main() {
     println!(
         "Domain size = total number of candidate layouts across all arrays;\n\
          data size = total array footprint.  The reconstructed benchmarks are\n\
-         synthetic kernels matched to the published characteristics (see DESIGN.md)."
+         synthetic kernels matched to the published characteristics (the\n\
+         substitution rule is stated in the mlo-benchmarks crate doc)."
     );
 }

@@ -5,8 +5,10 @@
 //! proprietary embedded applications; the paper only publishes their
 //! domain-level descriptions, the total search-space size ("Domain Size",
 //! i.e. the sum of the per-array candidate-layout counts) and the total data
-//! size.  Following the substitution rule documented in `DESIGN.md`, each
-//! benchmark is reconstructed as a pipeline of affine loop nests that
+//! size.  The substitution rule: a benchmark whose code is not published is
+//! replaced by a synthetic program built from what is published.  Each
+//! benchmark is therefore reconstructed as a pipeline of affine loop nests
+//! that
 //!
 //! * matches the stated application domain (image reconstruction, triple
 //!   matrix multiplication, radar imaging, shape analysis, visual tracking),

@@ -1738,15 +1738,19 @@ mod tests {
         }
     }
 
-    /// One 8×8 nest over declared 2-D arrays `A` and `C` that writes `C`
-    /// and reads `read` through `access`.
-    fn one_read_program(read: mlo_ir::ArrayId, access: mlo_ir::AffineAccess) -> Program {
+    /// One 8×8 nest over declared 2-D arrays `A` (0) and `C` (1) that
+    /// writes `write[i][j]` and reads `read` through `access`.
+    fn one_read_program(
+        write: mlo_ir::ArrayId,
+        read: mlo_ir::ArrayId,
+        access: mlo_ir::AffineAccess,
+    ) -> Program {
         let mut b = mlo_ir::ProgramBuilder::new("malformed");
         b.array("A", vec![8, 8], 4);
-        let c = b.array("C", vec![8, 8], 4);
+        b.array("C", vec![8, 8], 4);
         b.nest("main", vec![("i", 0, 8), ("j", 0, 8)], |nest| {
             nest.write(
-                c,
+                write,
                 mlo_ir::AccessBuilder::new(2, 2)
                     .row(0, [1, 0])
                     .row(1, [0, 1])
@@ -1779,16 +1783,21 @@ mod tests {
 
     #[test]
     fn rank_mismatched_references_are_typed_evaluation_errors() {
-        // A 2-D `A` read as `A[i][j][i+j]`.
+        // A 2-D `A` read as `A[i][j][i+j]`, in a nest that writes `C` and in
+        // one that writes `A[i][j]` (a dependence pair whose subscript
+        // counts differ).
         let access = mlo_ir::AccessBuilder::new(3, 2)
             .row(0, [1, 0])
             .row(1, [0, 1])
             .row(2, [1, 1])
             .build();
-        assert_evaluation_rejects(
-            &one_read_program(mlo_ir::ArrayId::new(0), access),
-            "nest `main` indexes Q0 with 3 subscripts, but its declared rank is 2",
-        );
+        let a = mlo_ir::ArrayId::new(0);
+        for write in [mlo_ir::ArrayId::new(1), a] {
+            assert_evaluation_rejects(
+                &one_read_program(write, a, access.clone()),
+                "nest `main` indexes Q0 with 3 subscripts, but its declared rank is 2",
+            );
+        }
     }
 
     #[test]
@@ -1798,7 +1807,7 @@ mod tests {
             .row(1, [1, 0])
             .build();
         assert_evaluation_rejects(
-            &one_read_program(mlo_ir::ArrayId::new(2), access),
+            &one_read_program(mlo_ir::ArrayId::new(1), mlo_ir::ArrayId::new(2), access),
             "nest `main` indexes Q2 with 2 subscripts, but the program declares no such array",
         );
     }

@@ -51,7 +51,7 @@
 use crate::assignment::Assignment;
 use crate::constraint::BinaryConstraint;
 use crate::network::VarId;
-use crate::simd::{self, LANE_WORDS};
+use crate::words;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -88,13 +88,11 @@ fn words_for(bits: usize) -> usize {
 }
 
 /// Number of `u64` words a variable's live span or a bit-matrix row
-/// occupies: the bit minimum rounded up to a whole number of
-/// [`LANE_WORDS`]-word lane blocks (at least one), so the SIMD hot loops
-/// run with an empty remainder and every row starts block-aligned.
-/// Padding bits are never set — [`full_word`] yields zero once the real
-/// bits run out — which the phantom-value regression tests pin.
-fn padded_words(bits: usize) -> usize {
-    words_for(bits).next_multiple_of(LANE_WORDS).max(LANE_WORDS)
+/// occupies: the bit minimum, and at least one word.  Bits above the
+/// domain boundary are never set — [`full_word`] yields zero once the real
+/// bits run out — which the phantom-value regression test pins.
+fn span_words(bits: usize) -> usize {
+    words_for(bits).max(1)
 }
 
 /// A full mask for `bits` bits, one valid word at a time.
@@ -143,7 +141,7 @@ impl DomainShape {
         let mut total = 0usize;
         for &size in &sizes {
             offsets.push(total);
-            total += padded_words(size);
+            total += span_words(size);
         }
         DomainShape {
             sizes,
@@ -154,7 +152,7 @@ impl DomainShape {
 
     fn word_range(&self, var: usize) -> std::ops::Range<usize> {
         let start = self.offsets[var];
-        start..start + padded_words(self.sizes[var])
+        start..start + span_words(self.sizes[var])
     }
 }
 
@@ -164,9 +162,9 @@ pub struct BitConstraint {
     first: VarId,
     second: VarId,
     second_size: usize,
-    /// Words per `fwd` row (`padded_words(second_size)`: lane aligned).
+    /// Words per `fwd` row (`span_words(second_size)`).
     fwd_stride: usize,
-    /// Words per `rev` row (`padded_words(first_size)`: lane aligned).
+    /// Words per `rev` row (`span_words(first_size)`).
     rev_stride: usize,
     /// Row `a`: the values of `second` allowed with `first = a`.  Rows are
     /// contiguous in value order, so a revise walks the block block-major.
@@ -179,9 +177,9 @@ pub struct BitConstraint {
     /// `support_rev[b]` is the number of `first` values allowed with
     /// `second = b`.
     support_rev: Vec<u32>,
-    /// Bit `a` set iff `support_fwd[a] > 0`, padded to the `first`
-    /// endpoint's lane width: revising `first` against an unpruned
-    /// `second` is a single lane-wide AND with this mask.
+    /// Bit `a` set iff `support_fwd[a] > 0`, as wide as the `first`
+    /// endpoint's live span: revising `first` against an unpruned
+    /// `second` is a single AND with this mask.
     support_nonzero_fwd: Vec<u64>,
     /// Bit `b` set iff `support_rev[b] > 0` (the `second`-endpoint mask).
     support_nonzero_rev: Vec<u64>,
@@ -190,8 +188,8 @@ pub struct BitConstraint {
 impl BitConstraint {
     fn build(constraint: &BinaryConstraint, first_size: usize, second_size: usize) -> Self {
         BIT_CONSTRAINT_COMPILES.fetch_add(1, Ordering::Relaxed);
-        let fwd_stride = padded_words(second_size);
-        let rev_stride = padded_words(first_size);
+        let fwd_stride = span_words(second_size);
+        let rev_stride = span_words(first_size);
         let mut fwd = vec![0u64; first_size * fwd_stride];
         let mut rev = vec![0u64; second_size * rev_stride];
         let mut support_fwd = vec![0u32; first_size];
@@ -269,9 +267,10 @@ impl BitConstraint {
     }
 
     /// The values of the endpoint selected by `var_is_first` that have at
-    /// least one support over the *full* partner domain, as a lane-padded
-    /// word mask.  While the partner's domain is unpruned, revising against
-    /// it degenerates to a single lane-wide AND with this mask.
+    /// least one support over the *full* partner domain, as a word mask as
+    /// wide as the endpoint's live span.  While the partner's domain is
+    /// unpruned, revising against it degenerates to a single AND with this
+    /// mask.
     pub fn support_nonzero(&self, var_is_first: bool) -> &[u64] {
         if var_is_first {
             &self.support_nonzero_fwd
@@ -283,9 +282,9 @@ impl BitConstraint {
     /// Block-major kernel revise: clears every live value of the endpoint
     /// selected by `x_is_first` (live words `x_live`, mutated in place)
     /// whose support row shares no bit with `y_live`.  The constraint's
-    /// rows are one contiguous lane-aligned block walked in ascending value
-    /// order, so `y_live` and the streamed rows stay cache-hot across the
-    /// whole revision.  Returns `(removed, bytes_touched)` — the byte count
+    /// rows are one contiguous block walked in ascending value order, so
+    /// `y_live` and the streamed rows stay cache-hot across the whole
+    /// revision.  Returns `(removed, bytes_touched)` — the byte count
     /// covers both live spans plus every row probed, feeding the
     /// bytes-touched-per-revision audit in the perf gate.
     pub fn revise_live(&self, x_is_first: bool, x_live: &mut [u64], y_live: &[u64]) -> (u64, u64) {
@@ -303,7 +302,7 @@ impl BitConstraint {
                 word &= word - 1;
                 let value = wi * WORD_BITS + bit;
                 probed += 1;
-                if !simd::and_any(&rows[value * stride..(value + 1) * stride], y_live) {
+                if !words::and_any(&rows[value * stride..(value + 1) * stride], y_live) {
                     *slot &= !(1u64 << bit);
                     removed += 1;
                 }
@@ -756,8 +755,8 @@ impl WeightConstraint {
     /// `partner_live`, plus the first partner value attaining it —
     /// `(NEG_INFINITY, u32::MAX)` when no live supported partner remains.
     ///
-    /// One [`simd::masked_row_max`] over the lane-padded bit-row for dense
-    /// tables; uniform constraints need only the first common bit.
+    /// One masked row-maximum word loop over the bit-row for dense tables;
+    /// uniform constraints need only the first common bit.
     pub fn live_row_max(
         &self,
         bit: &BitConstraint,
@@ -767,7 +766,9 @@ impl WeightConstraint {
     ) -> (f64, u32) {
         let mask = bit.row(var_is_first, value);
         match &self.table {
-            Some(table) => simd::masked_row_max(table.row(var_is_first, value), mask, partner_live),
+            Some(table) => {
+                words::masked_row_max(table.row(var_is_first, value), mask, partner_live)
+            }
             None => {
                 for (wi, (x, y)) in mask.iter().zip(partner_live).enumerate() {
                     let m = x & y;
@@ -889,8 +890,8 @@ impl WeightKernel {
 /// Where [`WeightConstraint::row_max`] is a compile-time aggregate over the
 /// *full* partner domain, these entries are masked by the current live
 /// domains and maintained incrementally as search deletes values: an entry
-/// is rescanned (one [`WeightConstraint::live_row_max`] over the
-/// lane-padded bit-row) only when a deletion kills its current argmax.
+/// is rescanned (one [`WeightConstraint::live_row_max`] over the bit-row)
+/// only when a deletion kills its current argmax.
 /// This is the mutable working set of the soft-AC-3 propagator
 /// ([`crate::solver::SoftAc3`]).
 #[derive(Debug, Clone)]
@@ -1026,12 +1027,12 @@ impl BitDomains {
 
     /// Number of live values of `var`.
     pub fn count(&self, var: VarId) -> usize {
-        simd::popcount(self.words(var)) as usize
+        words::popcount(self.words(var)) as usize
     }
 
     /// Whether `var` has no live value left (a wipeout).
     pub fn is_empty(&self, var: VarId) -> bool {
-        !simd::any_set(self.words(var))
+        !words::any_set(self.words(var))
     }
 
     /// Whether value `index` of `var` is live.
@@ -1080,14 +1081,14 @@ impl BitDomains {
     /// How many live values of `var` the row `row` would remove
     /// (`live & !row`), without modifying anything.
     pub fn would_remove(&self, var: VarId, row: &[u64]) -> usize {
-        simd::andnot_popcount(self.words(var), row) as usize
+        words::andnot_popcount(self.words(var), row) as usize
     }
 
     /// Intersects the live values of `var` with `row` (`live &= row`);
     /// returns how many values were removed.
     pub fn intersect(&mut self, var: VarId, row: &[u64]) -> usize {
         let range = self.shape.word_range(var.index());
-        simd::and_assign_count(&mut self.words[range], row) as usize
+        words::and_assign_count(&mut self.words[range], row) as usize
     }
 
     /// Fused forward-check step: when `row` would prune `var`, snapshots
@@ -1096,12 +1097,12 @@ impl BitDomains {
     /// so the no-op case (the common one) allocates nothing.
     pub fn intersect_with_save(&mut self, var: VarId, row: &[u64]) -> Option<(Vec<u64>, usize)> {
         let range = self.shape.word_range(var.index());
-        let words = &mut self.words[range];
-        if !simd::andnot_any(words, row) {
+        let live = &mut self.words[range];
+        if !words::andnot_any(live, row) {
             return None;
         }
-        let saved = words.to_vec();
-        let removed = simd::and_assign_count(words, row) as usize;
+        let saved = live.to_vec();
+        let removed = words::and_assign_count(live, row) as usize;
         Some((saved, removed))
     }
 
@@ -1132,7 +1133,7 @@ impl BitDomains {
     /// Whether `row` has at least one bit in common with the live values of
     /// `var` — the bitset form of "does this value still have support?".
     pub fn intersects(&self, var: VarId, row: &[u64]) -> bool {
-        simd::and_any(self.words(var), row)
+        words::and_any(self.words(var), row)
     }
 
     /// Calls `f` for every live value of `var` that is also set in `row`,
@@ -1150,7 +1151,7 @@ impl BitDomains {
 
     /// Popcount of `live(var) & row` — the number of live supports.
     pub fn intersection_count(&self, var: VarId, row: &[u64]) -> usize {
-        simd::and_popcount(self.words(var), row) as usize
+        words::and_popcount(self.words(var), row) as usize
     }
 
     /// Restricts `var` to the given value indices (everything else is

@@ -63,11 +63,7 @@
 //! assert_eq!(solution.value(q4), &(1, 0));
 //! ```
 
-// `deny` rather than `forbid`: the one sanctioned exception is the
-// feature-detected SIMD dispatch in [`simd`], which must call
-// `#[target_feature]` functions from an `unsafe` block (guarded by
-// `is_x86_feature_detected!`).  Everything else stays unsafe-free.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod assignment;
@@ -77,10 +73,10 @@ pub mod domain;
 pub mod fault;
 pub mod network;
 pub mod random;
-pub mod simd;
 pub mod solver;
 pub mod sync;
 pub mod weighted;
+pub(crate) mod words;
 
 pub use assignment::{Assignment, Solution};
 pub use bitset::{

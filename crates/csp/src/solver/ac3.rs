@@ -5,11 +5,11 @@
 //! can only shrink the search tree, never change satisfiability.
 //!
 //! The revise step runs on the compiled kernel, allocation-free: while `y`
-//! is unpruned the whole revision is **one lane-wide AND** of `live(x)` with
+//! is unpruned the whole revision is **one AND** of `live(x)` with
 //! the constraint's precomputed support-nonzero mask
 //! ([`crate::bitset::BitConstraint::support_nonzero`]); once `y` has been
 //! pruned, [`crate::bitset::BitDomains::revise`] walks the constraint's
-//! lane-aligned row block block-major with `live(y)` held hot.  Every
+//! contiguous row block block-major with `live(y)` held hot.  Every
 //! revision also accounts the bytes it touched into
 //! [`SearchStats::bytes_touched`], the metric the perf gate's propagation
 //! scenario audits to catch cache-blocking regressions.
@@ -82,7 +82,7 @@ fn revise(
     let (removed, bytes) = if y_count == kernel.domain_size(y) {
         // While y is unpruned the precomputed support-nonzero mask decides
         // support for every value of x at once: the whole revision is one
-        // lane-wide AND touching neither y's words nor the row block.
+        // AND touching neither y's words nor the row block.
         let mask = constraint.support_nonzero(x_is_first);
         let removed = live.intersect(x, mask) as u64;
         (removed, 8 * 2 * mask.len() as u64)

@@ -204,9 +204,9 @@ fn search(ctx: &mut Context<'_>, assignment: &mut Assignment, live: &mut BitDoma
         assignment.assign(var, value);
 
         // Forward checking: restrict unassigned neighbours to values
-        // compatible with this assignment — one fused lane-wide pass per
-        // neighbour (`would_remove` test + snapshot + `live &= support_row`),
-        // so a neighbour the row cannot prune is touched exactly once.
+        // compatible with this assignment — one fused pass per neighbour
+        // (`would_remove` test + snapshot + `live &= support_row`), so a
+        // neighbour the row cannot prune is touched exactly once.
         let mut saved: Vec<(VarId, Vec<u64>)> = Vec::new();
         let mut wiped_out: Option<VarId> = None;
         if ctx.config.forward_checking {

@@ -12,9 +12,9 @@
 use crate::assignment::{Assignment, Solution};
 use crate::bitset::BitKernel;
 use crate::network::{ConstraintNetwork, VarId};
-use crate::simd;
 use crate::solver::CancelToken;
 use crate::solver::{NetworkSearch, SearchLimits, SearchStats, SolveResult};
+use crate::words;
 use crate::Value;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -283,13 +283,13 @@ fn variable_conflicts(
 /// The live value of `var` with the fewest conflicts (ties broken uniformly
 /// at random; the RNG sees exactly one draw either way).
 ///
-/// Fast path: the allowed-value rows of every adjacent constraint — each a
-/// contiguous lane-aligned block row — are ANDed into one conflict-free
-/// mask.  A surviving bit is a zero-conflict choice, and zero is always the
-/// minimum, so the per-value probe loop only runs on the steps where every
-/// choice violates something.  The check accounting (one check per choice
-/// per adjacent constraint) and the tie-break candidate order are identical
-/// to the probing loop's, so repair walks replay bit-for-bit.
+/// Fast path: the allowed-value rows of every adjacent constraint are
+/// ANDed into one conflict-free mask.  A surviving bit is a zero-conflict
+/// choice, and zero is always the minimum, so the per-value probe loop only
+/// runs on the steps where every choice violates something.  The check
+/// accounting (one check per choice per adjacent constraint) and the
+/// tie-break candidate order are identical to the probing loop's, so repair
+/// walks replay bit-for-bit.
 fn min_conflict_value(
     kernel: &BitKernel,
     assignment: &Assignment,
@@ -311,7 +311,7 @@ fn min_conflict_value(
         match &mut allowed {
             None => allowed = Some(row.to_vec()),
             Some(mask) => {
-                simd::and_assign_count(mask, row);
+                words::and_assign_count(mask, row);
             }
         }
     }

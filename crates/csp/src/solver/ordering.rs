@@ -31,8 +31,8 @@ const UNSUPPORTED_PENALTY: f64 = -1.0e12;
 /// `NEG_INFINITY` when no live partner supports it.
 ///
 /// While the partner's domain is unpruned this is the kernel's precomputed
-/// per-value row-maximum aggregate (one load); otherwise it is the SIMD
-/// masked row-maximum over the live supports ([`WeightConstraint::
+/// per-value row-maximum aggregate (one load); otherwise it is the masked
+/// row-maximum word loop over the live supports ([`WeightConstraint::
 /// live_row_max`](crate::bitset::WeightConstraint::live_row_max)).  This
 /// is the one copy of the "optimistic potential" both the weighted value
 /// ordering and the greedy probe score with.
@@ -199,7 +199,7 @@ pub fn order_values(
             // unassigned neighbours; higher is better.  The per-neighbour
             // fullness test is hoisted out of the value loop, so the inner
             // loop walks each constraint's contiguous row block with one
-            // precomputed-count load (unpruned neighbour) or one lane-wide
+            // precomputed-count load (unpruned neighbour) or one
             // AND-popcount (pruned neighbour) per value.
             let open_edges: Vec<(&KernelEdge, bool)> = kernel
                 .edges(var)

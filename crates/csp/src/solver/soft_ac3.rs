@@ -8,8 +8,8 @@
 //! incumbent, and propagate those deletions to fixpoint with an AC-3-style
 //! worklist (deleting a value lowers its neighbours' optimism, which can
 //! delete more values).  [`SoftAc3`] implements that move on top of the
-//! lane-padded bit-rows and dense weight tables from the kernel layer, so
-//! each check is a handful of word ops.
+//! bit-rows and dense weight tables from the kernel layer, so each check is
+//! a handful of word ops.
 //!
 //! ## The bound
 //!
@@ -45,7 +45,7 @@
 //!
 //! Deleting a value only ever *lowers* aggregates.  A row max is rescanned
 //! (one [`WeightConstraint::live_row_max`](crate::bitset::WeightConstraint::live_row_max)
-//! over the lane-padded bit-row)
+//! over the bit-row)
 //! only when the deletion kills its current argmax; `cmax`, half maxima,
 //! `pot`, `own` and `total` absorb O(1) float deltas otherwise.  Every
 //! mutation is recorded in an undo journal, so backtracking is an exact
@@ -346,7 +346,7 @@ impl SoftAc3 {
             // Open → half-open.
             let yw = self.domains.words(y);
             let row = self.kernel.constraint(ci).row(edge.var_is_first, value);
-            let changed = crate::simd::andnot_any(yw, row);
+            let changed = crate::words::andnot_any(yw, row);
             if changed {
                 let len = yw.len() as u32;
                 self.saved_words.extend_from_slice(yw);

@@ -581,4 +581,45 @@ proptest! {
             prop_assert!(stats.consistency_checks > 0 || net.constraint_count() == 0);
         }
     }
+
+    /// Live spans and bit-matrix rows are `size.div_ceil(64).max(1)` words
+    /// long, and the bits above each domain boundary stay zero through
+    /// restriction and AC-3 pruning: a phantom live value there would
+    /// corrupt every count.
+    #[test]
+    fn live_spans_never_leak_phantom_values(
+        variables in 2usize..8,
+        domain in prop_oneof![1usize..9, 63usize..67, 127usize..131],
+        density in 0.2f64..0.9,
+        tightness in 0.1f64..0.9,
+        seed in 0u64..500,
+    ) {
+        let network = random_net(variables, domain, density, tightness, seed);
+        let kernel = network.kernel().clone();
+        let span = |v: VarId| kernel.domain_size(v).div_ceil(64).max(1);
+        for (ci, c) in network.constraints().iter().enumerate() {
+            let compiled = kernel.constraint(ci);
+            prop_assert_eq!(compiled.row(true, 0).len(), span(c.second()));
+            prop_assert_eq!(compiled.row(false, 0).len(), span(c.first()));
+            prop_assert_eq!(compiled.support_nonzero(true).len(), span(c.first()));
+            prop_assert_eq!(compiled.support_nonzero(false).len(), span(c.second()));
+        }
+        let mut live = kernel.full_domains();
+        let mut stats = SearchStats::default();
+        ac3_kernel(&kernel, &mut live, &mut stats);
+        // Restrict one variable to a single value and re-propagate: the
+        // restriction path (`restrict_to`) writes fresh word masks.
+        let target = VarId::new(seed as usize % variables);
+        live.restrict_to(target, &[0]);
+        ac3_kernel(&kernel, &mut live, &mut stats);
+        for v in network.variables() {
+            let size = kernel.domain_size(v);
+            let words = live.words(v);
+            prop_assert_eq!(words.len(), span(v), "span of {:?}", v);
+            if !size.is_multiple_of(64) {
+                let dead = words[size / 64] >> (size % 64);
+                prop_assert_eq!(dead, 0, "phantom bits above the domain boundary of {:?}", v);
+            }
+        }
+    }
 }

@@ -7,7 +7,8 @@
 //! every data dependence.  For the affine, uniformly generated references of
 //! the benchmark kernels, dependences are captured exactly by constant
 //! distance vectors; for non-uniform pairs we fall back to a conservative
-//! GCD + direction test.
+//! GCD + direction test, and a pair that indexes its array with different
+//! subscript counts is a dependence of unknown distance.
 
 use crate::nest::LoopNest;
 use crate::reference::ArrayRef;
@@ -167,6 +168,15 @@ fn analyze_pair(
 ) -> Option<DistanceVector> {
     let a_src = src.access();
     let a_dst = dst.access();
+    if a_src.array_rank() != a_dst.array_rank() {
+        // The two references index the array with different subscript
+        // counts, so no per-dimension test applies.  Assume a dependence
+        // of unknown distance: only the identity order stays legal.
+        return Some(DistanceVector {
+            kind,
+            distance: None,
+        });
+    }
     if a_src.is_uniform_with(a_dst) {
         // Uniformly generated pair: the same element is touched when
         // A·i_src + o_src = A·i_dst + o_dst, i.e. the iteration distance
@@ -399,6 +409,28 @@ mod tests {
         ]);
         let dep = DependenceAnalysis::of_nest(&nest);
         assert!(!dep.is_dependence_free());
+        assert!(dep.is_legal(&IntMat::identity(2)));
+        assert!(!dep.is_legal(&IntMat::from_array([[0, 1], [1, 0]])));
+    }
+
+    #[test]
+    fn mismatched_subscript_counts_are_unknown_dependences() {
+        // A[i][j] written and A[i][j][i+j] read: the subscript counts
+        // differ, so the pair is a dependence of unknown distance in both
+        // directions and only the identity order stays legal.
+        let read = AccessBuilder::new(3, 2)
+            .row(0, [1, 0])
+            .row(1, [0, 1])
+            .row(2, [1, 1])
+            .build();
+        let nest = nest_with(vec![
+            (ArrayId::new(0), ident2(), AccessKind::Write),
+            (ArrayId::new(0), read, AccessKind::Read),
+        ]);
+        let dep = DependenceAnalysis::of_nest(&nest);
+        let kinds: Vec<_> = dep.dependences().iter().map(|d| d.kind).collect();
+        assert_eq!(kinds, [DependenceKind::Flow, DependenceKind::Anti]);
+        assert!(dep.dependences().iter().all(|d| d.distance.is_none()));
         assert!(dep.is_legal(&IntMat::identity(2)));
         assert!(!dep.is_legal(&IntMat::from_array([[0, 1], [1, 0]])));
     }

@@ -392,44 +392,53 @@ fn typed_and_string_strategy_requests_agree() {
 #[test]
 fn rank_mismatched_accesses_get_declared_rank_layouts_from_every_strategy() {
     // `A` is declared 2-D but read as `A[i][j][i+j]`: its preferred layout
-    // under any loop order is 3-D, which no 2-D candidate domain holds.
-    let mut builder = ProgramBuilder::new("rank_mismatch");
-    let a = builder.array("A", vec![8, 8], 4);
-    let c = builder.array("C", vec![8, 8], 4);
-    builder.nest("main", vec![("i", 0, 8), ("j", 0, 8)], |nest| {
-        nest.read(
-            a,
-            AccessBuilder::new(3, 2)
-                .row(0, [1, 0])
-                .row(1, [0, 1])
-                .row(2, [1, 1])
-                .build(),
-        );
-        nest.write(
-            c,
-            AccessBuilder::new(2, 2)
-                .row(0, [1, 0])
-                .row(1, [0, 1])
-                .build(),
-        );
+    // under any loop order is 3-D, which no 2-D candidate domain holds.  The
+    // second program also writes `A[i][j]` in the same nest, so dependence
+    // analysis meets a pair with different subscript counts.
+    let ij = || {
+        AccessBuilder::new(2, 2)
+            .row(0, [1, 0])
+            .row(1, [0, 1])
+            .build()
+    };
+    let ij_sum = || {
+        AccessBuilder::new(3, 2)
+            .row(0, [1, 0])
+            .row(1, [0, 1])
+            .row(2, [1, 1])
+            .build()
+    };
+    let programs = [false, true].map(|writes_a| {
+        let mut builder = ProgramBuilder::new("rank_mismatch");
+        let a = builder.array("A", vec![8, 8], 4);
+        let c = builder.array("C", vec![8, 8], 4);
+        builder.nest("main", vec![("i", 0, 8), ("j", 0, 8)], |nest| {
+            if writes_a {
+                nest.write(a, ij());
+            }
+            nest.read(a, ij_sum());
+            nest.write(c, ij());
+        });
+        builder.build()
     });
-    let program = builder.build();
     let engine = Engine::new();
-    for strategy in engine.registry().names() {
-        let report = engine
-            .optimize(&program, &OptimizeRequest::strategy(strategy.as_str()))
-            .unwrap_or_else(|e| panic!("{strategy}: {e}"));
-        for array in program.arrays() {
-            let layout = report
-                .assignment
-                .layout_of(array.id())
-                .unwrap_or_else(|| panic!("{strategy}: {} has no layout", array.name()));
-            assert_eq!(
-                layout.dim(),
-                array.rank(),
-                "{strategy}: {} got a layout of the wrong rank",
-                array.name()
-            );
+    for program in &programs {
+        for strategy in engine.registry().names() {
+            let report = engine
+                .optimize(program, &OptimizeRequest::strategy(strategy.as_str()))
+                .unwrap_or_else(|e| panic!("{strategy}: {e}"));
+            for array in program.arrays() {
+                let layout = report
+                    .assignment
+                    .layout_of(array.id())
+                    .unwrap_or_else(|| panic!("{strategy}: {} has no layout", array.name()));
+                assert_eq!(
+                    layout.dim(),
+                    array.rank(),
+                    "{strategy}: {} got a layout of the wrong rank",
+                    array.name()
+                );
+            }
         }
     }
 }
