@@ -32,8 +32,7 @@
 //!   touched;
 //! * `weighted` — noise-dominant planted branch-and-bound instances through
 //!   the scheduler's sharded branch and bound (cost = optimum weight; the
-//!   integer weights keep it exact), then the incremental-recompilation
-//!   audit;
+//!   integer weights keep it exact);
 //! * `service` — duplicate-heavy bursts through `MloService` (throughput,
 //!   coalescing, shedding under a 4-deep intake) and a served-vs-direct
 //!   audit;
@@ -51,27 +50,24 @@
 //!    the kernel's row width implies (`size.div_ceil(64).max(1)` words per
 //!    live span and bit-row; a cache-blocking regression fails even when
 //!    wall clock hides it);
-//! 3. `weighted_audit.ok`: a `set_weight` recompiles exactly one weight
-//!    matrix and no bit matrix, a hard-constraint merge exactly one bit
-//!    matrix, and every untouched compiled matrix is reused by pointer;
-//! 4. weighted `nodes_ok`: both node counts within `node_budget` (25% of
+//! 3. weighted `nodes_ok`: both node counts within `node_budget` (25% of
 //!    the instance's `BENCH_9` count, before weighted bound consistency)
 //!    and nonzero single-thread bound deletions;
-//! 5. `steal_telemetry.ok`: no steal or split at 1 worker, and some steal
+//! 4. `steal_telemetry.ok`: no steal or split at 1 worker, and some steal
 //!    at N workers whenever `unsat` or `enumerate` ran;
-//! 6. `service.determinism_ok`: every served report equals the direct
+//! 5. `service.determinism_ok`: every served report equals the direct
 //!    `Session::optimize` call at the same worker count;
-//! 7. `faults.ladder_ok`: the one injected panic comes back from the
+//! 6. `faults.ladder_ok`: the one injected panic comes back from the
 //!    retry/fallback ladder as a degraded report;
-//! 8. `faults.no_hung_waiters`: every storm waiter gets a typed error;
-//! 9. the wall gate: the single-thread wall of the `table2`/`table3` groups
+//! 7. `faults.no_hung_waiters`: every storm waiter gets a typed error;
+//! 8. the wall gate: the single-thread wall of the `table2`/`table3` groups
 //!    that ran stays within 25% (the characterized runner noise) of the
 //!    same groups' sum in the `--baseline` artifact (`--no-wall-gate`
 //!    turns it off);
-//! 10. `--min-speedup X`: `scaling_speedup` is at least X, enforced only
-//!     when `unsat` or `enumerate` ran and the machine has `--threads`
-//!     cores (on fewer cores an N-worker run measures scheduling overhead,
-//!     not speedup; the artifact records `cores`).
+//! 9. `--min-speedup X`: `scaling_speedup` is at least X, enforced only
+//!    when `unsat` or `enumerate` ran and the machine has `--threads`
+//!    cores (on fewer cores an N-worker run measures scheduling overhead,
+//!    not speedup; the artifact records `cores`).
 
 use mlo_benchmarks::Benchmark;
 use mlo_core::{Engine, EvaluationOptions, OptimizeRequest, SearchBudget, TextTable};
@@ -79,13 +75,9 @@ use mlo_csp::random::{
     pigeonhole_network, planted_weighted_network, satisfiable_network, RandomNetworkSpec,
 };
 use mlo_csp::solver::{ac3_kernel, Ac3Outcome, SearchStats};
-use mlo_csp::{
-    bit_constraint_compiles, weight_constraint_compiles, SearchLimits, StealReport, StealScheduler,
-    WorkerPool,
-};
+use mlo_csp::{SearchLimits, StealReport, StealScheduler, WorkerPool};
 use mlo_layout::quality::assignment_score;
 use mlo_service::{MloService, ServiceConfig};
-use std::collections::HashSet;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -733,44 +725,12 @@ fn propagation_group() -> Propagation {
     }
 }
 
-/// The `weighted` group: the branch-and-bound entries, then the
-/// incremental-recompilation audit.
-struct WeightedGroup {
-    entries: Vec<Entry>,
-    audit: WeightedAudit,
-}
-
-/// Compile counts around a `set_weight` patch and a hard-constraint merge,
-/// and whether every untouched compiled matrix was reused by pointer.
-struct WeightedAudit {
-    weight_recompiles_on_set_weight: u64,
-    bit_recompiles_on_set_weight: u64,
-    bit_recompiles_on_merge: u64,
-    untouched_matrices_reused: bool,
-}
-
-impl WeightedAudit {
-    fn ok(&self) -> bool {
-        self.weight_recompiles_on_set_weight == 1
-            && self.bit_recompiles_on_set_weight == 0
-            && self.bit_recompiles_on_merge == 1
-            && self.untouched_matrices_reused
-    }
-
-    fn fields(&self) -> Vec<Field> {
-        let mut fields = fields!(self; weight_recompiles_on_set_weight,
-            bit_recompiles_on_set_weight, bit_recompiles_on_merge, untouched_matrices_reused);
-        fields.push(gate("ok", self.ok()));
-        fields
-    }
-}
-
 /// weighted: *noise-dominant* planted instances (noise above the planted
 /// bonus, so the weight-ordered value loop cannot shortcut the search and
 /// the bound has to work) through the scheduler's sharded branch and
 /// bound.  The strict-< incumbent contract makes the optimum independent
 /// of the worker count.
-fn weighted_group(h: &Harness, steals: &mut StealTotals) -> WeightedGroup {
+fn weighted_group(h: &Harness, steals: &mut StealTotals) -> Vec<Entry> {
     // Budgets are 25% of each instance's BENCH_9 single-thread node count
     // (391_608 / 1_324_312 / 36_965_312).
     let mut run = |name, node_budget, variables, density, tightness, seed| {
@@ -800,71 +760,11 @@ fn weighted_group(h: &Harness, steals: &mut StealTotals) -> WeightedGroup {
         entry.bound = Some(bound);
         entry
     };
-    let entries = vec![
+    vec![
         run("noise-18", 97_902, 18, 0.5, 0.15, 17_2026),
         run("noise-20", 331_078, 20, 0.45, 0.15, 18_2026),
         run("noise-22", 9_241_328, 22, 0.45, 0.12, 19_2026),
-    ];
-    let audit = weighted_audit();
-    WeightedGroup { entries, audit }
-}
-
-/// Runs the incremental-recompilation audit.  Must run while no other
-/// thread compiles kernels: the compile counters are process-wide.
-fn weighted_audit() -> WeightedAudit {
-    let (weighted, _) = planted_weighted_network(&spec(40, 5, 0.4, 0.25, 14_2025), 60.0, 8);
-    let network = weighted.network().clone();
-    let constraints = network.constraint_count();
-    assert!(constraints > 1, "the audit needs untouched constraints");
-    // Force both compiled kernels before measuring.
-    let bit_kernel = Arc::clone(network.kernel());
-    let weight_kernel = Arc::clone(weighted.weight_kernel());
-    // Constraint 0 is the one patched: its matrix must be new, every other
-    // one shared.
-    let only_first_rebuilt = |same: &dyn Fn(usize) -> bool| !same(0) && (1..constraints).all(same);
-
-    // 1. A set_weight patch: exactly one weight matrix recompiled, zero
-    //    bit matrices.
-    let c0 = network.constraint(0);
-    let pair = c0.allowed_pairs().iter().copied().min();
-    let pair = pair.expect("constraints of planted networks allow pairs");
-    let va = *network.domain(c0.first()).value(pair.0);
-    let vb = *network.domain(c0.second()).value(pair.1);
-    let mut patched = weighted.clone();
-    let (bits_before, weights_before) = (bit_constraint_compiles(), weight_constraint_compiles());
-    patched
-        .set_weight(c0.first(), c0.second(), &va, &vb, 999.0)
-        .expect("pair comes from the network itself");
-    let weight_recompiles_on_set_weight = weight_constraint_compiles() - weights_before;
-    let bit_recompiles_on_set_weight = bit_constraint_compiles() - bits_before;
-    let patched_kernel = patched.weight_kernel();
-    let weights_reused = only_first_rebuilt(&|ci| {
-        Arc::ptr_eq(
-            weight_kernel.constraint_handle(ci),
-            patched_kernel.constraint_handle(ci),
-        )
-    });
-
-    // 2. A hard-constraint merge: exactly one bit matrix recompiled.
-    let mut fork = network.clone();
-    let bits_before = bit_constraint_compiles();
-    fork.add_constraint_by_index(c0.first(), c0.second(), HashSet::from([pair]))
-        .expect("merging into an existing constraint");
-    let bit_recompiles_on_merge = bit_constraint_compiles() - bits_before;
-    let fork_kernel = fork.kernel();
-    let bits_reused = only_first_rebuilt(&|ci| {
-        Arc::ptr_eq(
-            bit_kernel.constraint_handle(ci),
-            fork_kernel.constraint_handle(ci),
-        )
-    });
-
-    WeightedAudit {
-        weight_recompiles_on_set_weight,
-        bit_recompiles_on_set_weight,
-        bit_recompiles_on_merge,
-        untouched_matrices_reused: weights_reused && bits_reused,
-    }
+    ]
 }
 
 /// The `service` group: queued throughput, coalescing, admission shedding
@@ -1074,7 +974,7 @@ struct Run {
     unsat: Option<Vec<Entry>>,
     enumerate: Option<Vec<Entry>>,
     propagation: Option<Propagation>,
-    weighted: Option<WeightedGroup>,
+    weighted: Option<Vec<Entry>>,
     service: Option<Service>,
     faults: Option<Faults>,
     steals: StealTotals,
@@ -1084,10 +984,8 @@ struct Run {
 type GroupRun = fn(&Harness, &mut Run);
 
 /// Every group `--only` can select, in run order, with the runner that
-/// fills its record.  Two rules fix the order: the weighted audit (the end
-/// of `weighted`) reads process-wide compile counters, so it runs after
-/// every group that solves on worker threads; and `faults` runs last, so
-/// its scoped fault plans cannot overlap the determinism-sensitive groups.
+/// fills its record.  `faults` runs last, so its scoped fault plans cannot
+/// overlap the determinism-sensitive groups.
 const GROUPS: [(&str, GroupRun); 8] = [
     ("table2", |h, run| {
         run.table2 = Some(engine_group(h.threads, "portfolio", false))
@@ -1118,13 +1016,12 @@ const GROUPS: [(&str, GroupRun); 8] = [
 impl Run {
     /// The groups of [`Entry`] rows that ran, by artifact name.
     fn tables(&self) -> Vec<(&'static str, &[Entry])> {
-        let weighted = self.weighted.as_ref().map(|w| &w.entries[..]);
         let tables = [
             ("table2", self.table2.as_deref()),
             ("table3", self.table3.as_deref()),
             ("unsat", self.unsat.as_deref()),
             ("enumerate", self.enumerate.as_deref()),
-            ("weighted", weighted),
+            ("weighted", self.weighted.as_deref()),
         ];
         somes(tables).collect()
     }
@@ -1134,13 +1031,11 @@ impl Run {
     fn blocks(&self) -> Vec<(&'static str, Option<&'static str>, Vec<Field>)> {
         let sharded = self.unsat.is_some() || self.enumerate.is_some();
         let steals = (sharded || self.weighted.is_some()).then(|| self.steals.fields(sharded));
-        let audit = self.weighted.as_ref().map(|w| w.audit.fields());
         let propagation = self.propagation.as_ref().map(Propagation::fields);
         let service = self.service.as_ref().map(Service::fields);
         let faults = self.faults.as_ref().map(Faults::fields);
         let blocks = [
             (("steal_telemetry", None), steals),
-            (("weighted_audit", Some("weighted_ok")), audit),
             (("propagation", Some("propagation_bytes_ok")), propagation),
             (("service", Some("service_ok")), service),
             (("faults", Some("faults_ok")), faults),
@@ -1185,8 +1080,10 @@ impl Run {
         let all_hold = |(_, verdict, fields): (_, Option<_>, Vec<_>)| {
             Some(field(verdict?, failed(&fields).next().is_none()))
         };
-        let weighted = self.weighted.as_ref();
-        let nodes_ok = weighted.map(|w| w.entries.iter().all(Entry::nodes_ok));
+        let nodes_ok = self
+            .weighted
+            .as_ref()
+            .map(|w| w.iter().all(Entry::nodes_ok));
         let tables = self.tables();
         let cost_parity = tables
             .iter()
@@ -1492,18 +1389,10 @@ mod tests {
                 bytes_touched: 256 * 800,
                 bytes_budget_per_revision: 256,
             }),
-            weighted: Some(WeightedGroup {
-                entries: vec![Entry {
-                    bound: Some(bound),
-                    ..entry("noise-18")
-                }],
-                audit: WeightedAudit {
-                    weight_recompiles_on_set_weight: 1,
-                    bit_recompiles_on_set_weight: 0,
-                    bit_recompiles_on_merge: 1,
-                    untouched_matrices_reused: true,
-                },
-            }),
+            weighted: Some(vec![Entry {
+                bound: Some(bound),
+                ..entry("noise-18")
+            }]),
             service: Some(Service {
                 requests: 80,
                 wall_ms: 100.0,
@@ -1629,16 +1518,13 @@ mod tests {
     #[test]
     fn every_gate_fails_alone_and_names_its_check() {
         type Breaks = fn(&mut Run, &mut Config);
-        fn weighted(run: &mut Run) -> &mut WeightedGroup {
-            run.weighted.as_mut().expect("weighted ran")
+        fn weighted(run: &mut Run) -> &mut Entry {
+            &mut run.weighted.as_mut().expect("weighted ran")[0]
         }
         fn bound(run: &mut Run) -> &mut Bound {
-            weighted(run).entries[0]
-                .bound
-                .as_mut()
-                .expect("weighted entry")
+            weighted(run).bound.as_mut().expect("weighted entry")
         }
-        let cases: [(&str, Breaks); 20] = [
+        let cases: [(&str, Breaks); 16] = [
             ("table2 MxM: cost_match", |r, _| {
                 r.table2.as_mut().unwrap()[0].cost[1] = 6.0
             }),
@@ -1652,25 +1538,13 @@ mod tests {
                 r.enumerate.as_mut().unwrap()[0].cost[1] = 6.0
             }),
             ("weighted noise-18: cost_match", |r, _| {
-                weighted(r).entries[0].cost[1] = 6.0
+                weighted(r).cost[1] = 6.0
             }),
             ("propagation: bytes_ok", |r, _| {
                 r.propagation.as_mut().unwrap().bytes_touched = 257 * 800
             }),
-            ("weighted_audit: ok", |r, _| {
-                weighted(r).audit.weight_recompiles_on_set_weight = 2
-            }),
-            ("weighted_audit: ok", |r, _| {
-                weighted(r).audit.bit_recompiles_on_set_weight = 1
-            }),
-            ("weighted_audit: ok", |r, _| {
-                weighted(r).audit.bit_recompiles_on_merge = 2
-            }),
-            ("weighted_audit: ok", |r, _| {
-                weighted(r).audit.untouched_matrices_reused = false
-            }),
             ("weighted noise-18: nodes_ok", |r, _| {
-                weighted(r).entries[0].nodes = [10, 11]
+                weighted(r).nodes = [10, 11]
             }),
             ("weighted noise-18: nodes_ok", |r, _| {
                 bound(r).bound_deletions[0] = 0

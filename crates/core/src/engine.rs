@@ -38,7 +38,6 @@ use mlo_layout::{
 };
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, RecvTimeoutError};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::thread;
@@ -105,10 +104,9 @@ impl NetworkSummary {
 /// Every cached artifact is `Arc`-backed (see `mlo_layout` / `mlo_csp`), so
 /// handing it to a strategy, a scheduler worker or a batch job shares
 /// storage instead of copying tables.  The weighted-network cache is a
-/// small LRU capped by the session's
-/// [`weighted_cache_cap`](Session::weighted_cache_cap), so long-lived
-/// serving sessions that sweep many [`WeightOptions`] cannot grow it
-/// without bound.
+/// small LRU capped at [`Session::DEFAULT_WEIGHTED_CACHE_CAP`], so
+/// long-lived serving sessions that sweep many [`WeightOptions`] cannot
+/// grow it without bound.
 #[derive(Debug)]
 pub struct PreparedProgram {
     options: CandidateOptions,
@@ -120,28 +118,16 @@ pub struct PreparedProgram {
     /// distinct [`WeightOptions`], most recently used first (a short list:
     /// requests overwhelmingly reuse the strategy default).
     weighted: Mutex<Vec<(WeightOptions, Arc<WeightedNetwork<Layout>>)>>,
-    /// Shared with the owning session: the LRU capacity of `weighted`.
-    weighted_cap: Arc<AtomicUsize>,
-}
-
-impl Default for PreparedProgram {
-    fn default() -> Self {
-        PreparedProgram::new(
-            CandidateOptions::default(),
-            Arc::new(AtomicUsize::new(Session::DEFAULT_WEIGHTED_CACHE_CAP)),
-        )
-    }
 }
 
 impl PreparedProgram {
-    fn new(options: CandidateOptions, weighted_cap: Arc<AtomicUsize>) -> Self {
+    fn new(options: CandidateOptions) -> Self {
         PreparedProgram {
             options,
             candidates: OnceLock::new(),
             network: OnceLock::new(),
             heuristic: OnceLock::new(),
             weighted: Mutex::new(Vec::new()),
-            weighted_cap,
         }
     }
 
@@ -179,7 +165,7 @@ impl PreparedProgram {
     /// it on first use.  The returned handle shares the cached hard
     /// network's constraint storage — repeat weighted requests copy
     /// nothing.  The cache is LRU: the least recently used entry is
-    /// evicted once the session cap is exceeded.
+    /// evicted once [`Session::DEFAULT_WEIGHTED_CACHE_CAP`] is exceeded.
     pub fn weighted(
         &self,
         program: &Program,
@@ -200,8 +186,7 @@ impl PreparedProgram {
             return existing;
         }
         cache.insert(0, (*options, Arc::clone(&derived)));
-        let cap = self.weighted_cap.load(Ordering::Relaxed).max(1);
-        cache.truncate(cap);
+        cache.truncate(Session::DEFAULT_WEIGHTED_CACHE_CAP);
         derived
     }
 
@@ -394,7 +379,6 @@ impl Engine {
                 engine: self.clone(),
                 prepared: Mutex::new(PreparedCache::new(Session::DEFAULT_PREPARED_CACHE_CAP)),
                 pool: OnceLock::new(),
-                weighted_cache_cap: Arc::new(AtomicUsize::new(Session::DEFAULT_WEIGHTED_CACHE_CAP)),
             }),
         }
     }
@@ -535,15 +519,12 @@ pub(crate) struct SessionInner {
     /// The session's worker pool, created on first parallel use so purely
     /// sequential sessions never spawn a thread.
     pool: OnceLock<Arc<WorkerPool>>,
-    /// Per-program weighted-network LRU capacity, shared with every
-    /// [`PreparedProgram`] this session creates.
-    weighted_cache_cap: Arc<AtomicUsize>,
 }
 
 impl Session {
-    /// Default LRU capacity of the per-program weighted-network cache:
-    /// plenty for benchmark sweeps (which reuse one or two
-    /// [`WeightOptions`]) while bounding long-lived serving sessions.
+    /// LRU capacity of the per-program weighted-network cache: plenty for
+    /// benchmark sweeps (which reuse one or two [`WeightOptions`]) while
+    /// bounding long-lived serving sessions.
     pub const DEFAULT_WEIGHTED_CACHE_CAP: usize = 8;
 
     /// LRU capacity of the prepared-program cache: well above the distinct
@@ -557,20 +538,6 @@ impl Session {
     /// The engine this session came from.
     pub fn engine(&self) -> &Engine {
         &self.inner.engine
-    }
-
-    /// The current per-program weighted-network LRU capacity.
-    pub fn weighted_cache_cap(&self) -> usize {
-        self.inner.weighted_cache_cap.load(Ordering::Relaxed)
-    }
-
-    /// Caps the per-program weighted-network cache (clamped to at least 1;
-    /// applies to existing prepared programs too — the next insert evicts
-    /// down to the new cap).
-    pub fn set_weighted_cache_cap(&self, cap: usize) {
-        self.inner
-            .weighted_cache_cap
-            .store(cap.max(1), Ordering::Relaxed);
     }
 
     /// Number of distinct (program, candidate-options) pairs cached now.
@@ -632,9 +599,8 @@ impl SessionInner {
     }
 
     fn prepared(&self, program: &Program, options: &CandidateOptions) -> Arc<PreparedProgram> {
-        lock_or_recover(&self.prepared).get_or_insert(program, options, || {
-            PreparedProgram::new(*options, Arc::clone(&self.weighted_cache_cap))
-        })
+        lock_or_recover(&self.prepared)
+            .get_or_insert(program, options, || PreparedProgram::new(*options))
     }
 
     /// Serves one request end to end: solve, then (when requested) evaluate
@@ -1406,63 +1372,39 @@ mod tests {
         assert_eq!(first.assignment, second.assignment);
     }
 
-    #[test]
-    fn weighted_cache_is_a_capped_lru() {
-        let engine = Engine::new();
-        let session = engine.session();
-        assert_eq!(
-            session.weighted_cache_cap(),
-            Session::DEFAULT_WEIGHTED_CACHE_CAP
-        );
-        session.set_weighted_cache_cap(0); // clamps to 1
-        session.set_weighted_cache_cap(2);
-        assert_eq!(session.weighted_cache_cap(), 2);
-        let program = Benchmark::Track.program();
-        let options = Benchmark::Track.candidate_options();
-        let prepared = session.prepared(&program, &options);
-        let mk = |bonus: f64| mlo_layout::weights::WeightOptions {
-            identity_bonus: bonus,
+    /// Weight options that differ only in their identity bonus, so each
+    /// `i` derives a distinct weighted network (none of them the default).
+    fn bonus(i: usize) -> mlo_layout::weights::WeightOptions {
+        mlo_layout::weights::WeightOptions {
+            identity_bonus: 2.0 + i as f64,
             ..mlo_layout::weights::WeightOptions::default()
-        };
-        let a = prepared.weighted(&program, &mk(1.25));
-        let b = prepared.weighted(&program, &mk(2.0));
-        assert_eq!(prepared.weighted_cached(), 2);
-        // Touch `a` so `b` becomes the LRU entry, then overflow the cap.
-        let a_again = prepared.weighted(&program, &mk(1.25));
-        assert!(Arc::ptr_eq(&a, &a_again));
-        let _c = prepared.weighted(&program, &mk(3.0));
-        assert_eq!(prepared.weighted_cached(), 2, "cap enforced");
-        // `a` survived (recently used), `b` was evicted: re-deriving `b`
-        // yields a fresh Arc while `a` still hits.
-        let a_third = prepared.weighted(&program, &mk(1.25));
-        assert!(Arc::ptr_eq(&a, &a_third), "recently used entry survives");
-        let b_again = prepared.weighted(&program, &mk(2.0));
-        assert!(!Arc::ptr_eq(&b, &b_again), "LRU entry was evicted");
+        }
     }
 
     #[test]
-    fn weighted_cache_cap_zero_clamps_to_one() {
-        // cap = 0 would make every insert evict itself; the setter clamps
-        // to 1 so the most recent weighted network always stays cached.
+    fn weighted_cache_is_a_capped_lru() {
         let session = Engine::new().session();
-        session.set_weighted_cache_cap(0);
-        assert_eq!(session.weighted_cache_cap(), 1);
         let program = Benchmark::Track.program();
         let options = Benchmark::Track.candidate_options();
         let prepared = session.prepared(&program, &options);
-        let mk = |bonus: f64| mlo_layout::weights::WeightOptions {
-            identity_bonus: bonus,
-            ..mlo_layout::weights::WeightOptions::default()
-        };
-        let a = prepared.weighted(&program, &mk(1.25));
-        assert_eq!(prepared.weighted_cached(), 1);
-        // A repeat hit at cap 1 still returns the identical Arc.
-        assert!(Arc::ptr_eq(&a, &prepared.weighted(&program, &mk(1.25))));
-        // A different option set evicts the only entry.
-        let b = prepared.weighted(&program, &mk(2.0));
-        assert_eq!(prepared.weighted_cached(), 1);
-        assert!(Arc::ptr_eq(&b, &prepared.weighted(&program, &mk(2.0))));
-        assert!(!Arc::ptr_eq(&a, &prepared.weighted(&program, &mk(1.25))));
+        let cap = Session::DEFAULT_WEIGHTED_CACHE_CAP;
+        let a = prepared.weighted(&program, &bonus(0));
+        let b = prepared.weighted(&program, &bonus(1));
+        for i in 2..cap {
+            prepared.weighted(&program, &bonus(i));
+        }
+        assert_eq!(prepared.weighted_cached(), cap);
+        // Touch `a` so `b` becomes the LRU entry, then overflow the cap.
+        let a_again = prepared.weighted(&program, &bonus(0));
+        assert!(Arc::ptr_eq(&a, &a_again));
+        prepared.weighted(&program, &bonus(cap));
+        assert_eq!(prepared.weighted_cached(), cap, "cap enforced");
+        // `a` survived (recently used), `b` was evicted: re-deriving `b`
+        // yields a fresh Arc while `a` still hits.
+        let a_third = prepared.weighted(&program, &bonus(0));
+        assert!(Arc::ptr_eq(&a, &a_third), "recently used entry survives");
+        let b_again = prepared.weighted(&program, &bonus(1));
+        assert!(!Arc::ptr_eq(&b, &b_again), "LRU entry was evicted");
     }
 
     #[test]
@@ -1485,13 +1427,11 @@ mod tests {
         // The kernel rides in the cached weighted network's spine.
         let weighted = prepared.weighted(&program, &weight_options);
         assert!(Arc::ptr_eq(&first, weighted.weight_kernel()));
-        // An evicted entry recompiles: new Arc.
-        session.set_weighted_cache_cap(1);
-        let other = mlo_layout::weights::WeightOptions {
-            identity_bonus: 3.5,
-            ..weight_options
-        };
-        let _ = prepared.weighted(&program, &other); // evicts the default entry
+        // An evicted entry recompiles: new Arc.  `cap` other option sets
+        // push the default entry out.
+        for i in 0..Session::DEFAULT_WEIGHTED_CACHE_CAP {
+            prepared.weighted(&program, &bonus(i));
+        }
         let recompiled = prepared.weight_kernel(&program, &weight_options);
         assert!(
             !Arc::ptr_eq(&first, &recompiled),

@@ -9,8 +9,8 @@
 //!
 //! The [`BitKernel`] is the *execution* form the network compiles itself
 //! into, lazily and at most once per storage (the handle is cached inside
-//! the shared [`crate::NetworkStorage`], so clones and session-cached
-//! networks all reuse the identical kernel — `Arc::ptr_eq`-verifiable):
+//! the network's shared storage, so clones and session-cached networks all
+//! reuse the identical kernel — `Arc::ptr_eq`-verifiable):
 //!
 //! * every constraint becomes a pair of **bit-matrices** ([`BitConstraint`]):
 //!   for each value of one endpoint, a row of `u64` words whose set bits are
@@ -33,51 +33,21 @@
 //! aggregates** over the allowed pairs ([`WeightConstraint`]), which give
 //! branch and bound its optimistic upper bounds and the weighted value
 //! ordering its O(1) scores.  It is compiled lazily, at most once per
-//! weighted spine (see [`crate::WeightedNetwork`]), and shared by clones; a
-//! `set_weight` recompiles **only the touched constraint's** aggregates,
-//! reusing every other [`WeightConstraint`] by pointer.
+//! weighted spine (see [`crate::WeightedNetwork`]), and shared by clones.
 //!
-//! # Incremental recompilation
+//! # Compiled once, never patched
 //!
-//! Both kernels recompile incrementally: a copy-on-write mutation of the
-//! builder-facing network patches only the affected constraint's
-//! bit-matrix/weight-matrix instead of discarding the whole compiled
-//! kernel (the network mutators and `set_weight` install the patched
-//! kernel; untouched compiled matrices are reused by pointer).  The
-//! process-wide [`bit_constraint_compiles`] / [`weight_constraint_compiles`]
-//! counters expose how many per-constraint compilations ever ran, so audits
-//! can pin "only the touched constraint was recompiled" exactly.
+//! A kernel is never edited after it is built.  Mutating a network (adding
+//! a variable or a constraint) or a weight drops the cached kernel of the
+//! mutated handle, and the next solver run compiles it again from the
+//! tables.  The production pipeline fills every table before the first
+//! compile, so it compiles each kernel exactly once.
 
 use crate::assignment::Assignment;
 use crate::constraint::BinaryConstraint;
 use crate::network::VarId;
 use crate::words;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// Process-wide count of [`BitConstraint`] compilations (monotonic; see
-/// [`bit_constraint_compiles`]).
-static BIT_CONSTRAINT_COMPILES: AtomicU64 = AtomicU64::new(0);
-
-/// Process-wide count of [`WeightConstraint`] compilations (monotonic; see
-/// [`weight_constraint_compiles`]).
-static WEIGHT_CONSTRAINT_COMPILES: AtomicU64 = AtomicU64::new(0);
-
-/// How many per-constraint **bit-matrix** compilations have run in this
-/// process so far.  Incremental-recompilation audits snapshot this around a
-/// mutation to prove that only the touched constraint was recompiled.
-/// (Process-wide and monotonic: concurrent solves also advance it, so
-/// audits must run the measured section single-threaded.)
-pub fn bit_constraint_compiles() -> u64 {
-    BIT_CONSTRAINT_COMPILES.load(Ordering::Relaxed)
-}
-
-/// How many per-constraint **weight-matrix** compilations have run in this
-/// process so far (the [`WeightConstraint`] counterpart of
-/// [`bit_constraint_compiles`]).
-pub fn weight_constraint_compiles() -> u64 {
-    WEIGHT_CONSTRAINT_COMPILES.load(Ordering::Relaxed)
-}
 
 /// Bits per mask word.
 const WORD_BITS: usize = 64;
@@ -187,7 +157,6 @@ pub struct BitConstraint {
 
 impl BitConstraint {
     fn build(constraint: &BinaryConstraint, first_size: usize, second_size: usize) -> Self {
-        BIT_CONSTRAINT_COMPILES.fetch_add(1, Ordering::Relaxed);
         let fwd_stride = span_words(second_size);
         let rev_stride = span_words(first_size);
         let mut fwd = vec![0u64; first_size * fwd_stride];
@@ -331,15 +300,13 @@ pub struct KernelEdge {
 /// constraints, per-value support counts and the word layout of the live
 /// domains.
 ///
-/// Built once per [`crate::NetworkStorage`] (see
+/// Built once per network storage (see
 /// [`crate::ConstraintNetwork::kernel`]) and shared by every clone of the
 /// network.
 #[derive(Debug)]
 pub struct BitKernel {
     shape: Arc<DomainShape>,
-    /// Individually `Arc`'d so incremental recompilation can patch one
-    /// constraint and reuse every other compiled matrix by pointer.
-    constraints: Vec<Arc<BitConstraint>>,
+    constraints: Vec<BitConstraint>,
     adjacency: Vec<Vec<KernelEdge>>,
 }
 
@@ -347,17 +314,17 @@ impl BitKernel {
     /// Compiles a kernel from the storage-level tables.
     pub(crate) fn build(
         domain_sizes: Vec<usize>,
-        constraints: &[Arc<BinaryConstraint>],
+        constraints: &[BinaryConstraint],
         adjacency: &[Vec<usize>],
     ) -> Self {
-        let compiled: Vec<Arc<BitConstraint>> = constraints
+        let compiled: Vec<BitConstraint> = constraints
             .iter()
             .map(|c| {
-                Arc::new(BitConstraint::build(
+                BitConstraint::build(
                     c,
                     domain_sizes[c.first().index()],
                     domain_sizes[c.second().index()],
-                ))
+                )
             })
             .collect();
         // The kernel adjacency mirrors the network's per-variable constraint
@@ -405,77 +372,6 @@ impl BitKernel {
     /// [`crate::ConstraintNetwork::constraints`]).
     pub fn constraint(&self, index: usize) -> &BitConstraint {
         &self.constraints[index]
-    }
-
-    /// The shared handle of one compiled constraint (for structural-sharing
-    /// assertions: an incrementally patched kernel reuses every untouched
-    /// constraint's matrix by pointer).
-    pub fn constraint_handle(&self, index: usize) -> &Arc<BitConstraint> {
-        &self.constraints[index]
-    }
-
-    /// A kernel extended with one fresh (unconstrained) variable: every
-    /// compiled constraint matrix is reused by pointer, only the word
-    /// layout and adjacency grow — the incremental-recompilation path of
-    /// [`crate::ConstraintNetwork::add_variable`].
-    pub(crate) fn with_added_variable(&self, domain_size: usize) -> BitKernel {
-        let mut sizes = self.shape.sizes.clone();
-        sizes.push(domain_size);
-        let mut adjacency = self.adjacency.clone();
-        adjacency.push(Vec::new());
-        BitKernel {
-            shape: Arc::new(DomainShape::new(sizes)),
-            constraints: self.constraints.clone(),
-            adjacency,
-        }
-    }
-
-    /// A kernel with constraint `ci` recompiled from `constraint` (the
-    /// merge path of [`crate::ConstraintNetwork::add_constraint`]): the
-    /// shape and every *other* constraint matrix are reused by pointer.
-    pub(crate) fn with_patched_constraint(&self, ci: usize, constraint: &BinaryConstraint) -> Self {
-        let mut constraints = self.constraints.clone();
-        constraints[ci] = Arc::new(BitConstraint::build(
-            constraint,
-            self.shape.sizes[constraint.first().index()],
-            self.shape.sizes[constraint.second().index()],
-        ));
-        BitKernel {
-            shape: Arc::clone(&self.shape),
-            constraints,
-            adjacency: self.adjacency.clone(),
-        }
-    }
-
-    /// A kernel with one freshly compiled constraint appended (the
-    /// new-constraint path of [`crate::ConstraintNetwork::add_constraint`]):
-    /// only the new matrix is built; the endpoints' adjacency lists gain one
-    /// edge each, mirroring the network's adjacency order.
-    pub(crate) fn with_added_constraint(&self, constraint: &BinaryConstraint) -> Self {
-        let ci = self.constraints.len();
-        let (first, second) = (constraint.first(), constraint.second());
-        let mut constraints = self.constraints.clone();
-        constraints.push(Arc::new(BitConstraint::build(
-            constraint,
-            self.shape.sizes[first.index()],
-            self.shape.sizes[second.index()],
-        )));
-        let mut adjacency = self.adjacency.clone();
-        adjacency[first.index()].push(KernelEdge {
-            constraint: ci,
-            other: second,
-            var_is_first: true,
-        });
-        adjacency[second.index()].push(KernelEdge {
-            constraint: ci,
-            other: first,
-            var_is_first: false,
-        });
-        BitKernel {
-            shape: Arc::clone(&self.shape),
-            constraints,
-            adjacency,
-        }
     }
 
     /// The kernel adjacency of `var`: one edge per constraint involving it,
@@ -574,10 +470,6 @@ impl BitKernel {
 /// `a * second_size + b`, `rev` is the transpose — so "the weight of every
 /// partner of one value" is a contiguous row scan in either direction, and
 /// a weight read is one indexed load instead of a hash probe.
-///
-/// This is the builder-side copy-on-write unit of
-/// [`crate::WeightedNetwork`]: `set_weight` detaches and patches exactly one
-/// table.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WeightTable {
     first_size: usize,
@@ -668,8 +560,8 @@ impl WeightTable {
 /// is the per-constraint optimistic bound of branch and bound.
 #[derive(Debug)]
 pub struct WeightConstraint {
-    /// Shared by pointer with the builder-side spine; `None` when every
-    /// pair carries the default weight (nothing was ever set).
+    /// Shared by pointer with the weighted network's spine; `None` when
+    /// every pair carries the default weight (nothing was ever set).
     table: Option<Arc<WeightTable>>,
     default_weight: f64,
     /// `row_max_fwd[a]` = max weight among allowed pairs with `first = a`
@@ -690,7 +582,6 @@ impl WeightConstraint {
         second_size: usize,
         default_weight: f64,
     ) -> Self {
-        WEIGHT_CONSTRAINT_COMPILES.fetch_add(1, Ordering::Relaxed);
         let mut row_max_fwd = vec![f64::NEG_INFINITY; first_size];
         let mut row_max_rev = vec![f64::NEG_INFINITY; second_size];
         let mut max_allowed = f64::NEG_INFINITY;
@@ -744,12 +635,6 @@ impl WeightConstraint {
         self.max_allowed
     }
 
-    /// The shared dense table (for structural-sharing assertions; `None`
-    /// means every pair carries the default weight).
-    pub fn table(&self) -> Option<&Arc<WeightTable>> {
-        self.table.as_ref()
-    }
-
     /// The best weight among pairs of `value` (of the endpoint selected by
     /// `var_is_first`) whose partner is both allowed by `bit` and set in
     /// `partner_live`, plus the first partner value attaining it —
@@ -784,16 +669,14 @@ impl WeightConstraint {
 }
 
 /// The compiled execution form of a weighted network: one
-/// [`WeightConstraint`] per constraint, each individually `Arc`'d so a
-/// weight mutation recompiles only the touched constraint's aggregates and
-/// reuses every other matrix by pointer.
+/// [`WeightConstraint`] per constraint.
 ///
 /// Built lazily at most once per weighted spine (see
 /// [`crate::WeightedNetwork::weight_kernel`]) and shared by clones.
 #[derive(Debug)]
 pub struct WeightKernel {
     default_weight: f64,
-    constraints: Vec<Arc<WeightConstraint>>,
+    constraints: Vec<WeightConstraint>,
 }
 
 impl WeightKernel {
@@ -809,41 +692,17 @@ impl WeightKernel {
             .enumerate()
             .map(|(ci, table)| {
                 let bit = kernel.constraint(ci);
-                Arc::new(WeightConstraint::build(
+                WeightConstraint::build(
                     table.as_ref(),
                     bit,
                     kernel.domain_size(bit.first()),
                     kernel.domain_size(bit.second()),
                     default_weight,
-                ))
+                )
             })
             .collect();
         WeightKernel {
             default_weight,
-            constraints,
-        }
-    }
-
-    /// A kernel with constraint `ci` recompiled from `table` — the
-    /// incremental-recompilation path of `set_weight`: every untouched
-    /// [`WeightConstraint`] is reused by pointer.
-    pub(crate) fn patched(
-        &self,
-        ci: usize,
-        table: Option<&Arc<WeightTable>>,
-        kernel: &BitKernel,
-    ) -> Self {
-        let mut constraints = self.constraints.clone();
-        let bit = kernel.constraint(ci);
-        constraints[ci] = Arc::new(WeightConstraint::build(
-            table,
-            bit,
-            kernel.domain_size(bit.first()),
-            kernel.domain_size(bit.second()),
-            self.default_weight,
-        ));
-        WeightKernel {
-            default_weight: self.default_weight,
             constraints,
         }
     }
@@ -861,12 +720,6 @@ impl WeightKernel {
     /// The compiled weight constraint at `index` (same indexing as
     /// [`crate::ConstraintNetwork::constraints`]).
     pub fn constraint(&self, index: usize) -> &WeightConstraint {
-        &self.constraints[index]
-    }
-
-    /// The shared handle of one compiled weight constraint (for
-    /// structural-sharing assertions).
-    pub fn constraint_handle(&self, index: usize) -> &Arc<WeightConstraint> {
         &self.constraints[index]
     }
 
@@ -1183,10 +1036,9 @@ mod tests {
     }
 
     fn kernel_2x(sizes: (usize, usize), pairs: &[(usize, usize)]) -> BitKernel {
-        let c = Arc::new(constraint(pairs));
         BitKernel::build(
             vec![sizes.0, sizes.1],
-            std::slice::from_ref(&c),
+            &[constraint(pairs)],
             &[vec![0], vec![0]],
         )
     }

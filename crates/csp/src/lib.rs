@@ -29,7 +29,7 @@
 //!   runs on: per-constraint bit-matrices, per-value support counts,
 //!   word-packed live domains ([`BitDomains`]) and the dense
 //!   [`WeightKernel`] the weighted hot paths read (no hash probe on
-//!   the optimizing path, incremental recompilation on mutation),
+//!   the optimizing path; compiled once, dropped on mutation),
 //! * [`random`] — reproducible random-network generators for tests and
 //!   scaling benchmarks.
 //!
@@ -80,13 +80,13 @@ pub(crate) mod words;
 
 pub use assignment::{Assignment, Solution};
 pub use bitset::{
-    bit_constraint_compiles, weight_constraint_compiles, BitConstraint, BitDomains, BitKernel,
-    KernelEdge, LiveRowMax, WeightConstraint, WeightKernel, WeightTable,
+    BitConstraint, BitDomains, BitKernel, KernelEdge, LiveRowMax, WeightConstraint, WeightKernel,
+    WeightTable,
 };
 pub use constraint::BinaryConstraint;
 pub use domain::Domain;
 pub use fault::{FaultAction, FaultError, FaultPlan, FaultTrigger};
-pub use network::{ConstraintNetwork, NetworkStorage, VarId};
+pub use network::{ConstraintNetwork, VarId};
 pub use solver::{
     CancelToken, Enumerator, IncumbentObserver, JobPanic, MinConflicts, NetworkSearch, Scheme,
     SearchEngine, SearchLimits, SearchStats, SharedIncumbent, SoftAc3, SoftMark, SolveResult,
@@ -120,6 +120,13 @@ pub enum CspError {
     },
     /// A constraint was declared between a variable and itself.
     SelfConstraint(VarId),
+    /// Two known variables share no constraint.
+    NoConstraint {
+        /// The first variable of the pair.
+        first: VarId,
+        /// The second variable of the pair.
+        second: VarId,
+    },
     /// An assignment index was out of range for the variable's domain.
     ValueIndexOutOfRange {
         /// The variable.
@@ -140,6 +147,9 @@ impl fmt::Display for CspError {
             }
             CspError::SelfConstraint(v) => {
                 write!(f, "constraint endpoints must differ (got {v} twice)")
+            }
+            CspError::NoConstraint { first, second } => {
+                write!(f, "no constraint between {first} and {second}")
             }
             CspError::ValueIndexOutOfRange {
                 variable,
@@ -177,6 +187,11 @@ mod tests {
             domain_size: 2,
         };
         assert!(e.to_string().contains("9"));
+        let e = CspError::NoConstraint {
+            first: VarId::new(0),
+            second: VarId::new(2),
+        };
+        assert_eq!(e.to_string(), "no constraint between x0 and x2");
     }
 
     #[test]

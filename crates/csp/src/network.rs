@@ -1,16 +1,15 @@
 //! The constraint network itself: variables, domains and constraints.
 //!
-//! # Shared storage and copy-on-write
+//! # Shared storage
 //!
-//! A [`ConstraintNetwork`] is a thin handle over an [`Arc`]'d
-//! [`NetworkStorage`]: cloning a network is a single reference-count bump,
-//! never a deep copy of the domain/constraint tables.  Mutators
-//! (`add_variable`, `add_constraint`, ...) are copy-on-write — they mutate
-//! in place while the handle is unique (the normal building phase) and make
-//! a private copy only when the storage is shared.  This is what lets the
-//! work-stealing scheduler hand the same network to every worker, and
-//! batch sessions cache one network per program, without any per-solve
-//! cloning.
+//! A [`ConstraintNetwork`] is a thin handle over one `Arc`'d storage (names,
+//! domains, constraints and adjacency lists): cloning a network is a single
+//! reference-count bump, never a deep copy of the tables.  Mutators
+//! (`add_variable`, `add_constraint`, ...) mutate in place while the handle
+//! is unique (the normal building phase) and copy the storage once when it
+//! is shared.  This is what lets the work-stealing scheduler hand the same
+//! network to every worker, and batch sessions cache one network per
+//! program, without any per-solve cloning.
 //!
 //! # The execution kernel
 //!
@@ -19,11 +18,9 @@
 //! per-value support counts, see [`crate::bitset`]) cached inside the
 //! shared storage.  Clones and session-cached networks all reuse the
 //! identical kernel (`Arc::ptr_eq`-verifiable through
-//! [`ConstraintNetwork::kernel`]).  Copy-on-write mutations recompile the
-//! kernel **incrementally**: adding or extending a constraint rebuilds only
-//! that constraint's bit-matrix and support counts (adding a variable
-//! rebuilds none), with every untouched compiled matrix reused by pointer —
-//! builder-heavy workloads no longer pay a full recompilation per tweak.
+//! [`ConstraintNetwork::kernel`]).  A kernel is never patched: every
+//! mutation drops the mutated handle's cached kernel, and the next solver
+//! run compiles it again.
 
 use crate::assignment::Assignment;
 use crate::bitset::BitKernel;
@@ -64,56 +61,23 @@ impl From<usize> for VarId {
 
 /// The shared tables behind a [`ConstraintNetwork`]: names, domains,
 /// constraints and the per-variable adjacency lists.
-///
-/// Storage is structural-sharing friendly at two granularities: the whole
-/// struct lives behind one `Arc` (so network clones are free and
-/// [`ConstraintNetwork::shares_storage`] can assert wholesale sharing), and
-/// each domain / constraint table is individually `Arc`'d (so a
-/// copy-on-write fork shares every table its mutation does not touch).
-#[derive(Debug)]
-pub struct NetworkStorage<V> {
-    names: Arc<Vec<String>>,
-    domains: Vec<Arc<Domain<V>>>,
-    constraints: Vec<Arc<BinaryConstraint>>,
+#[derive(Debug, Clone)]
+struct NetworkStorage<V> {
+    names: Vec<String>,
+    domains: Vec<Domain<V>>,
+    constraints: Vec<BinaryConstraint>,
     /// For each variable, the indices of the constraints that involve it.
-    adjacency: Arc<Vec<Vec<usize>>>,
+    adjacency: Vec<Vec<usize>>,
     /// The compiled execution form (see [`crate::bitset`]), built lazily at
     /// most once per storage and shared by every handle over it.
     kernel: OnceLock<Arc<BitKernel>>,
-}
-
-impl<V> NetworkStorage<V> {
-    fn empty() -> Self {
-        NetworkStorage {
-            names: Arc::new(Vec::new()),
-            domains: Vec::new(),
-            constraints: Vec::new(),
-            adjacency: Arc::new(Vec::new()),
-            kernel: OnceLock::new(),
-        }
-    }
-}
-
-impl<V: Clone> Clone for NetworkStorage<V> {
-    fn clone(&self) -> Self {
-        // Cloning storage only happens on the copy-on-write path (a handle
-        // about to be mutated): the fork must not inherit a kernel compiled
-        // from tables it is about to change.
-        NetworkStorage {
-            names: Arc::clone(&self.names),
-            domains: self.domains.clone(),
-            constraints: self.constraints.clone(),
-            adjacency: Arc::clone(&self.adjacency),
-            kernel: OnceLock::new(),
-        }
-    }
 }
 
 /// A binary constraint network `<P, M, S>`.
 ///
 /// See the [crate-level documentation](crate) for the correspondence with
 /// the paper and a complete example, and the [module docs](self) for the
-/// shared-storage / copy-on-write representation.
+/// shared-storage representation.
 #[derive(Debug, Clone)]
 pub struct ConstraintNetwork<V> {
     storage: Arc<NetworkStorage<V>>,
@@ -129,17 +93,14 @@ impl<V: Value> ConstraintNetwork<V> {
     /// Creates an empty network.
     pub fn new() -> Self {
         ConstraintNetwork {
-            storage: Arc::new(NetworkStorage::empty()),
+            storage: Arc::new(NetworkStorage {
+                names: Vec::new(),
+                domains: Vec::new(),
+                constraints: Vec::new(),
+                adjacency: Vec::new(),
+                kernel: OnceLock::new(),
+            }),
         }
-    }
-
-    /// The shared storage handle.
-    ///
-    /// Two networks returning pointer-equal handles (`Arc::ptr_eq`) are
-    /// guaranteed to be views of the identical tables; tests use this to
-    /// verify that clones and cached artifacts share rather than copy.
-    pub fn storage(&self) -> &Arc<NetworkStorage<V>> {
-        &self.storage
     }
 
     /// Whether `self` and `other` share their entire storage (the
@@ -148,41 +109,12 @@ impl<V: Value> ConstraintNetwork<V> {
         Arc::ptr_eq(&self.storage, &other.storage)
     }
 
-    /// The shared handle of one domain table (for structural-sharing
-    /// assertions; use [`ConstraintNetwork::domain`] to read values).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the id is out of range.
-    pub fn domain_handle(&self, var: VarId) -> &Arc<Domain<V>> {
-        &self.storage.domains[var.index()]
-    }
-
-    /// The shared handle of one constraint table (for structural-sharing
-    /// assertions; use [`ConstraintNetwork::constraint`] to query pairs).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the index is out of range.
-    pub fn constraint_handle(&self, index: usize) -> &Arc<BinaryConstraint> {
-        &self.storage.constraints[index]
-    }
-
-    /// Copy-on-write access to the storage: in-place while unique, a
-    /// private copy (of the `Arc` spine only — the tables themselves are
-    /// still shared until individually touched) once the storage is shared.
-    ///
-    /// Kernel recompilation is **incremental**: when the pre-mutation
-    /// storage had a compiled kernel, the mutator computes a patched kernel
-    /// (only the affected constraint's bit-matrix and support counts are
-    /// rebuilt — see [`crate::bitset`]) and installs it here; otherwise the
-    /// next solver run compiles from scratch as before.
-    fn storage_mut_with_kernel(&mut self, patched: Option<BitKernel>) -> &mut NetworkStorage<V> {
+    /// Mutable access to the storage, copying it first when it is shared.
+    /// Drops the cached kernel: the next solver run compiles the mutated
+    /// tables from scratch.
+    fn storage_mut(&mut self) -> &mut NetworkStorage<V> {
         let storage = Arc::make_mut(&mut self.storage);
         storage.kernel.take();
-        if let Some(kernel) = patched {
-            let _ = storage.kernel.set(Arc::new(kernel));
-        }
         storage
     }
 
@@ -204,21 +136,11 @@ impl<V: Value> ConstraintNetwork<V> {
 
     /// Adds a variable with the given name and domain values; returns its id.
     pub fn add_variable(&mut self, name: impl Into<String>, domain: Vec<V>) -> VarId {
-        let name = name.into();
-        let domain = Domain::new(domain);
-        // Incremental recompilation: a fresh variable has no constraints,
-        // so every compiled bit-matrix is reused — only the word layout and
-        // adjacency grow.
-        let patched = self
-            .storage
-            .kernel
-            .get()
-            .map(|kernel| kernel.with_added_variable(domain.len()));
-        let storage = self.storage_mut_with_kernel(patched);
+        let storage = self.storage_mut();
         let id = VarId::new(storage.domains.len());
-        Arc::make_mut(&mut storage.names).push(name);
-        storage.domains.push(Arc::new(domain));
-        Arc::make_mut(&mut storage.adjacency).push(Vec::new());
+        storage.names.push(name.into());
+        storage.domains.push(Domain::new(domain));
+        storage.adjacency.push(Vec::new());
         id
     }
 
@@ -305,36 +227,18 @@ impl<V: Value> ConstraintNetwork<V> {
                 merged.extend(pairs.into_iter().map(|(x, y)| (y, x)));
             }
             let merged = BinaryConstraint::new(existing.first(), existing.second(), merged);
-            // Incremental recompilation: only this constraint's bit-matrix
-            // and support counts are rebuilt; every other compiled matrix
-            // is reused by pointer.
-            let patched = self
-                .storage
-                .kernel
-                .get()
-                .map(|kernel| kernel.with_patched_constraint(ci, &merged));
-            let storage = self.storage_mut_with_kernel(patched);
-            storage.constraints[ci] = Arc::new(merged);
+            self.storage_mut().constraints[ci] = merged;
             return Ok(());
         }
-        let constraint = BinaryConstraint::new(a, b, pairs);
-        // Incremental recompilation: compile just the new constraint's
-        // matrix and append its two adjacency edges.
-        let patched = self
-            .storage
-            .kernel
-            .get()
-            .map(|kernel| kernel.with_added_constraint(&constraint));
-        let storage = self.storage_mut_with_kernel(patched);
+        let storage = self.storage_mut();
         let ci = storage.constraints.len();
-        storage.constraints.push(Arc::new(constraint));
-        let adjacency = Arc::make_mut(&mut storage.adjacency);
-        adjacency[a.index()].push(ci);
-        adjacency[b.index()].push(ci);
+        storage.constraints.push(BinaryConstraint::new(a, b, pairs));
+        storage.adjacency[a.index()].push(ci);
+        storage.adjacency[b.index()].push(ci);
         Ok(())
     }
 
-    fn check_var(&self, v: VarId) -> crate::Result<()> {
+    pub(crate) fn check_var(&self, v: VarId) -> crate::Result<()> {
         if v.index() >= self.storage.domains.len() {
             Err(CspError::UnknownVariable(v))
         } else {
@@ -370,9 +274,8 @@ impl<V: Value> ConstraintNetwork<V> {
         &self.storage.domains[var.index()]
     }
 
-    /// All constraints, as shared table handles (deref to
-    /// [`BinaryConstraint`]; indexing and iteration work as before).
-    pub fn constraints(&self) -> &[Arc<BinaryConstraint>] {
+    /// All constraints, in index order.
+    pub fn constraints(&self) -> &[BinaryConstraint] {
         &self.storage.constraints
     }
 
@@ -403,7 +306,7 @@ impl<V: Value> ConstraintNetwork<V> {
     /// The constraint between two variables, if any.
     pub fn constraint_between(&self, a: VarId, b: VarId) -> Option<&BinaryConstraint> {
         self.constraint_index_between(a, b)
-            .map(|i| &*self.storage.constraints[i])
+            .map(|i| &self.storage.constraints[i])
     }
 
     /// The index (into [`ConstraintNetwork::constraints`]) of the
@@ -661,7 +564,7 @@ mod tests {
 
     #[test]
     fn clones_share_storage_until_mutated() {
-        let (net, vars) = paper_network();
+        let (net, _) = paper_network();
         let clone = net.clone();
         assert!(net.shares_storage(&clone));
         // Mutating the clone detaches it without disturbing the original.
@@ -671,16 +574,6 @@ mod tests {
         assert!(net.shares_storage(&clone));
         assert_eq!(net.variable_count(), 4);
         assert_eq!(fork.variable_count(), 5);
-        // The untouched tables of the fork are still the parent's tables.
-        for v in &vars {
-            assert!(Arc::ptr_eq(net.domain_handle(*v), fork.domain_handle(*v)));
-        }
-        for ci in 0..net.constraint_count() {
-            assert!(Arc::ptr_eq(
-                net.constraint_handle(ci),
-                fork.constraint_handle(ci)
-            ));
-        }
     }
 
     #[test]

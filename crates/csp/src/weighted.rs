@@ -10,27 +10,27 @@
 //!
 //! # The dense weight spine
 //!
-//! A [`WeightedNetwork`] is a thin copy-on-write overlay over its hard
+//! A [`WeightedNetwork`] is a thin overlay over its hard
 //! [`ConstraintNetwork`]: one **dense** [`WeightTable`] per constraint (flat
 //! `f64` matrices in both orientations, mirroring the bit-matrices — see
 //! [`crate::bitset`]), behind a shared spine.  Cloning shares everything;
-//! [`WeightedNetwork::set_weight`] detaches and patches exactly one table.
+//! [`WeightedNetwork::set_weight`] copies the spine first when it is shared.
 //!
 //! The execution form is the [`WeightKernel`]: per-constraint dense matrices
 //! plus row-maximum aggregates over the allowed pairs, compiled lazily at
 //! most once per spine (the same `OnceLock` discipline as the hard
-//! [`BitKernel`](crate::BitKernel)) and recompiled **incrementally** — a
-//! `set_weight` rebuilds only the touched constraint's aggregates, reusing
-//! every other compiled matrix by pointer.  All weighted hot paths (branch
-//! and bound, the work-stealing scheduler, the weighted value ordering)
-//! read it directly: no hash probe survives on the optimizing path.
+//! [`BitKernel`](crate::BitKernel)) and never patched — a weight mutation
+//! drops the mutated handle's kernel, and the next solver run compiles it
+//! again.  All weighted hot paths (branch and bound, the work-stealing
+//! scheduler, the weighted value ordering) read it directly: no hash probe
+//! survives on the optimizing path.
 
 use crate::assignment::{Assignment, Solution};
 use crate::bitset::{KernelEdge, WeightKernel, WeightTable};
 use crate::network::{ConstraintNetwork, VarId};
 use crate::solver::weighted_value_order;
 use crate::solver::{SearchLimits, SearchStats, SoftAc3};
-use crate::Value;
+use crate::{CspError, Value};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -51,35 +51,22 @@ struct Cutoff {
 /// default weight" — nothing is materialized until a `set_weight` touches
 /// the constraint, so wrapping a large hard network allocates no dense
 /// entry at all.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct WeightSpine {
-    /// Same indexing as the hard network's constraint list.
+    /// Same indexing as the hard network's constraint list; the compiled
+    /// kernel shares each table by pointer.
     tables: Vec<Option<Arc<WeightTable>>>,
     /// Compiled execution form, built lazily at most once per spine and
     /// shared by every handle over it.
     kernel: OnceLock<Arc<WeightKernel>>,
 }
 
-impl Clone for WeightSpine {
-    fn clone(&self) -> Self {
-        // Cloning a spine only happens on the copy-on-write path (a handle
-        // about to be mutated): the mutator installs an incrementally
-        // patched kernel afterwards, so the fork must not inherit one
-        // compiled from tables it is about to change.
-        WeightSpine {
-            tables: self.tables.clone(),
-            kernel: OnceLock::new(),
-        }
-    }
-}
-
 /// A constraint network whose allowed pairs carry weights.
 ///
-/// Like [`ConstraintNetwork`], a weighted network is copy-on-write: cloning
-/// shares the hard network's storage and the whole weight spine, compiled
-/// [`WeightKernel`] included; [`WeightedNetwork::set_weight`] copies only
-/// the one dense table it touches (recompiling only that constraint's
-/// kernel aggregates).
+/// Like [`ConstraintNetwork`], cloning a weighted network shares the hard
+/// network's storage and the whole weight spine, compiled
+/// [`WeightKernel`] included; [`WeightedNetwork::set_weight`] copies the
+/// spine when it is shared and drops the mutated handle's kernel.
 #[derive(Debug, Clone)]
 pub struct WeightedNetwork<V> {
     network: ConstraintNetwork<V>,
@@ -116,9 +103,8 @@ impl<V: Value> WeightedNetwork<V> {
     /// building it on first use and caching it inside the shared spine.
     ///
     /// Every clone over the same spine returns the *same* `Arc` (verify
-    /// with `Arc::ptr_eq`).  A `set_weight` installs an incrementally
-    /// patched kernel: only the touched constraint's aggregates are
-    /// recompiled.
+    /// with `Arc::ptr_eq`).  A `set_weight` or `add_weight` drops it; the
+    /// next call compiles the mutated tables from scratch.
     pub fn weight_kernel(&self) -> &Arc<WeightKernel> {
         self.spine.kernel.get_or_init(|| {
             Arc::new(WeightKernel::build(
@@ -129,63 +115,31 @@ impl<V: Value> WeightedNetwork<V> {
         })
     }
 
-    /// Whether `self` and `other` share the weight table of constraint
-    /// `constraint_index` (a structural-sharing assertion for tests; out of
-    /// range on either side counts as not shared).  Two untouched slots of
-    /// networks with the same default weight count as shared — both are the
-    /// same uniform table, just never materialized.
-    pub fn shares_weight_table(&self, other: &Self, constraint_index: usize) -> bool {
-        match (
-            self.spine.tables.get(constraint_index),
-            other.spine.tables.get(constraint_index),
-        ) {
-            (Some(Some(a)), Some(Some(b))) => Arc::ptr_eq(a, b),
-            (Some(None), Some(None)) => {
-                self.default_weight.to_bits() == other.default_weight.to_bits()
-            }
-            _ => false,
-        }
-    }
-
     /// Whether `self` and `other` share the entire weight spine (tables and
     /// compiled kernel) by pointer — the post-clone state.
     pub fn shares_weight_spine(&self, other: &Self) -> bool {
         Arc::ptr_eq(&self.spine, &other.spine)
     }
 
-    /// Copy-on-write patch of one constraint's dense table: detaches the
-    /// spine (if shared) and the touched table (if shared), applies `patch`,
-    /// and — when a compiled kernel existed — installs an incrementally
-    /// recompiled kernel in which only constraint `ci` was rebuilt.
+    /// Applies `patch` to one constraint's dense table (materializing it
+    /// at the default weight first), copying the spine first when it is
+    /// shared.  Drops the compiled kernel before touching the table, so
+    /// the kernel's reference to it does not force a copy.
     fn patch_table(&mut self, ci: usize, patch: impl FnOnce(&mut WeightTable)) {
-        let old_kernel = self.spine.kernel.get().cloned();
         let constraint = &self.network.constraints()[ci];
         let first_size = self.network.domain(constraint.first()).len();
         let second_size = self.network.domain(constraint.second()).len();
         let default_weight = self.default_weight;
         let spine = Arc::make_mut(&mut self.spine);
-        let slot = &mut spine.tables[ci];
-        let table = match slot {
-            Some(table) => Arc::make_mut(table),
-            None => {
-                *slot = Some(Arc::new(WeightTable::uniform(
-                    first_size,
-                    second_size,
-                    default_weight,
-                )));
-                Arc::make_mut(slot.as_mut().expect("just inserted"))
-            }
-        };
-        patch(table);
-        // Incremental kernel recompilation: only constraint `ci`'s
-        // aggregates are rebuilt; every other compiled matrix is reused by
-        // pointer.  (The spine's kernel slot is empty here: either the
-        // CoW clone reset it, or we take() the in-place one.)
         spine.kernel.take();
-        if let Some(old) = old_kernel {
-            let patched = old.patched(ci, spine.tables[ci].as_ref(), self.network.kernel());
-            let _ = spine.kernel.set(Arc::new(patched));
-        }
+        let table = spine.tables[ci].get_or_insert_with(|| {
+            Arc::new(WeightTable::uniform(
+                first_size,
+                second_size,
+                default_weight,
+            ))
+        });
+        patch(Arc::make_mut(table));
     }
 
     /// Resolves `(a, b, value_a, value_b)` to a constraint index and an
@@ -197,22 +151,26 @@ impl<V: Value> WeightedNetwork<V> {
         value_a: &V,
         value_b: &V,
     ) -> crate::Result<(usize, (usize, usize))> {
+        if a == b {
+            return Err(CspError::SelfConstraint(a));
+        }
+        self.network.check_var(a)?;
+        self.network.check_var(b)?;
         let ci = self
             .network
             .constraint_index_between(a, b)
-            .ok_or(crate::CspError::UnknownVariable(b))?;
-        let ia = self.network.domain(a).index_of(value_a).ok_or_else(|| {
-            crate::CspError::ValueNotInDomain {
-                variable: a,
-                value: format!("{value_a:?}"),
-            }
-        })?;
-        let ib = self.network.domain(b).index_of(value_b).ok_or_else(|| {
-            crate::CspError::ValueNotInDomain {
-                variable: b,
-                value: format!("{value_b:?}"),
-            }
-        })?;
+            .ok_or(CspError::NoConstraint {
+                first: a,
+                second: b,
+            })?;
+        let index_of = |variable: VarId, value: &V| {
+            let index = self.network.domain(variable).index_of(value);
+            index.ok_or_else(|| CspError::ValueNotInDomain {
+                variable,
+                value: format!("{value:?}"),
+            })
+        };
+        let (ia, ib) = (index_of(a, value_a)?, index_of(b, value_b)?);
         let constraint = &self.network.constraints()[ci];
         let pair = if constraint.first() == a {
             (ia, ib)
@@ -227,8 +185,11 @@ impl<V: Value> WeightedNetwork<V> {
     ///
     /// # Errors
     ///
-    /// Returns an error when no constraint exists between the variables or
-    /// the values are not in their domains.
+    /// * [`CspError::SelfConstraint`] when `a == b`,
+    /// * [`CspError::UnknownVariable`] when either id is out of range,
+    /// * [`CspError::NoConstraint`] when no constraint joins `a` and `b`,
+    /// * [`CspError::ValueNotInDomain`] when a value is missing from its
+    ///   variable's domain.
     pub fn set_weight(
         &mut self,
         a: VarId,
@@ -815,16 +776,42 @@ mod tests {
     }
 
     #[test]
-    fn set_weight_errors() {
+    fn set_weight_and_add_weight_return_typed_errors() {
         let mut net: ConstraintNetwork<i32> = ConstraintNetwork::new();
         let a = net.add_variable("a", vec![0]);
         let b = net.add_variable("b", vec![0]);
         let c = net.add_variable("c", vec![0]);
         net.add_constraint(a, b, vec![(0, 0)]).unwrap();
+        let unknown = VarId::new(9);
+        let cases = [
+            ((a, a, 0), CspError::SelfConstraint(a)),
+            ((unknown, b, 0), CspError::UnknownVariable(unknown)),
+            ((a, unknown, 0), CspError::UnknownVariable(unknown)),
+            (
+                (a, c, 0),
+                CspError::NoConstraint {
+                    first: a,
+                    second: c,
+                },
+            ),
+            (
+                (a, b, 7),
+                CspError::ValueNotInDomain {
+                    variable: a,
+                    value: "7".to_string(),
+                },
+            ),
+        ];
         let mut w = WeightedNetwork::new(net, 0.0);
-        assert!(w.set_weight(a, c, &0, &0, 1.0).is_err());
-        assert!(w.set_weight(a, b, &7, &0, 1.0).is_err());
-        assert!(w.set_weight(a, b, &0, &0, 1.0).is_ok());
+        for ((x, y, value), expected) in cases {
+            let set = w.set_weight(x, y, &value, &0, 1.0);
+            assert_eq!(set, Err(expected.clone()), "set_weight({x}, {y})");
+            let add = w.add_weight(x, y, &value, &0, 1.0);
+            assert_eq!(add, Err(expected), "add_weight({x}, {y})");
+        }
+        assert_eq!(w.set_weight(a, b, &0, &0, 1.0), Ok(()));
+        assert_eq!(w.add_weight(b, a, &0, &0, 1.0), Ok(()));
+        assert_eq!(w.weight_of(0, (0, 0)), 2.0);
     }
 
     #[test]
@@ -849,52 +836,35 @@ mod tests {
     }
 
     #[test]
-    fn clones_share_weight_tables_until_mutated() {
-        let (w, vars) = simple_weighted();
-        let mut clone = w.clone();
-        assert!(clone.network().shares_storage(w.network()));
-        assert!(clone.shares_weight_table(&w, 0));
-        assert!(clone.shares_weight_spine(&w));
-        // set_weight detaches only the touched table.
-        clone.set_weight(vars[0], vars[1], &"r", &"r", 9.0).unwrap();
-        assert!(!clone.shares_weight_table(&w, 0));
-        assert_eq!(w.weight_of(0, (0, 0)), 1.0, "original untouched");
-        assert_eq!(clone.weight_of(0, (0, 0)), 9.0);
-    }
-
-    #[test]
-    fn set_weight_patches_the_kernel_incrementally() {
-        // Two constraints; a set_weight on the first must recompile only
-        // its aggregates — the second constraint's compiled matrix is
-        // reused by pointer, and the patched kernel is already installed
-        // (no lazy rebuild).
+    fn set_weight_after_compiling_gives_the_clone_a_fresh_kernel() {
         let mut net: ConstraintNetwork<i32> = ConstraintNetwork::new();
         let a = net.add_variable("a", vec![0, 1]);
         let b = net.add_variable("b", vec![0, 1]);
         let c = net.add_variable("c", vec![0, 1]);
         net.add_constraint(a, b, vec![(0, 0), (1, 1)]).unwrap();
         net.add_constraint(b, c, vec![(0, 1), (1, 0)]).unwrap();
-        let mut w = WeightedNetwork::new(net, 0.0);
+        let w = WeightedNetwork::new(net, 0.0);
         let before = Arc::clone(w.weight_kernel());
-        let untouched = Arc::clone(before.constraint_handle(1));
-        w.set_weight(a, b, &0, &0, 4.0).unwrap();
-        let after = Arc::clone(w.weight_kernel());
-        assert!(!Arc::ptr_eq(&before, &after), "kernel was repatched");
-        assert!(
-            Arc::ptr_eq(&untouched, after.constraint_handle(1)),
-            "untouched constraint's compiled matrix is reused"
-        );
-        assert!(
-            !Arc::ptr_eq(before.constraint_handle(0), after.constraint_handle(0)),
-            "touched constraint was recompiled"
-        );
+        let mut clone = w.clone();
+        assert!(clone.shares_weight_spine(&w));
+        assert!(Arc::ptr_eq(&before, clone.weight_kernel()));
+        clone.set_weight(a, b, &0, &0, 4.0).unwrap();
+        assert!(!clone.shares_weight_spine(&w));
+        assert!(clone.network().shares_storage(w.network()));
+        let after = Arc::clone(clone.weight_kernel());
+        assert!(!Arc::ptr_eq(&before, &after), "the clone compiled afresh");
         assert_eq!(after.weight(0, 0, 0), 4.0);
         assert_eq!(after.constraint(0).max_allowed(), 4.0);
-        // Aggregates follow further patches.
-        w.set_weight(a, b, &1, &1, 9.0).unwrap();
-        assert_eq!(w.weight_kernel().constraint(0).max_allowed(), 9.0);
-        assert_eq!(w.weight_kernel().constraint(0).row_max(true, 0), 4.0);
-        assert_eq!(w.weight_kernel().constraint(0).row_max(false, 1), 9.0);
+        // The original keeps its kernel and its weights.
+        assert!(Arc::ptr_eq(&before, w.weight_kernel()));
+        assert_eq!(before.weight(0, 0, 0), 0.0);
+        assert_eq!(w.weight_of(0, (0, 0)), 0.0);
+        // Aggregates follow further mutations.
+        clone.set_weight(a, b, &1, &1, 9.0).unwrap();
+        let kernel = clone.weight_kernel();
+        assert_eq!(kernel.constraint(0).max_allowed(), 9.0);
+        assert_eq!(kernel.constraint(0).row_max(true, 0), 4.0);
+        assert_eq!(kernel.constraint(0).row_max(false, 1), 9.0);
     }
 
     #[test]

@@ -11,12 +11,12 @@
 //!   counts,
 //! * bitset AC-3 prunes exactly the values an independently written
 //!   `HashSet`-based revise loop prunes,
-//! * **incremental recompilation** is faithful: a mutated-then-patched
-//!   kernel is bit-identical to a from-scratch compile, and untouched
-//!   constraints' compiled matrices are reused by pointer (the compiled
-//!   [`WeightKernel`] gets the same treatment for `set_weight` patches).
+//! * a network or weight mutated **after** its kernel was compiled drops
+//!   that kernel: the next compile is bit-identical to a from-scratch
+//!   build, and the parent's kernel is untouched (for the bit kernel and
+//!   the compiled [`WeightKernel`] alike).
 //!
-//! The heavier `_heavy` variants re-run the incremental proptests at much
+//! The heavier `_heavy` variants re-run the mutation proptests at much
 //! larger case counts; they are `#[ignore]`d so the tier-1 suite stays
 //! fast, and CI runs them in a dedicated job via `-- --ignored`.
 
@@ -118,12 +118,13 @@ fn rebuild(net: &ConstraintNetwork<usize>) -> ConstraintNetwork<usize> {
     out
 }
 
-/// The incremental-recompilation property, shared by the fast and the
-/// `#[ignore]`d heavy proptest: compile, mutate, and require (a) the
-/// patched kernel to be bit-identical to a from-scratch compile and (b)
-/// every untouched constraint's compiled matrix to be reused by pointer.
+/// The drop-on-mutation property, shared by the fast and the `#[ignore]`d
+/// heavy proptest: compile, mutate (a new variable, a merge into an
+/// existing constraint or a new constraint), and require the next kernel
+/// to be bit-identical to a from-scratch compile while the parent keeps
+/// its kernel.
 #[allow(clippy::too_many_arguments)]
-fn check_incremental_recompile(
+fn check_mutation_recompiles_from_scratch(
     variables: usize,
     domain: usize,
     density: f64,
@@ -135,48 +136,26 @@ fn check_incremental_recompile(
 ) {
     let parent = random_net(variables, domain, density, tightness, seed);
     let mut net = parent.clone();
-    let before = Arc::clone(net.kernel()); // force the compile being patched
+    let before = Arc::clone(net.kernel()); // compile before mutating
     let a = VarId::new(pick_a % variables);
     let b = VarId::new(pick_b % variables);
-    // `touched` is the index of the one pre-existing constraint whose
-    // matrix the mutation is allowed to rebuild (None = none of them).
-    let touched = match kind % 3 {
+    match kind % 3 {
         0 => {
             net.add_variable("extra", (0..domain.max(1)).collect());
-            None
         }
         _ if a == b => return, // a self-constraint is rejected; nothing to test
         _ => {
-            let existing = net.constraint_index_between(a, b);
             let mut pairs = HashSet::new();
             pairs.insert((pick_a % net.domain(a).len(), pick_b % net.domain(b).len()));
             pairs.insert((pick_b % net.domain(a).len(), pick_a % net.domain(b).len()));
             net.add_constraint_by_index(a, b, pairs)
                 .expect("indices are in range");
-            existing
-        }
-    };
-    let patched = Arc::clone(net.kernel());
-    // (a) Bit-identical to a from-scratch compile of the mutated network.
-    let fresh = rebuild(&net);
-    assert_kernels_equivalent(&patched, fresh.kernel());
-    // (b) Untouched constraints' matrices are reused by pointer; the
-    // touched one (if any) was recompiled.  The parent's kernel is
-    // untouched either way.
-    for ci in 0..before.constraint_count() {
-        if touched == Some(ci) {
-            assert!(
-                !Arc::ptr_eq(before.constraint_handle(ci), patched.constraint_handle(ci)),
-                "merged constraint {ci} must be recompiled"
-            );
-        } else {
-            assert!(
-                Arc::ptr_eq(before.constraint_handle(ci), patched.constraint_handle(ci)),
-                "untouched constraint {ci} must reuse the compiled matrix"
-            );
         }
     }
+    let fresh = rebuild(&net);
+    assert_kernels_equivalent(net.kernel(), fresh.kernel());
     assert!(Arc::ptr_eq(&before, parent.kernel()), "parent unaffected");
+    assert_kernels_equivalent(&before, rebuild(&parent).kernel());
 }
 
 /// Reference aggregates computed straight from the `HashSet` pair tables —
@@ -251,10 +230,16 @@ fn check_weight_kernel_agreement(variables: usize, domain: usize, seed: u64) {
     }
 }
 
-/// The weighted incremental-recompilation property: a `set_weight` patch
-/// must produce a kernel identical to a from-scratch compile of the same
-/// weights, reusing every untouched constraint's matrix by pointer.
-fn check_weight_incremental_recompile(variables: usize, domain: usize, seed: u64, pick: usize) {
+/// The weighted drop-on-mutation property: with the weight kernel
+/// compiled, a `set_weight` and then an `add_weight` must each leave a
+/// kernel identical to a from-scratch compile of the same weights, while
+/// the parent keeps its kernel.
+fn check_weight_mutation_recompiles_from_scratch(
+    variables: usize,
+    domain: usize,
+    seed: u64,
+    pick: usize,
+) {
     let spec = RandomNetworkSpec {
         variables,
         domain_size: domain,
@@ -266,26 +251,44 @@ fn check_weight_incremental_recompile(variables: usize, domain: usize, seed: u64
     if parent.network().constraint_count() == 0 {
         return;
     }
+    let before = Arc::clone(parent.weight_kernel());
     let mut weighted = parent.clone();
-    let before = Arc::clone(weighted.weight_kernel());
-    // Patch one arbitrary allowed pair of one arbitrary constraint.
-    let ci = pick % weighted.network().constraint_count();
-    let c = weighted.network().constraint(ci);
-    let (first, second) = c.scope();
-    let pair = {
-        let mut pairs: Vec<_> = c.allowed_pairs().iter().copied().collect();
-        pairs.sort_unstable();
-        pairs[pick % pairs.len().max(1)]
-    };
-    let (va, vb) = (
-        *weighted.network().domain(first).value(pair.0),
-        *weighted.network().domain(second).value(pair.1),
+    for step in 0..2 {
+        // Compile, then mutate one arbitrary allowed pair of one arbitrary
+        // constraint.
+        weighted.weight_kernel();
+        let pick = pick.wrapping_mul(step + 1);
+        let ci = pick % weighted.network().constraint_count();
+        let c = weighted.network().constraint(ci);
+        let (first, second) = c.scope();
+        let pair = {
+            let mut pairs: Vec<_> = c.allowed_pairs().iter().copied().collect();
+            pairs.sort_unstable();
+            pairs[pick % pairs.len().max(1)]
+        };
+        let (va, vb) = (
+            *weighted.network().domain(first).value(pair.0),
+            *weighted.network().domain(second).value(pair.1),
+        );
+        let mutated = if step == 0 {
+            weighted.set_weight(first, second, &va, &vb, 123.5)
+        } else {
+            weighted.add_weight(second, first, &vb, &va, 7.25)
+        };
+        mutated.expect("allowed pairs are in both domains");
+        assert_weight_kernel_matches_a_fresh_compile(&weighted);
+    }
+    assert!(
+        Arc::ptr_eq(&before, parent.weight_kernel()),
+        "parent spine unaffected"
     );
-    weighted
-        .set_weight(first, second, &va, &vb, 123.5)
-        .expect("allowed pairs are in both domains");
-    let patched = Arc::clone(weighted.weight_kernel());
-    // From-scratch compile: replay every weight into a fresh spine.
+    assert_weight_kernel_matches_a_fresh_compile(&parent);
+}
+
+/// Compares `weighted`'s kernel with the kernel of a fresh spine into
+/// which every weight of `weighted` was replayed.
+fn assert_weight_kernel_matches_a_fresh_compile(weighted: &WeightedNetwork<usize>) {
+    let kernel = weighted.weight_kernel();
     let mut fresh = WeightedNetwork::new(weighted.network().clone(), 0.0);
     for (cj, c) in weighted.network().constraints().iter().enumerate() {
         for &(a, b) in c.allowed_pairs() {
@@ -305,7 +308,7 @@ fn check_weight_incremental_recompile(variables: usize, domain: usize, seed: u64
         }
     }
     let scratch = fresh.weight_kernel();
-    for cj in 0..patched.constraint_count() {
+    for cj in 0..kernel.constraint_count() {
         let c = weighted.network().constraint(cj);
         let first_size = weighted.network().domain(c.first()).len();
         let second_size = weighted.network().domain(c.second()).len();
@@ -314,53 +317,36 @@ fn check_weight_incremental_recompile(variables: usize, domain: usize, seed: u64
                 // Unset (disallowed) pairs may differ only when the scratch
                 // replay never materialized them — both read the default.
                 assert_eq!(
-                    patched.weight(cj, a, b),
+                    kernel.weight(cj, a, b),
                     scratch.weight(cj, a, b),
                     "constraint {cj} pair ({a}, {b})"
                 );
             }
             assert_eq!(
-                patched.constraint(cj).row_max(true, a),
+                kernel.constraint(cj).row_max(true, a),
                 scratch.constraint(cj).row_max(true, a)
             );
         }
         for b in 0..second_size {
             assert_eq!(
-                patched.constraint(cj).row_max(false, b),
+                kernel.constraint(cj).row_max(false, b),
                 scratch.constraint(cj).row_max(false, b)
             );
         }
         assert_eq!(
-            patched.constraint(cj).max_allowed(),
+            kernel.constraint(cj).max_allowed(),
             scratch.constraint(cj).max_allowed()
         );
-        // Pointer reuse: only the touched constraint was recompiled.
-        if cj == ci {
-            assert!(
-                !Arc::ptr_eq(before.constraint_handle(cj), patched.constraint_handle(cj)),
-                "patched constraint {cj} must be recompiled"
-            );
-        } else {
-            assert!(
-                Arc::ptr_eq(before.constraint_handle(cj), patched.constraint_handle(cj)),
-                "untouched constraint {cj} must reuse the compiled matrix"
-            );
-        }
     }
-    assert!(
-        Arc::ptr_eq(&before, parent.weight_kernel()),
-        "parent spine unaffected"
-    );
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// A copy-on-write mutation patches the compiled kernel incrementally:
-    /// bit-identical to a from-scratch compile, untouched matrices reused
-    /// by pointer.
+    /// A network mutated after compiling compiles a kernel bit-identical
+    /// to a from-scratch build; its parent keeps the old kernel.
     #[test]
-    fn incremental_recompile_matches_from_scratch(
+    fn network_mutated_after_compiling_recompiles_from_scratch(
         variables in 2usize..9,
         domain in 1usize..6,
         density in 0.2f64..1.0,
@@ -370,7 +356,7 @@ proptest! {
         pick_a in 0usize..64,
         pick_b in 0usize..64,
     ) {
-        check_incremental_recompile(
+        check_mutation_recompiles_from_scratch(
             variables, domain, density, tightness, seed, kind, pick_a, pick_b,
         );
     }
@@ -386,16 +372,17 @@ proptest! {
         check_weight_kernel_agreement(variables, domain, seed);
     }
 
-    /// A `set_weight` patch equals a from-scratch weight-kernel compile and
-    /// reuses every untouched constraint's matrix by pointer.
+    /// A `set_weight` and then an `add_weight` after compiling each give a
+    /// weight kernel equal to a from-scratch compile; the parent keeps its
+    /// kernel.
     #[test]
-    fn weight_kernel_patch_matches_from_scratch(
+    fn weights_mutated_after_compiling_recompile_from_scratch(
         variables in 2usize..8,
         domain in 2usize..5,
         seed in 0u64..1000,
         pick in 0usize..1024,
     ) {
-        check_weight_incremental_recompile(variables, domain, seed, pick);
+        check_weight_mutation_recompiles_from_scratch(variables, domain, seed, pick);
     }
 }
 
@@ -403,12 +390,12 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// Heavy (nightly-style) variant of
-    /// [`incremental_recompile_matches_from_scratch`]: larger networks,
-    /// many more cases.  Run with `cargo test -p mlo-csp --test bitkernel
-    /// -- --ignored`.
+    /// [`network_mutated_after_compiling_recompiles_from_scratch`]: larger
+    /// networks, many more cases.  Run with `cargo test -p mlo-csp --test
+    /// bitkernel -- --ignored`.
     #[test]
     #[ignore = "heavy case count; CI runs it in the ignored-proptests job"]
-    fn incremental_recompile_matches_from_scratch_heavy(
+    fn network_mutated_after_compiling_recompiles_from_scratch_heavy(
         variables in 2usize..14,
         domain in 1usize..8,
         density in 0.1f64..1.0,
@@ -418,7 +405,7 @@ proptest! {
         pick_a in 0usize..256,
         pick_b in 0usize..256,
     ) {
-        check_incremental_recompile(
+        check_mutation_recompiles_from_scratch(
             variables, domain, density, tightness, seed, kind, pick_a, pick_b,
         );
     }
@@ -434,16 +421,17 @@ proptest! {
         check_weight_kernel_agreement(variables, domain, seed);
     }
 
-    /// Heavy variant of [`weight_kernel_patch_matches_from_scratch`].
+    /// Heavy variant of
+    /// [`weights_mutated_after_compiling_recompile_from_scratch`].
     #[test]
     #[ignore = "heavy case count; CI runs it in the ignored-proptests job"]
-    fn weight_kernel_patch_matches_from_scratch_heavy(
+    fn weights_mutated_after_compiling_recompile_from_scratch_heavy(
         variables in 2usize..11,
         domain in 2usize..7,
         seed in 0u64..100_000,
         pick in 0usize..65_536,
     ) {
-        check_weight_incremental_recompile(variables, domain, seed, pick);
+        check_weight_mutation_recompiles_from_scratch(variables, domain, seed, pick);
     }
 }
 

@@ -64,8 +64,8 @@ impl CandidateSet {
         let mut contributions = Vec::new();
         let mut value_indices = Vec::new();
         for (nest, nest_analysis) in program.nests().iter().zip(analysis.nests()) {
-            let orders = nest_analysis.orders().iter().enumerate();
-            for (order, transform) in orders.take(options.max_transforms_per_nest.max(1)) {
+            let orders = nest_analysis.orders().len();
+            for order in 0..orders.min(options.max_transforms_per_nest.max(1)) {
                 let preferred = analysis.preferred(nest.id(), order);
                 let mut preferences = Vec::with_capacity(preferred.len());
                 for (&array, &layout) in nest_analysis.arrays().iter().zip(preferred) {
@@ -78,7 +78,7 @@ impl CandidateSet {
                 if !preferences.is_empty() {
                     contributions.push(Contribution {
                         nest: nest.id(),
-                        transform: transform.describe(),
+                        order,
                         preferences,
                     });
                 }
@@ -281,7 +281,7 @@ mod tests {
             },
         );
         assert_eq!(capped.contributions.len(), 1);
-        assert_eq!(capped.contributions[0].transform, "identity");
+        assert_eq!(capped.contributions[0].order, 0);
         assert_eq!(capped.of(ArrayId::new(0)), &[Layout::diagonal()]);
     }
 

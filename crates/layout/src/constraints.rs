@@ -34,8 +34,9 @@ pub struct LayoutNetwork {
 pub struct Contribution {
     /// The nest that generated the pairs.
     pub nest: NestId,
-    /// A human-readable description of the restructuring.
-    pub transform: String,
+    /// The loop order: an index into the nest's `legal_permutations`,
+    /// where 0 is the original order.
+    pub order: usize,
     /// The arrays and layouts preferred under this restructuring.
     pub preferences: Vec<(ArrayId, Layout)>,
 }
@@ -307,14 +308,11 @@ mod tests {
     }
 
     #[test]
-    fn contributions_record_transform_descriptions() {
+    fn contributions_record_their_loop_order() {
         let p = two_nest_program();
         let ln = build_network(&p, &CandidateOptions::default());
-        assert!(ln.contributions().iter().any(|c| c.transform == "identity"));
-        assert!(ln
-            .contributions()
-            .iter()
-            .any(|c| c.transform.starts_with("permute")));
+        assert!(ln.contributions().iter().any(|c| c.order == 0));
+        assert!(ln.contributions().iter().any(|c| c.order > 0));
         // Every contribution references a nest of the program.
         for c in ln.contributions() {
             assert!(c.nest.index() < p.nests().len());

@@ -154,7 +154,7 @@ pub fn derive_weights(
         } else {
             1.0
         };
-        if contribution.transform == "identity" {
+        if contribution.order == 0 {
             weight *= options.identity_bonus.max(0.0);
         }
         for ((array_a, layout_a), (array_b, layout_b)) in contribution.preference_pairs() {

@@ -27,6 +27,7 @@
 
 use constraint_layout::benchmarks::generators::add_pipeline;
 use constraint_layout::benchmarks::random_program;
+use constraint_layout::ir::legal_permutations;
 use constraint_layout::layout::quality::best_nest_score;
 use constraint_layout::layout::{
     build_network_from, dynamic_plan, heuristic_assignment, DynamicOptions, Segmentation,
@@ -242,7 +243,8 @@ fn layout_family() -> u64 {
         hash.u64(network.contributions().len() as u64);
         for contribution in network.contributions() {
             hash.u64(contribution.nest.index() as u64);
-            hash.str(&contribution.transform);
+            let nest = &program.nests()[contribution.nest.index()];
+            hash.str(&legal_permutations(nest)[contribution.order].describe());
             hash.u64(contribution.preferences.len() as u64);
             for (array, layout) in &contribution.preferences {
                 hash.u64(array.index() as u64);
