@@ -1,11 +1,13 @@
 //! Cold preparation of one program: candidate enumeration, the constraint
-//! network built from those candidates, and the heuristic baseline, on
-//! each paper program and on one 64-stage image pipeline.  Every iteration
-//! starts from the program alone, as a session's first request for it
-//! does.
+//! network built from those candidates, the heuristic baseline, and a whole
+//! cold `enhanced` request in a fresh single-worker engine (the one-shot
+//! compiler-pass use), on each paper program and on one 64-stage image
+//! pipeline.  Every iteration starts from the program alone, as a session's
+//! first request for it does.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mlo_benchmarks::{generators::add_pipeline, Benchmark};
+use mlo_core::{Engine, OptimizeRequest};
 use mlo_ir::{Program, ProgramBuilder};
 use mlo_layout::{build_network_from, heuristic_assignment, CandidateOptions, CandidateSet};
 
@@ -44,6 +46,16 @@ fn prepare(c: &mut Criterion) {
             program,
             |b, program| b.iter(|| heuristic_assignment(program)),
         );
+        let request = OptimizeRequest::strategy("enhanced").candidates(*options);
+        group.bench_with_input(BenchmarkId::new("request", name), program, |b, program| {
+            b.iter(|| {
+                Engine::builder()
+                    .parallelism(1)
+                    .build()
+                    .optimize(program, &request)
+                    .expect("fallbacks are allowed")
+            })
+        });
     }
     group.finish();
 }

@@ -1011,6 +1011,37 @@ mod tests {
     }
 
     #[test]
+    fn solved_layouts_share_the_candidates_hyperplane_lists() {
+        // Shape's network is satisfiable and `enhanced` solves it, so every
+        // reported layout is a value the search picked from a domain.
+        let session = Engine::new().session();
+        let program = Benchmark::Shape.program();
+        let options = Benchmark::Shape.candidate_options();
+        let report = session
+            .optimize(
+                &program,
+                &OptimizeRequest::strategy("enhanced").candidates(options),
+            )
+            .unwrap();
+        assert_eq!(report.fallback, Fallback::None);
+        let prepared = session.prepared(&program, &options);
+        let network = prepared.network(&program);
+        for array in program.arrays() {
+            let solved = report.assignment.layout_of(array.id()).unwrap();
+            let var = network.variable_of(array.id()).unwrap();
+            let domain = network.network().domain(var);
+            let in_network = domain.value(domain.index_of(solved).unwrap());
+            let candidates = prepared.candidates(&program).of(array.id());
+            let candidate = candidates.iter().find(|&layout| layout == solved).unwrap();
+            assert!(std::ptr::eq(
+                candidate.hyperplanes(),
+                in_network.hyperplanes()
+            ));
+            assert!(std::ptr::eq(in_network.hyperplanes(), solved.hyperplanes()));
+        }
+    }
+
+    #[test]
     fn unsatisfiable_networks_fall_back_with_a_typed_reason() {
         let engine = Engine::new();
         let program = Benchmark::MxM.program();

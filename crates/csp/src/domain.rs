@@ -1,6 +1,7 @@
 //! Variable domains: the ordered set of values a variable may assume.
 
 use crate::Value;
+use std::collections::HashSet;
 use std::fmt;
 
 /// The domain of one constraint-network variable.
@@ -27,18 +28,27 @@ impl<V: Value> Domain<V> {
     /// Creates a domain from a list of values; duplicates are removed while
     /// preserving first-occurrence order.
     ///
-    /// Deduplication is hash-based (`O(n)` expected), so building a domain
-    /// from a large candidate list no longer pays the quadratic
-    /// `Vec::contains`-per-insert cost.
-    pub fn new(values: Vec<V>) -> Self {
-        let mut seen = std::collections::HashSet::with_capacity(values.len());
-        let mut unique = Vec::with_capacity(values.len());
-        for v in values {
-            if seen.insert(v.clone()) {
-                unique.push(v);
-            }
+    /// Deduplication hashes references into the caller's vector (`O(n)`
+    /// expected) and clones no value.  An already-unique list becomes the
+    /// domain as it is, buffer included; otherwise the later copies are
+    /// removed in place.
+    pub fn new(mut values: Vec<V>) -> Self {
+        let duplicates: Vec<usize> = {
+            let mut seen = HashSet::with_capacity(values.len());
+            (0..values.len())
+                .filter(|&i| !seen.insert(&values[i]))
+                .collect()
+        };
+        if !duplicates.is_empty() {
+            let mut index = 0;
+            let mut duplicates = duplicates.into_iter().peekable();
+            values.retain(|_| {
+                let keep = duplicates.next_if_eq(&index).is_none();
+                index += 1;
+                keep
+            });
         }
-        Domain { values: unique }
+        Domain { values }
     }
 
     /// Number of values.
@@ -124,6 +134,20 @@ impl<V: Value + fmt::Display> fmt::Display for Domain<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The reference dedup for `Domain::new`: every value cloned into a
+    /// `HashSet`, the survivors moved into a second vector.
+    fn clone_into_set_dedup<V: Value>(values: Vec<V>) -> Vec<V> {
+        let mut seen = HashSet::with_capacity(values.len());
+        let mut unique = Vec::with_capacity(values.len());
+        for v in values {
+            if seen.insert(v.clone()) {
+                unique.push(v);
+            }
+        }
+        unique
+    }
 
     #[test]
     fn construction_dedupes_preserving_order() {
@@ -131,6 +155,31 @@ mod tests {
         assert_eq!(d.values(), &[3, 1, 2]);
         assert_eq!(d.len(), 3);
         assert!(!d.is_empty());
+    }
+
+    #[test]
+    fn unique_values_keep_the_callers_buffer() {
+        let values: Vec<String> = ["a", "b", "c"].map(String::from).to_vec();
+        let (buffer, first) = (values.as_ptr(), values[0].as_ptr());
+        let d = Domain::new(values);
+        assert_eq!(d.values().as_ptr(), buffer, "no second vector");
+        assert_eq!(d.value(0).as_ptr(), first, "no value was cloned");
+        // With duplicates the survivors stay in the same buffer too.
+        let values: Vec<String> = ["a", "b", "a", "c", "b"].map(String::from).to_vec();
+        let buffer = values.as_ptr();
+        let d = Domain::new(values);
+        assert_eq!(d.values(), &["a", "b", "c"]);
+        assert_eq!(d.values().as_ptr(), buffer);
+    }
+
+    proptest! {
+        #[test]
+        fn dedup_matches_the_clone_into_set_oracle(
+            values in proptest::collection::vec(0u8..12, 0..40)
+        ) {
+            let expected = clone_into_set_dedup(values.clone());
+            prop_assert_eq!(Domain::new(values).values(), expected.as_slice());
+        }
     }
 
     #[test]

@@ -16,6 +16,12 @@
 //!   `times` counters and an optional seeded probability — either
 //!   programmatically via [`scoped`] or ambiently via the
 //!   [`MLO_FAILPOINTS`](ENV_VAR) environment variable.
+//! * A [`scoped`] plan fires only for the code it was armed for: the
+//!   arming thread and the [`WorkerPool`](crate::WorkerPool) jobs submitted
+//!   from it (each job carries its submitter's scope, transitively).  A
+//!   concurrently running test that merely passes through an armed site
+//!   neither fires the trigger nor consumes its counters.  The ambient
+//!   environment plan and [`install`]ed plans stay process-wide.
 //!
 //! Triggers are deterministic by construction: counters are per-site and
 //! the probability gate runs a seeded xorshift generator, so the same plan
@@ -34,7 +40,7 @@
 //! assert_eq!(guarded(), Ok(7)); // trigger budget exhausted
 //! ```
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
@@ -301,6 +307,9 @@ struct ActiveSite {
 #[derive(Debug, Default)]
 struct ActivePlan {
     sites: HashMap<String, ActiveSite>,
+    /// The scope the plan fires in: [`GLOBAL_SCOPE`] for ambient and
+    /// [`install`]ed plans, the arming token for [`scoped`] ones.
+    scope: u64,
 }
 
 /// Registry arming state: the one relaxed load every failpoint pays.
@@ -310,6 +319,11 @@ const STATE_ARMED: u8 = 2;
 
 static STATE: AtomicU8 = AtomicU8::new(STATE_UNINIT);
 static PLAN: RwLock<Option<Arc<ActivePlan>>> = RwLock::new(None);
+/// The scope of a plan that fires on every thread, and of a thread outside
+/// any [`scoped`] plan.
+const GLOBAL_SCOPE: u64 = 0;
+/// The next [`scoped`] plan's token.
+static NEXT_SCOPE: AtomicU64 = AtomicU64::new(GLOBAL_SCOPE + 1);
 /// Serializes installs (and the tests that use them) process-wide.
 static TEST_LOCK: Mutex<()> = Mutex::new(());
 /// Protects the one-time environment read.
@@ -319,6 +333,9 @@ thread_local! {
     /// The last site whose trigger fired on this thread, recorded *before*
     /// an injected panic unwinds so containment code can attribute it.
     static LAST_TRIGGERED: RefCell<Option<String>> = const { RefCell::new(None) };
+    /// The [`scoped`] plan this thread works for ([`GLOBAL_SCOPE`] when
+    /// none): set by the arming thread and by every pool job it submits.
+    static SCOPE: Cell<u64> = const { Cell::new(GLOBAL_SCOPE) };
 }
 
 /// Declares a failpoint.
@@ -374,8 +391,13 @@ pub fn hit(site: &str) -> Option<FaultError> {
     }
 }
 
-/// Installs `plan`, replacing any installed or ambient plan.
+/// Installs `plan` process-wide (it fires on every thread), replacing any
+/// installed or ambient plan.
 pub fn install(plan: FaultPlan) {
+    install_in(plan, GLOBAL_SCOPE);
+}
+
+fn install_in(plan: FaultPlan, scope: u64) {
     let mut sites = HashMap::new();
     for (site, trigger) in plan.entries {
         let seed = trigger.probability.map(|(_, seed)| seed).unwrap_or(0);
@@ -389,7 +411,7 @@ pub fn install(plan: FaultPlan) {
             },
         );
     }
-    *write_plan() = Some(Arc::new(ActivePlan { sites }));
+    *write_plan() = Some(Arc::new(ActivePlan { sites, scope }));
     STATE.store(STATE_ARMED, Ordering::SeqCst);
 }
 
@@ -405,21 +427,56 @@ pub fn clear() {
 /// with every other scoped plan in the process (tests that inject faults
 /// cannot race each other's registries).  Dropping the guard restores the
 /// uninitialized state (see [`clear`]).
+///
+/// The plan fires only on the calling thread and in the
+/// [`WorkerPool`](crate::WorkerPool) jobs submitted from it, directly or
+/// through nested jobs: a thread that works for nobody's scope passes its
+/// sites untouched while the plan is armed.
 pub fn scoped(plan: FaultPlan) -> ScopedPlan {
     let lock = TEST_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-    install(plan);
-    ScopedPlan { _lock: lock }
+    let scope = NEXT_SCOPE.fetch_add(1, Ordering::Relaxed);
+    install_in(plan, scope);
+    ScopedPlan {
+        _lock: lock,
+        _scope: enter_scope(scope),
+    }
 }
 
 /// Guard of a [`scoped`] plan installation.
 #[derive(Debug)]
 pub struct ScopedPlan {
     _lock: MutexGuard<'static, ()>,
+    _scope: ScopeGuard,
 }
 
 impl Drop for ScopedPlan {
     fn drop(&mut self) {
         clear();
+    }
+}
+
+/// The scope the calling thread works for, which a pool job carries from
+/// its submitter.
+pub(crate) fn current_scope() -> u64 {
+    SCOPE.with(Cell::get)
+}
+
+/// Puts the calling thread in `scope` until the guard drops.
+pub(crate) fn enter_scope(scope: u64) -> ScopeGuard {
+    ScopeGuard {
+        previous: SCOPE.with(|current| current.replace(scope)),
+    }
+}
+
+/// Restores a thread's previous scope on drop (panics included).
+#[derive(Debug)]
+pub(crate) struct ScopeGuard {
+    previous: u64,
+}
+
+impl Drop for ScopeGuard {
+    fn drop(&mut self) {
+        SCOPE.with(|current| current.set(self.previous));
     }
 }
 
@@ -469,6 +526,9 @@ fn fire(site: &str) -> Option<FaultError> {
         let guard = PLAN.read().unwrap_or_else(PoisonError::into_inner);
         guard.as_ref().map(Arc::clone)
     }?;
+    if plan.scope != GLOBAL_SCOPE && plan.scope != current_scope() {
+        return None;
+    }
     let state = plan.sites.get(site)?;
     let sequence = state.hits.fetch_add(1, Ordering::Relaxed);
     if sequence < state.trigger.skip {
@@ -587,6 +647,30 @@ mod tests {
         assert_eq!(take_last_triggered(), None, "taking clears the record");
         // The trigger budget is spent; the site is quiet now.
         assert!(hit("test.panic").is_none());
+    }
+
+    #[test]
+    fn scoped_plans_fire_only_in_their_own_scope() {
+        let _plan = scoped(FaultPlan::new().with("test.scope", FaultTrigger::error().times(1)));
+        let unrelated = std::thread::spawn(|| hit("test.scope").is_some());
+        assert!(!unrelated.join().unwrap(), "an unrelated thread fired");
+        // The unrelated pass consumed nothing: the one firing is still here.
+        assert!(hit("test.scope").is_some());
+        assert!(hit("test.scope").is_none());
+    }
+
+    #[test]
+    fn scope_guards_restore_the_previous_scope() {
+        assert_eq!(current_scope(), GLOBAL_SCOPE);
+        {
+            let _outer = enter_scope(7);
+            {
+                let _inner = enter_scope(9);
+                assert_eq!(current_scope(), 9);
+            }
+            assert_eq!(current_scope(), 7);
+        }
+        assert_eq!(current_scope(), GLOBAL_SCOPE);
     }
 
     #[test]

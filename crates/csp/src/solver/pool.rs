@@ -48,18 +48,25 @@ pub struct JobPanic {
     pub failpoint: Option<String>,
 }
 
-/// A unit of work executed by the pool: the job body plus an optional
-/// panic observer.
+/// A unit of work executed by the pool: the job body, an optional panic
+/// observer and the fault scope of its submitter (see [`crate::fault`]).
 struct Job {
     run: Box<dyn FnOnce() + Send + 'static>,
     on_panic: Option<Box<dyn FnOnce(JobPanic) + Send + 'static>>,
+    scope: u64,
 }
 
 /// Runs one job with panic containment, routing any captured panic to the
 /// job's observer.  Shared by the worker loop and [`WorkerPool::help_run_one`]
-/// so both execution paths have identical failure semantics.
+/// so both execution paths have identical failure semantics.  The job and
+/// its observer run in their submitter's fault scope.
 fn run_job(job: Job) {
-    let Job { run, on_panic } = job;
+    let Job {
+        run,
+        on_panic,
+        scope,
+    } = job;
+    let _scope = crate::fault::enter_scope(scope);
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         crate::fail_point!("pool.job");
         run();
@@ -148,6 +155,7 @@ impl WorkerPool {
         self.submit(Job {
             run: Box::new(job),
             on_panic: None,
+            scope: crate::fault::current_scope(),
         });
     }
 
@@ -169,6 +177,7 @@ impl WorkerPool {
         self.submit(Job {
             run: Box::new(job),
             on_panic: Some(Box::new(on_panic)),
+            scope: crate::fault::current_scope(),
         });
     }
 
@@ -382,5 +391,30 @@ mod tests {
         let panic = rx.recv().unwrap();
         assert_eq!(panic.failpoint.as_deref(), Some("pool.job"));
         assert!(panic.message.contains("pool.job"));
+    }
+
+    #[test]
+    fn jobs_carry_their_submitters_fault_scope() {
+        /// Runs one observed no-op job; `Some` when it panicked.
+        fn observed(pool: &WorkerPool) -> Option<JobPanic> {
+            let (tx, rx) = channel();
+            let on_panic = tx.clone();
+            pool.execute_observed(
+                move || tx.send(None).unwrap(),
+                move |panic| on_panic.send(Some(panic)).unwrap(),
+            );
+            rx.recv().unwrap()
+        }
+        let _plan = crate::fault::scoped(
+            crate::fault::FaultPlan::new()
+                .with("pool.job", crate::fault::FaultTrigger::panic().times(1)),
+        );
+        let pool = WorkerPool::new(1);
+        // Submitted from a thread outside the plan's scope: the armed site
+        // stays quiet and keeps its one firing.
+        let outsider = std::thread::scope(|s| s.spawn(|| observed(&pool)).join().unwrap());
+        assert_eq!(outsider, None);
+        let panic = observed(&pool).expect("the arming thread's job fires");
+        assert_eq!(panic.failpoint.as_deref(), Some("pool.job"));
     }
 }

@@ -10,6 +10,7 @@
 
 use mlo_linalg::{rank, IntMat, IntVec};
 use std::fmt;
+use std::sync::Arc;
 
 /// A single layout hyperplane vector, kept in canonical form (components
 /// divided by their GCD, first non-zero component positive).
@@ -114,6 +115,12 @@ impl fmt::Display for Hyperplane {
 /// layout (the paper's Section 2 uses one vector for two-dimensional
 /// arrays and an ordered pair for three-dimensional ones).
 ///
+/// The hyperplanes are held in one shared, immutable list: cloning a layout
+/// (into candidate domains, network domains, assignments and reports) is a
+/// reference-count bump, and every clone's [`Layout::hyperplanes`] is the
+/// same slice.  Equality, hashing, ordering and `Debug` output are those of
+/// the hyperplane list itself, exactly as if it were a `Vec`.
+///
 /// # Examples
 ///
 /// ```
@@ -124,7 +131,7 @@ impl fmt::Display for Hyperplane {
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Layout {
-    hyperplanes: Vec<Hyperplane>,
+    hyperplanes: Arc<[Hyperplane]>,
 }
 
 impl Layout {
@@ -144,7 +151,9 @@ impl Layout {
             hyperplanes.iter().all(|h| h.dim() == dim),
             "all hyperplanes of a layout must have the same dimensionality"
         );
-        Layout { hyperplanes }
+        Layout {
+            hyperplanes: hyperplanes.into(),
+        }
     }
 
     /// Creates a layout from a single hyperplane vector.
@@ -358,6 +367,35 @@ mod tests {
         assert!(!Layout::row_major(3).is_empty());
     }
 
+    /// The reference for `Layout`'s derived traits: the same name and
+    /// derives over a `Vec` of hyperplanes.
+    mod vec_backed {
+        use super::Hyperplane;
+
+        #[derive(Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+        pub struct Layout {
+            pub hyperplanes: Vec<Hyperplane>,
+        }
+    }
+
+    fn hash_of(value: &impl std::hash::Hash) -> u64 {
+        use std::hash::Hasher;
+        let mut hasher = std::collections::hash_map::DefaultHasher::new();
+        value.hash(&mut hasher);
+        hasher.finish()
+    }
+
+    #[test]
+    fn clones_share_the_hyperplane_list() {
+        let layout = Layout::column_major(3);
+        let clone = layout.clone();
+        assert!(std::ptr::eq(layout.hyperplanes(), clone.hyperplanes()));
+        // An equal layout built on its own holds its own list.
+        let rebuilt = Layout::column_major(3);
+        assert_eq!(rebuilt, layout);
+        assert!(!std::ptr::eq(layout.hyperplanes(), rebuilt.hyperplanes()));
+    }
+
     #[test]
     #[should_panic(expected = "same dimensionality")]
     fn mixed_dimensionality_rejected() {
@@ -376,6 +414,28 @@ mod tests {
             let h1 = Hyperplane::new(vec![a, b]);
             let h2 = Hyperplane::new(vec![a * k, b * k]);
             prop_assert_eq!(h1, h2);
+        }
+
+        #[test]
+        fn derives_match_a_vec_backed_layout(
+            a in proptest::collection::vec(proptest::collection::vec(-2i64..3, 3), 1..4),
+            b in proptest::collection::vec(proptest::collection::vec(-2i64..3, 3), 1..4),
+        ) {
+            let hyperplanes = |rows: Vec<Vec<i64>>| -> Vec<Hyperplane> {
+                rows.into_iter().filter_map(Hyperplane::try_new).collect()
+            };
+            let (a, b) = (hyperplanes(a), hyperplanes(b));
+            prop_assume!(!a.is_empty() && !b.is_empty());
+            let (shared_a, shared_b) = (Layout::new(a.clone()), Layout::new(b.clone()));
+            let (vec_a, vec_b) = (
+                vec_backed::Layout { hyperplanes: a },
+                vec_backed::Layout { hyperplanes: b },
+            );
+            prop_assert_eq!(format!("{shared_a:?}"), format!("{vec_a:?}"));
+            prop_assert_eq!(format!("{shared_a:#?}"), format!("{vec_a:#?}"));
+            prop_assert_eq!(hash_of(&shared_a), hash_of(&vec_a));
+            prop_assert_eq!(shared_a.cmp(&shared_b), vec_a.cmp(&vec_b));
+            prop_assert_eq!(shared_a == shared_b, vec_a == vec_b);
         }
 
         #[test]
