@@ -1,6 +1,8 @@
-//! Cold preparation of one program: candidate enumeration, the constraint
-//! network built from those candidates, the heuristic baseline, and a whole
-//! cold `enhanced` request in a fresh single-worker engine (the one-shot
+//! Cold preparation of one program: the loop-order analysis alone
+//! (`ProgramAnalysis::new`, which candidate enumeration and the heuristic
+//! each build first), candidate enumeration, the constraint network built
+//! from those candidates, the heuristic baseline, and a whole cold
+//! `enhanced` request in a fresh single-worker engine (the one-shot
 //! compiler-pass use), on each paper program and on one 64-stage image
 //! pipeline.  Every iteration starts from the program alone, as a session's
 //! first request for it does.
@@ -9,7 +11,9 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mlo_benchmarks::{generators::add_pipeline, Benchmark};
 use mlo_core::{Engine, OptimizeRequest};
 use mlo_ir::{Program, ProgramBuilder};
-use mlo_layout::{build_network_from, heuristic_assignment, CandidateOptions, CandidateSet};
+use mlo_layout::{
+    build_network_from, heuristic_assignment, CandidateOptions, CandidateSet, ProgramAnalysis,
+};
 
 /// A 64-stage pipeline over 64×64 images with two shared coefficient
 /// arrays.
@@ -32,6 +36,9 @@ fn prepare(c: &mut Criterion) {
     programs.push((pipeline(), CandidateOptions::default()));
     for (program, options) in &programs {
         let name = program.name();
+        group.bench_with_input(BenchmarkId::new("analysis", name), program, |b, program| {
+            b.iter(|| ProgramAnalysis::new(program))
+        });
         group.bench_with_input(
             BenchmarkId::new("candidates", name),
             program,

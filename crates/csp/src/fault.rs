@@ -36,16 +36,21 @@
 //! }
 //!
 //! let _plan = fault::scoped(FaultPlan::new().with("doc.example", FaultTrigger::error().times(1)));
+//! # #[cfg(feature = "failpoints")] // without it no site fires
 //! assert!(guarded().is_err()); // first hit fires
 //! assert_eq!(guarded(), Ok(7)); // trigger budget exhausted
 //! ```
 
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
+#[cfg(feature = "failpoints")]
+use std::{
+    collections::HashMap,
+    sync::{Arc, RwLock},
+};
 
 /// The environment variable holding an ambient fault plan, read on the
 /// first failpoint hit of the process.
@@ -293,6 +298,7 @@ fn parse_trigger(spec: &str) -> Result<FaultTrigger, FaultParseError> {
 }
 
 /// Per-site runtime state of an installed plan.
+#[cfg(feature = "failpoints")]
 #[derive(Debug)]
 struct ActiveSite {
     trigger: FaultTrigger,
@@ -304,6 +310,7 @@ struct ActiveSite {
     rng: AtomicU64,
 }
 
+#[cfg(feature = "failpoints")]
 #[derive(Debug, Default)]
 struct ActivePlan {
     sites: HashMap<String, ActiveSite>,
@@ -314,10 +321,13 @@ struct ActivePlan {
 
 /// Registry arming state: the one relaxed load every failpoint pays.
 const STATE_UNINIT: u8 = 0;
+#[cfg(feature = "failpoints")]
 const STATE_DISARMED: u8 = 1;
+#[cfg(feature = "failpoints")]
 const STATE_ARMED: u8 = 2;
 
 static STATE: AtomicU8 = AtomicU8::new(STATE_UNINIT);
+#[cfg(feature = "failpoints")]
 static PLAN: RwLock<Option<Arc<ActivePlan>>> = RwLock::new(None);
 /// The scope of a plan that fires on every thread, and of a thread outside
 /// any [`scoped`] plan.
@@ -327,6 +337,7 @@ static NEXT_SCOPE: AtomicU64 = AtomicU64::new(GLOBAL_SCOPE + 1);
 /// Serializes installs (and the tests that use them) process-wide.
 static TEST_LOCK: Mutex<()> = Mutex::new(());
 /// Protects the one-time environment read.
+#[cfg(feature = "failpoints")]
 static ENV_INIT: Mutex<()> = Mutex::new(());
 
 thread_local! {
@@ -397,6 +408,12 @@ pub fn install(plan: FaultPlan) {
     install_in(plan, GLOBAL_SCOPE);
 }
 
+/// Arms `plan` for `scope`.  Without the `failpoints` feature no site can
+/// fire, so nothing is armed.
+#[cfg(not(feature = "failpoints"))]
+fn install_in(_plan: FaultPlan, _scope: u64) {}
+
+#[cfg(feature = "failpoints")]
 fn install_in(plan: FaultPlan, scope: u64) {
     let mut sites = HashMap::new();
     for (site, trigger) in plan.entries {
@@ -419,7 +436,10 @@ fn install_in(plan: FaultPlan, scope: u64) {
 /// state, so an ambient [`ENV_VAR`] plan (if present) re-arms on the next
 /// hit — a scoped override never permanently masks the environment.
 pub fn clear() {
-    *write_plan() = None;
+    #[cfg(feature = "failpoints")]
+    {
+        *write_plan() = None;
+    }
     STATE.store(STATE_UNINIT, Ordering::SeqCst);
 }
 
@@ -500,6 +520,7 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
+#[cfg(feature = "failpoints")]
 fn write_plan() -> std::sync::RwLockWriteGuard<'static, Option<Arc<ActivePlan>>> {
     PLAN.write().unwrap_or_else(PoisonError::into_inner)
 }
@@ -614,6 +635,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg(feature = "failpoints")]
     fn skip_and_times_gate_deterministically() {
         let _plan =
             scoped(FaultPlan::new().with("test.count", FaultTrigger::error().skip(2).times(2)));
@@ -624,6 +646,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg(feature = "failpoints")]
     fn seeded_probability_is_reproducible() {
         let roll = || -> Vec<bool> {
             let _plan = scoped(
@@ -638,6 +661,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg(feature = "failpoints")]
     fn injected_panics_record_the_site() {
         let _plan = scoped(FaultPlan::new().with("test.panic", FaultTrigger::panic().times(1)));
         let result = std::panic::catch_unwind(|| hit("test.panic"));
@@ -650,6 +674,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg(feature = "failpoints")]
     fn scoped_plans_fire_only_in_their_own_scope() {
         let _plan = scoped(FaultPlan::new().with("test.scope", FaultTrigger::error().times(1)));
         let unrelated = std::thread::spawn(|| hit("test.scope").is_some());
@@ -680,6 +705,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg(feature = "failpoints")]
     fn delay_actions_sleep_then_continue() {
         let _plan = scoped(FaultPlan::new().with("test.delay", FaultTrigger::delay_ms(5).times(1)));
         let start = std::time::Instant::now();

@@ -380,6 +380,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg(feature = "failpoints")]
     fn injected_pool_panics_record_the_failpoint() {
         let _plan = crate::fault::scoped(
             crate::fault::FaultPlan::new()
@@ -394,6 +395,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg(feature = "failpoints")]
     fn jobs_carry_their_submitters_fault_scope() {
         /// Runs one observed no-op job; `Some` when it panicked.
         fn observed(pool: &WorkerPool) -> Option<JobPanic> {

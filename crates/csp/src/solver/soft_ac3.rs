@@ -821,6 +821,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg(feature = "failpoints")]
     fn revise_fail_point_panics_are_injected() {
         let plan =
             crate::fault::FaultPlan::parse("soft_ac3.revise=panic@times=1").expect("valid plan");

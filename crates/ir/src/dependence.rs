@@ -68,6 +68,15 @@ impl fmt::Display for DistanceVector {
     }
 }
 
+/// The most loop permutations [`DependenceAnalysis::legal_orders`] examines
+/// per nest: `8!`.  Every nest of depth 8 or less is enumerated completely;
+/// a deeper nest is examined in the first `8!` permutations of the
+/// lexicographic order, which keep its outer `depth - 8` loops in place and
+/// permute its innermost eight.  The cap bounds the work and memory a
+/// request can cost: a dependence-free nest of depth `d` has `d!` legal
+/// orders.
+pub const MAX_EXAMINED_ORDERS: usize = 40_320;
+
 /// Dependence analysis results for one loop nest.
 #[derive(Debug, Clone, Default)]
 pub struct DependenceAnalysis {
@@ -144,6 +153,70 @@ impl DependenceAnalysis {
         }
         true
     }
+
+    /// Whether running the loops in `order` (`order[k]` is the original
+    /// loop at position `k`, outermost first) preserves every dependence:
+    /// each distance, read in permuted order (`d[order[0]], d[order[1]],
+    /// ...`), must stay lexicographically non-negative.  This is
+    /// [`is_legal`](Self::is_legal) of the permutation's matrix without
+    /// forming it.  The identity is always legal; a dependence of unknown
+    /// distance admits nothing else.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `order` is not a permutation of `0..order.len()` and a
+    /// distance is read at an entry out of that range.
+    pub fn is_legal_order(&self, order: &[usize]) -> bool {
+        let identity = order.iter().enumerate().all(|(k, &l)| k == l);
+        identity
+            || self.dependences.iter().all(|dep| match &dep.distance {
+                Some(d) if d.is_zero() => true,
+                Some(d) => {
+                    d.dim() == order.len()
+                        && order
+                            .iter()
+                            .map(|&l| d[l])
+                            .find(|&x| x != 0)
+                            .is_none_or(|x| x > 0)
+                }
+                None => false,
+            })
+    }
+
+    /// Calls `visit` with every legal loop order of a `depth`-deep nest
+    /// (see [`is_legal_order`](Self::is_legal_order)), in the lexicographic
+    /// order of [`all_permutations`](crate::all_permutations), so the
+    /// identity comes first.  At most [`MAX_EXAMINED_ORDERS`] permutations
+    /// are examined, all in one buffer: `visit` borrows each order.
+    pub fn legal_orders(&self, depth: usize, mut visit: impl FnMut(&[usize])) {
+        let mut order: Vec<usize> = (0..depth).collect();
+        for _ in 0..MAX_EXAMINED_ORDERS {
+            if self.is_legal_order(&order) {
+                visit(&order);
+            }
+            if !next_permutation(&mut order) {
+                break;
+            }
+        }
+    }
+}
+
+/// Advances `order` to the next permutation in lexicographic order, or
+/// returns `false` when it is the last.
+fn next_permutation(order: &mut [usize]) -> bool {
+    // The rightmost position whose successor is larger, then the rightmost
+    // larger entry after it: swap them and reverse the descending tail.
+    let Some(pivot) = (1..order.len()).rev().find(|&i| order[i - 1] < order[i]) else {
+        return false;
+    };
+    let pivot = pivot - 1;
+    let successor = (pivot + 1..order.len())
+        .rev()
+        .find(|&i| order[i] > order[pivot])
+        .expect("the entry after the pivot is larger");
+    order.swap(pivot, successor);
+    order[pivot + 1..].reverse();
+    true
 }
 
 /// Whether a vector is lexicographically non-negative (first non-zero

@@ -11,7 +11,8 @@
 //! * the **loop nests** themselves ([`LoopNest`]: rectangular bounds, the
 //!   references in the body, an instruction-cost estimate),
 //! * **data dependences** between references to decide which loop
-//!   transformations are legal ([`dependence`]),
+//!   transformations are legal, and the legal loop orders of a nest as
+//!   index permutations, at most `8!` per nest ([`dependence`]),
 //! * candidate **loop transformations** (unimodular matrices, in particular
 //!   permutations) and their effect on accesses ([`transform`]),
 //! * a **cost model** ranking nests by importance ([`cost`]), which the
@@ -56,6 +57,8 @@ pub mod dependence;
 pub mod ids;
 pub mod iteration;
 pub mod nest;
+#[cfg(test)]
+mod oracle;
 pub mod program;
 pub mod reference;
 pub mod transform;
@@ -64,7 +67,7 @@ pub use access::{AccessBuilder, AffineAccess};
 pub use array::ArrayDecl;
 pub use builder::{NestBuilder, ProgramBuilder};
 pub use cost::{nest_cost, rank_nests_by_cost};
-pub use dependence::{DependenceAnalysis, DependenceKind, DistanceVector};
+pub use dependence::{DependenceAnalysis, DependenceKind, DistanceVector, MAX_EXAMINED_ORDERS};
 pub use ids::{ArrayId, NestId, RefId};
 pub use iteration::IterationSpace;
 pub use nest::{Loop, LoopNest};

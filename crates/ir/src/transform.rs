@@ -3,8 +3,13 @@
 //! The constraint network offers, for every nest, one preferred layout
 //! combination per *candidate restructuring* of that nest.  The candidate
 //! set used here is the set of legal loop permutations (the transformations
-//! the paper's example — interchange in Figure 2 — uses), optionally
-//! extended with the identity only.
+//! the paper's example — interchange in Figure 2 — uses).  They are
+//! enumerated as index permutations by
+//! [`DependenceAnalysis::legal_orders`], which reads each dependence
+//! distance in permuted order and examines at most
+//! [`MAX_EXAMINED_ORDERS`](crate::MAX_EXAMINED_ORDERS) permutations per
+//! nest; a [`LoopTransform`] holds the matrices of one order for the callers
+//! that rewrite accesses or iteration spaces with it.
 
 use crate::dependence::DependenceAnalysis;
 use crate::nest::LoopNest;
@@ -165,10 +170,11 @@ impl fmt::Display for LoopTransform {
     }
 }
 
-/// Enumerates all loop permutations of `depth` loops.
+/// Enumerates all loop permutations of `depth` loops, in lexicographic
+/// order.
 ///
-/// The count is `depth!`; benchmark nests are at most 3–4 deep so this stays
-/// tiny.
+/// The count is `depth!`, unbounded; [`legal_permutations`] enumerates the
+/// same order without materializing it and caps it.
 pub fn all_permutations(depth: usize) -> Vec<Vec<usize>> {
     let mut result = Vec::new();
     let mut current: Vec<usize> = Vec::with_capacity(depth);
@@ -198,15 +204,21 @@ pub fn all_permutations(depth: usize) -> Vec<Vec<usize>> {
 }
 
 /// Enumerates the *legal* candidate transformations of a nest: every loop
-/// permutation that preserves all data dependences (the identity is always
-/// included and always first).
+/// permutation that preserves all data dependences, in the lexicographic
+/// order of [`all_permutations`] (the identity is always included and
+/// always first).
+///
+/// At most [`MAX_EXAMINED_ORDERS`](crate::dependence::MAX_EXAMINED_ORDERS)
+/// (`8! = 40,320`) permutations are examined: a nest of depth 8 or less
+/// gets every legal order, a deeper one only those among the first `8!`
+/// (which keep its outer `depth - 8` loops in place).  See
+/// [`DependenceAnalysis::legal_orders`], which this wraps.
 pub fn legal_permutations(nest: &LoopNest) -> Vec<LoopTransform> {
-    let deps = DependenceAnalysis::of_nest(nest);
-    all_permutations(nest.depth())
-        .iter()
-        .map(|order| LoopTransform::permutation(order))
-        .filter(|t| t.is_identity() || deps.is_legal(t.matrix()))
-        .collect()
+    let mut legal = Vec::new();
+    DependenceAnalysis::of_nest(nest).legal_orders(nest.depth(), |order| {
+        legal.push(LoopTransform::permutation(order));
+    });
+    legal
 }
 
 #[cfg(test)]

@@ -1,108 +1,188 @@
-//! The loop-order analysis of one nest — its legal loop orders and, under
-//! each, the innermost movement direction of every reference (paper,
-//! Sections 2, 3 and 5) — and of a whole program, whose preferred layouts
-//! are derived once per distinct set of movement directions.
+//! The loop-order analysis of a program's nests — their legal loop orders
+//! and, under each, the innermost movement direction of every reference
+//! (paper, Sections 2, 3 and 5) — and the layouts each nest prefers, derived
+//! once per distinct set of movement directions.
+//!
+//! Every legal order is a permutation, so per step of an order's innermost
+//! loop a reference moves along that loop's access-matrix column.  The
+//! analysis therefore keeps each order as a flat index permutation and the
+//! movements once per distinct innermost loop, read straight from the access
+//! matrices, in a few vectors shared by all the nests of a program.  An
+//! order becomes a [`LoopTransform`] only when a caller asks for it.
 
 use crate::hyperplane::Layout;
 use crate::locality::{layout_for_moving, moving_directions};
-use mlo_ir::{legal_permutations, ArrayId, LoopNest, LoopTransform, NestId, Program};
-use mlo_linalg::IntVec;
+use mlo_ir::{ArrayId, DependenceAnalysis, LoopNest, LoopTransform, NestId, Program};
 use std::collections::HashMap;
+use std::ops::Range;
 
-/// The legal loop orders of one nest and the innermost movement direction
-/// of every reference under each of them.
+/// The legal loop orders of a list of nests (those of
+/// [`mlo_ir::legal_permutations`], identity first) and every reference's
+/// movement under them, in vectors shared by all the nests.
 ///
-/// Every legal order is a permutation, so under an order a reference moves
-/// along the access-matrix column of the loop that the order puts
-/// innermost.  The movements are therefore kept once per innermost loop,
-/// and orders that put the same loop innermost share them, together with
-/// their preferred layouts and locality scores.
-#[derive(Debug, Clone)]
-pub struct NestAnalysis {
-    iterations: i64,
+/// Orders that put the same loop innermost share one *slot*: the
+/// references' movements, and with them the preferred layouts and locality
+/// scores.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct LoopOrders {
+    spans: Vec<Span>,
+    /// Every nest's legal orders, `depth` loops each (outermost first).
+    loops: Vec<usize>,
+    /// Per order: the slot of the loop it puts innermost.  A nest numbers
+    /// its slots from 0 in order of first appearance among its orders.
+    slots: Vec<usize>,
+    /// Per slot: the first of its nest's orders (numbered from 0) that puts
+    /// the slot's loop innermost.
+    first: Vec<usize>,
+    /// Every nest's distinct arrays, in first-appearance order.
     arrays: Vec<ArrayId>,
-    orders: Vec<LoopTransform>,
-    /// `innermost[k]`: the index in `movements` of the loop order `k` puts
-    /// innermost.  Indices are numbered in order of first appearance.
-    innermost: Vec<usize>,
-    /// `movements[l][r]`: the array of reference `r` and its movement per
-    /// step of the `l`-th distinct innermost loop, in order of first
-    /// appearance among the orders.
-    movements: Vec<Vec<(ArrayId, IntVec)>>,
+    /// Every reference's array and subscript count, in body order.
+    references: Vec<(ArrayId, usize)>,
+    /// Per slot, one block: every reference of the nest's movement per step
+    /// of the slot's loop (that loop's access-matrix column), in body
+    /// order.  In a nest without loops nothing moves.
+    movements: Vec<i64>,
 }
 
-impl NestAnalysis {
-    /// Analyses one nest under each of its [`legal_permutations`].
-    pub fn new(nest: &LoopNest) -> Self {
-        let orders = legal_permutations(nest);
-        // `None` only for a nest without loops.
-        let innermost_loop = |order: &LoopTransform| {
-            let permutation = order
-                .permutation_order()
-                .expect("legal loop orders are permutations");
-            permutation.last().copied()
+/// Where one nest's entries sit in the vectors of a [`LoopOrders`].
+#[derive(Debug, Clone)]
+struct Span {
+    iterations: i64,
+    depth: usize,
+    /// The nest's orders in `slots`; order `k`'s loops start at
+    /// `loops + k * depth` in `LoopOrders::loops`.
+    orders: Range<usize>,
+    loops: usize,
+    /// The nest's slots in `first`; slot `s`'s movements start at
+    /// `movements + s * block` in `LoopOrders::movements`.
+    slots: Range<usize>,
+    movements: usize,
+    block: usize,
+    arrays: Range<usize>,
+    references: Range<usize>,
+}
+
+impl LoopOrders {
+    /// Analyses each of `nests` under each of its legal loop orders (see
+    /// [`DependenceAnalysis::legal_orders`]).
+    pub(crate) fn new(nests: &[LoopNest]) -> Self {
+        let mut tables = LoopOrders {
+            spans: Vec::with_capacity(nests.len()),
+            ..LoopOrders::default()
         };
-        let mut innermost: Vec<usize> = Vec::with_capacity(orders.len());
-        let mut movements: Vec<Vec<(ArrayId, IntVec)>> = Vec::new();
-        for order in &orders {
-            let inner = innermost_loop(order);
-            let earlier = orders
-                .iter()
-                .zip(&innermost)
-                .find(|(earlier, _)| innermost_loop(earlier) == inner);
-            let index = match earlier {
-                Some((_, &index)) => index,
-                None => {
-                    movements.push(
-                        nest.references()
-                            .iter()
-                            .map(|r| {
-                                (
-                                    r.array(),
-                                    r.access().innermost_direction_under(order.inverse()),
-                                )
-                            })
-                            .collect(),
-                    );
-                    movements.len() - 1
-                }
-            };
-            innermost.push(index);
+        // The slot of each loop of the current nest, once it ran innermost.
+        let mut slot_of_loop: Vec<Option<usize>> = Vec::new();
+        for nest in nests {
+            tables.push(nest, &mut slot_of_loop);
         }
-        NestAnalysis {
-            iterations: nest.iteration_count(),
-            arrays: nest.referenced_arrays(),
-            orders,
-            innermost,
-            movements,
-        }
+        tables
     }
 
-    /// The legal loop orders, identity first: what `order` arguments index.
-    pub fn orders(&self) -> &[LoopTransform] {
-        &self.orders
+    /// Appends the analysis of `nest`.
+    fn push(&mut self, nest: &LoopNest, slot_of_loop: &mut Vec<Option<usize>>) {
+        let depth = nest.depth();
+        let mut span = Span {
+            iterations: nest.iteration_count(),
+            depth,
+            orders: self.slots.len()..self.slots.len(),
+            loops: self.loops.len(),
+            slots: self.first.len()..self.first.len(),
+            movements: self.movements.len(),
+            block: nest
+                .references()
+                .iter()
+                .map(|r| r.access().array_rank())
+                .sum(),
+            arrays: self.arrays.len()..self.arrays.len(),
+            references: self.references.len()..self.references.len(),
+        };
+        for reference in nest.references() {
+            let array = reference.array();
+            self.references
+                .push((array, reference.access().array_rank()));
+            if !self.arrays[span.arrays.start..].contains(&array) {
+                self.arrays.push(array);
+            }
+        }
+        slot_of_loop.clear();
+        slot_of_loop.resize(depth, None);
+        DependenceAnalysis::of_nest(nest).legal_orders(depth, |order| {
+            let inner = order.last().copied();
+            let slot = match inner.and_then(|l| slot_of_loop[l]) {
+                Some(slot) => slot,
+                None => {
+                    let slot = self.first.len() - span.slots.start;
+                    if let Some(l) = inner {
+                        slot_of_loop[l] = Some(slot);
+                    }
+                    self.first.push(self.slots.len() - span.orders.start);
+                    for reference in nest.references() {
+                        let matrix = reference.access().matrix();
+                        self.movements.extend(
+                            (0..matrix.rows()).map(|dim| inner.map_or(0, |l| matrix.get(dim, l))),
+                        );
+                    }
+                    slot
+                }
+            };
+            self.slots.push(slot);
+            self.loops.extend_from_slice(order);
+        });
+        span.orders.end = self.slots.len();
+        span.slots.end = self.first.len();
+        span.arrays.end = self.arrays.len();
+        span.references.end = self.references.len();
+        self.spans.push(span);
+    }
+
+    /// The analysis of the nest at `index` of the list.
+    pub(crate) fn nest(&self, index: usize) -> NestAnalysis<'_> {
+        NestAnalysis {
+            tables: self,
+            span: &self.spans[index],
+        }
+    }
+}
+
+/// The legal loop orders of one nest of a [`ProgramAnalysis`] and the
+/// innermost movement direction of every reference under each of them.
+///
+/// The orders are those of [`mlo_ir::legal_permutations`], identity first;
+/// [`transform`](Self::transform) builds the [`LoopTransform`] of one.
+#[derive(Debug, Clone, Copy)]
+pub struct NestAnalysis<'a> {
+    tables: &'a LoopOrders,
+    span: &'a Span,
+}
+
+impl<'a> NestAnalysis<'a> {
+    /// The number of legal loop orders: what `order` arguments index.
+    pub fn order_count(&self) -> usize {
+        self.span.orders.len()
+    }
+
+    /// The loop transform of `order` (order 0 is the identity).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `order` is not below [`order_count`](Self::order_count).
+    pub fn transform(&self, order: usize) -> LoopTransform {
+        assert!(order < self.order_count(), "loop order out of range");
+        let start = self.span.loops + order * self.span.depth;
+        LoopTransform::permutation(&self.tables.loops[start..start + self.span.depth])
     }
 
     /// The first order that puts each loop innermost, in increasing order
     /// (so the identity, order 0, comes first).  Every other order puts the
     /// same loop innermost as one of these, and so has the same movements,
     /// preferred layouts and scores.
-    pub fn first_orders(&self) -> impl Iterator<Item = usize> + '_ {
-        let mut seen = 0;
-        self.innermost
-            .iter()
-            .enumerate()
-            .filter(move |&(_, &index)| {
-                let first = index == seen;
-                seen += usize::from(first);
-                first
-            })
-            .map(|(order, _)| order)
+    pub fn first_orders(&self) -> impl Iterator<Item = usize> + 'a {
+        self.tables.first[self.span.slots.clone()].iter().copied()
     }
 
     /// The distinct arrays the nest references, in first-appearance order.
-    pub fn arrays(&self) -> &[ArrayId] {
-        &self.arrays
+    pub fn arrays(&self) -> &'a [ArrayId] {
+        &self.tables.arrays[self.span.arrays.clone()]
     }
 
     /// The locality score of `order`: the dynamic references whose array's
@@ -113,11 +193,10 @@ impl NestAnalysis {
         layout_of: impl Fn(ArrayId) -> Option<&'l Layout>,
     ) -> i64 {
         self.movements_under(order)
-            .iter()
-            .filter(|(array, direction)| {
-                layout_of(*array).is_some_and(|l| has_locality(direction, l))
+            .filter(|&(array, direction)| {
+                layout_of(array).is_some_and(|l| has_locality(direction, l))
             })
-            .map(|_| self.iterations)
+            .map(|_| self.span.iterations)
             .sum()
     }
 
@@ -130,18 +209,40 @@ impl NestAnalysis {
         layout: &Layout,
     ) -> usize {
         self.movements_under(order)
-            .iter()
-            .filter(|(a, direction)| *a == array && !has_locality(direction, layout))
+            .filter(|&(a, direction)| a == array && !has_locality(direction, layout))
             .count()
     }
 
+    /// The number of slots: the distinct innermost loops of the orders.
+    fn slot_count(&self) -> usize {
+        self.span.slots.len()
+    }
+
+    /// The slot of the loop `order` puts innermost.
+    fn slot(&self, order: usize) -> usize {
+        self.tables.slots[self.span.orders.clone()][order]
+    }
+
     /// Every reference's array and movement under `order`.
-    fn movements_under(&self, order: usize) -> &[(ArrayId, IntVec)] {
-        &self.movements[self.innermost[order]]
+    fn movements_under(&self, order: usize) -> impl Iterator<Item = (ArrayId, &'a [i64])> {
+        self.movements_in(self.slot(order))
+    }
+
+    /// Every reference's array and movement per step of `slot`'s loop.
+    fn movements_in(&self, slot: usize) -> impl Iterator<Item = (ArrayId, &'a [i64])> {
+        let start = self.span.movements + slot * self.span.block;
+        let mut rest = &self.tables.movements[start..start + self.span.block];
+        self.tables.references[self.span.references.clone()]
+            .iter()
+            .map(move |&(array, rank)| {
+                let (movement, after) = rest.split_at(rank);
+                rest = after;
+                (array, movement)
+            })
     }
 }
 
-/// The loop-order analyses of every nest of one program and the layout
+/// The loop-order analysis of every nest of one program and the layout
 /// each nest prefers for each array it references under each loop order.
 ///
 /// A preferred layout depends only on the movement directions of the
@@ -150,11 +251,10 @@ impl NestAnalysis {
 /// layouts share one index, and [`ProgramAnalysis::layout`] resolves it.
 #[derive(Debug, Clone)]
 pub struct ProgramAnalysis {
-    nests: Vec<NestAnalysis>,
+    tables: LoopOrders,
     layouts: Vec<Layout>,
-    /// By (nest, distinct innermost loop, array of the nest): the index of
-    /// the layout the nest prefers for the array when that loop runs
-    /// innermost.
+    /// By (nest, slot, array of the nest): the index of the layout the nest
+    /// prefers for the array when that slot's loop runs innermost.
     preferred: Vec<Option<usize>>,
     /// Where each nest's entries start in `preferred`.
     starts: Vec<usize>,
@@ -167,62 +267,66 @@ impl ProgramAnalysis {
     /// reads only the references whose access rank is the array's declared
     /// rank; an undeclared array has none.
     pub fn new(program: &Program) -> Self {
-        let nests: Vec<NestAnalysis> = program.nests().iter().map(NestAnalysis::new).collect();
+        let tables = LoopOrders::new(program.nests());
         let mut layouts = Vec::new();
         // Each derived set of moving directions, flattened into one key of
         // (dimension, components...) runs, and its layout's index.
-        let mut derived: HashMap<Vec<i64>, usize> = HashMap::new();
+        let mut derived: HashMap<Vec<i64>, Option<usize>> = HashMap::new();
         let (mut moving, mut key) = (Vec::new(), Vec::new());
         let mut preferred = Vec::new();
-        let mut starts = Vec::with_capacity(nests.len());
-        for nest in &nests {
+        let mut starts = Vec::with_capacity(program.nests().len());
+        for n in 0..program.nests().len() {
+            let nest = tables.nest(n);
             starts.push(preferred.len());
-            for movements in &nest.movements {
-                for &array in &nest.arrays {
+            for slot in 0..nest.slot_count() {
+                for &array in nest.arrays() {
                     let index = program.array(array).ok().and_then(|declared| {
                         moving_directions(
-                            movements
-                                .iter()
-                                .filter(|(a, d)| *a == array && d.dim() == declared.rank())
+                            nest.movements_in(slot)
+                                .filter(|&(a, d)| a == array && d.len() == declared.rank())
                                 .map(|(_, direction)| direction),
                             &mut moving,
                         );
                         key.clear();
                         for direction in &moving {
-                            key.push(direction.dim() as i64);
-                            key.extend_from_slice(direction.as_slice());
+                            key.push(direction.len() as i64);
+                            key.extend_from_slice(direction);
                         }
                         if let Some(&index) = derived.get(key.as_slice()) {
-                            return Some(index);
+                            return index;
                         }
-                        let index = intern(&mut layouts, layout_for_moving(&moving)?);
+                        let index = layout_for_moving(&moving).map(|l| intern(&mut layouts, l));
                         derived.insert(key.clone(), index);
-                        Some(index)
+                        index
                     });
                     preferred.push(index);
                 }
             }
         }
         ProgramAnalysis {
-            nests,
+            tables,
             layouts,
             preferred,
             starts,
         }
     }
 
-    /// The analysis of every nest, by nest id.
-    pub fn nests(&self) -> &[NestAnalysis] {
-        &self.nests
+    /// The analysis of `nest`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the program has no such nest.
+    pub fn nest(&self, nest: NestId) -> NestAnalysis<'_> {
+        self.tables.nest(nest.index())
     }
 
     /// The layout indices `nest` prefers under loop order `order`, one per
     /// array of [`NestAnalysis::arrays`], in that order; `None` where the
     /// nest has no preference for the array.
     pub fn preferred(&self, nest: NestId, order: usize) -> &[Option<usize>] {
-        let analysis = &self.nests[nest.index()];
-        let arrays = analysis.arrays.len();
-        let start = self.starts[nest.index()] + analysis.innermost[order] * arrays;
+        let analysis = self.nest(nest);
+        let arrays = analysis.arrays().len();
+        let start = self.starts[nest.index()] + analysis.slot(order) * arrays;
         &self.preferred[start..start + arrays]
     }
 
@@ -255,15 +359,19 @@ fn intern(layouts: &mut Vec<Layout>, layout: Layout) -> usize {
 /// Whether `layout` keeps a reference moving along `direction` in one
 /// hyperplane block.  A reference that does not move always has locality
 /// (temporal reuse); a layout of another dimensionality never gives it.
-fn has_locality(direction: &IntVec, layout: &Layout) -> bool {
-    direction.is_zero()
-        || (layout.dim() == direction.dim() && layout.preserves_direction(direction))
+fn has_locality(direction: &[i64], layout: &Layout) -> bool {
+    direction.iter().all(|&x| x == 0)
+        || (layout.dim() == direction.len()
+            && layout.hyperplanes().iter().all(|h| {
+                let y = h.coefficients().as_slice();
+                y.iter().zip(direction).map(|(a, b)| a * b).sum::<i64>() == 0
+            }))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mlo_ir::{AccessBuilder, ProgramBuilder};
+    use mlo_ir::{AccessBuilder, LoopNest, ProgramBuilder};
 
     /// The paper's Figure 2 nest plus a 1-D vector, a 2-D array read as if
     /// it were 3-D and an array the program does not declare.
@@ -321,9 +429,9 @@ mod tests {
     fn orders_and_preferences_follow_the_paper() {
         let p = program();
         let program_analysis = ProgramAnalysis::new(&p);
-        let analysis = &program_analysis.nests()[0];
-        assert_eq!(analysis.orders().len(), 2);
-        assert!(analysis.orders()[0].is_identity());
+        let analysis = program_analysis.nest(NestId::new(0));
+        assert_eq!(analysis.order_count(), 2);
+        assert!(analysis.transform(0).is_identity());
         assert_eq!(analysis.first_orders().collect::<Vec<_>>(), [0, 1]);
         let [q1, q2, v, bad, undeclared] = [0, 1, 2, 3, 9].map(ArrayId::new);
         assert_eq!(analysis.arrays(), &[q1, q2, v, bad, undeclared]);
@@ -393,10 +501,10 @@ mod tests {
     fn orders_sharing_an_innermost_loop_share_preferences_and_scores() {
         let p = shared_innermost_program();
         let program_analysis = ProgramAnalysis::new(&p);
-        let cube = &program_analysis.nests()[1];
+        let cube = program_analysis.nest(NestId::new(1));
         // Orders (i j k), (i k j), (j i k), (j k i), (k i j), (k j i): the
         // innermost loops are k, j, k, i, j, i.
-        assert_eq!(cube.orders().len(), 6);
+        assert_eq!(cube.order_count(), 6);
         assert_eq!(cube.first_orders().collect::<Vec<_>>(), [0, 1, 3]);
         let heuristic = crate::heuristic_assignment(&p);
         let assignment = &heuristic.assignment;
@@ -423,17 +531,18 @@ mod tests {
         // search keep the first of them.
         assert_eq!(
             heuristic.chosen_transforms[1],
-            (NestId::new(1), cube.orders()[1].describe())
+            (NestId::new(1), cube.transform(1).describe())
         );
         let (best, score) = crate::quality::best_nest_score(&p.nests()[1], assignment);
-        assert_eq!(best, cube.orders()[1]);
+        assert_eq!(best, cube.transform(1));
         assert_eq!(score, 2 * 64);
     }
 
     #[test]
     fn scores_count_references_with_locality() {
         let p = program();
-        let analysis = NestAnalysis::new(&p.nests()[0]);
+        let orders = LoopOrders::new(p.nests());
+        let analysis = orders.nest(0);
         let [q1, q2] = [0, 1].map(ArrayId::new);
         let diagonal = Layout::diagonal();
         let column = Layout::column_major(2);
@@ -455,13 +564,85 @@ mod tests {
 
     #[test]
     fn locality_needs_a_matching_layout_unless_nothing_moves() {
-        let row = IntVec::from(vec![0, 1]);
+        let row = [0, 1];
         assert!(has_locality(&row, &Layout::row_major(2)));
         assert!(!has_locality(&row, &Layout::column_major(2)));
         // A layout of another dimensionality never gives locality.
         assert!(!has_locality(&row, &Layout::row_major(3)));
         // Temporal reuse has locality under any layout.
-        assert!(has_locality(&IntVec::zeros(2), &Layout::diagonal()));
-        assert!(has_locality(&IntVec::zeros(3), &Layout::row_major(2)));
+        assert!(has_locality(&[0, 0], &Layout::diagonal()));
+        assert!(has_locality(&[0, 0, 0], &Layout::row_major(2)));
+    }
+
+    /// One nest of `depth` loops of 2 trips reading `A[i0][i1]`, and
+    /// `B[i0 + i1]` with the first index swapped, without dependences.
+    fn free_nest(depth: usize) -> LoopNest {
+        let mut b = ProgramBuilder::new("free");
+        let a = b.array("A", vec![2, 2], 4);
+        const LOOPS: [&str; 10] = ["i0", "i1", "i2", "i3", "i4", "i5", "i6", "i7", "i8", "i9"];
+        let loops = LOOPS[..depth].iter().map(|&name| (name, 0, 2)).collect();
+        b.nest("free", loops, |nest| {
+            let access = |rows: [[i64; 2]; 2]| {
+                let mut access = AccessBuilder::new(2, depth);
+                for (dim, row) in rows.iter().enumerate() {
+                    for (level, &c) in row.iter().enumerate().take(depth) {
+                        access = access.coeff(dim, level, c);
+                    }
+                }
+                access.build()
+            };
+            nest.read(a, access([[1, 0], [0, 1]]));
+            nest.read(ArrayId::new(1), access([[1, 1], [0, 1]]));
+        });
+        b.build().nests()[0].clone()
+    }
+
+    #[test]
+    fn deep_nests_hold_at_most_eight_factorial_orders() {
+        let orders = LoopOrders::new(&[free_nest(10)]);
+        let analysis = orders.nest(0);
+        assert_eq!(analysis.order_count(), mlo_ir::MAX_EXAMINED_ORDERS);
+        assert_eq!(analysis.order_count(), 40_320);
+        assert!(analysis.transform(0).is_identity());
+        // The first 8! orders keep loops 0 and 1 outermost, so the eight
+        // others each run innermost, the last loop first.
+        let first: Vec<usize> = analysis.first_orders().collect();
+        assert_eq!(first.len(), 8);
+        assert_eq!(first[0], 0);
+        let inner = |order: usize| orders.loops[order * 10 + 9];
+        assert_eq!(
+            first.iter().map(|&o| inner(o)).collect::<Vec<_>>(),
+            [9, 8, 7, 6, 5, 4, 3, 2]
+        );
+        // Depth 8 is enumerated completely.
+        assert_eq!(
+            LoopOrders::new(&[free_nest(8)]).nest(0).order_count(),
+            40_320
+        );
+    }
+
+    #[test]
+    fn movements_are_the_innermost_loops_access_columns() {
+        let mut nests: Vec<LoopNest> = (0..=4).map(free_nest).collect();
+        nests.extend(program().nests().iter().cloned());
+        nests.extend(shared_innermost_program().nests().iter().cloned());
+        let orders = LoopOrders::new(&nests);
+        for (index, nest) in nests.iter().enumerate() {
+            let analysis = orders.nest(index);
+            let legal = mlo_ir::legal_permutations(nest);
+            assert_eq!(analysis.order_count(), legal.len());
+            for (order, transform) in legal.iter().enumerate() {
+                assert_eq!(&analysis.transform(order), transform);
+                let movements: Vec<(ArrayId, &[i64])> = analysis.movements_under(order).collect();
+                assert_eq!(movements.len(), nest.references().len());
+                for (reference, (array, movement)) in nest.references().iter().zip(movements) {
+                    assert_eq!(array, reference.array());
+                    let under = reference
+                        .access()
+                        .innermost_direction_under(transform.inverse());
+                    assert_eq!(movement, under.as_slice(), "{nest} under {transform}");
+                }
+            }
+        }
     }
 }

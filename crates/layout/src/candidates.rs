@@ -63,8 +63,9 @@ impl CandidateSet {
         let mut per_array: Vec<Vec<usize>> = vec![Vec::new(); program.arrays().len()];
         let mut contributions = Vec::new();
         let mut value_indices = Vec::new();
-        for (nest, nest_analysis) in program.nests().iter().zip(analysis.nests()) {
-            let orders = nest_analysis.orders().len();
+        for nest in program.nests() {
+            let nest_analysis = analysis.nest(nest.id());
+            let orders = nest_analysis.order_count();
             for order in 0..orders.min(options.max_transforms_per_nest.max(1)) {
                 let preferred = analysis.preferred(nest.id(), order);
                 let mut preferences = Vec::with_capacity(preferred.len());

@@ -22,7 +22,7 @@
 //! the static locality model because the model scores each reference against
 //! its own array's layout only.
 
-use crate::analysis::{NestAnalysis, ProgramAnalysis};
+use crate::analysis::ProgramAnalysis;
 use crate::apply::LayoutAssignment;
 use crate::candidates::{CandidateOptions, CandidateSet};
 use crate::hyperplane::Layout;
@@ -243,7 +243,7 @@ pub fn dynamic_plan(
         let domain = candidates.of(array.id());
         schedules.push(schedule_array(
             program,
-            analysis.nests(),
+            &analysis,
             segmentation,
             array.id(),
             domain,
@@ -262,7 +262,7 @@ pub fn dynamic_plan(
 /// array* (optimistic, consistent with the per-array decomposition).
 fn segment_miss_cost(
     program: &Program,
-    analyses: &[NestAnalysis],
+    analysis: &ProgramAnalysis,
     segment: &[NestId],
     array: ArrayId,
     layout: &Layout,
@@ -270,16 +270,16 @@ fn segment_miss_cost(
 ) -> f64 {
     let mut cost = 0.0;
     for &nest_id in segment {
-        let analysis = &analyses[nest_id.index()];
-        if !analysis.arrays().contains(&array) {
+        let nest = analysis.nest(nest_id);
+        if !nest.arrays().contains(&array) {
             continue;
         }
         let iterations = program.nests()[nest_id.index()].iteration_count() as f64;
         // Best legal restructuring for this array: the one minimizing the
         // number of its references without locality.
-        let best_missing = analysis
+        let best_missing = nest
             .first_orders()
-            .map(|order| analysis.references_without_locality(order, array, layout))
+            .map(|order| nest.references_without_locality(order, array, layout))
             .min()
             .unwrap_or(usize::MAX);
         cost += best_missing as f64 * iterations * options.miss_cost;
@@ -291,7 +291,7 @@ fn segment_miss_cost(
 /// `(segment, candidate layout)`.
 fn schedule_array(
     program: &Program,
-    analyses: &[NestAnalysis],
+    analysis: &ProgramAnalysis,
     segmentation: &Segmentation,
     array: ArrayId,
     candidates: &[Layout],
@@ -320,7 +320,7 @@ fn schedule_array(
         .map(|segment| {
             candidates
                 .iter()
-                .map(|layout| segment_miss_cost(program, analyses, segment, array, layout, options))
+                .map(|layout| segment_miss_cost(program, analysis, segment, array, layout, options))
                 .collect()
         })
         .collect();

@@ -42,7 +42,7 @@ pub fn heuristic_assignment(program: &Program) -> HeuristicResult {
     let mut chosen_transforms: Vec<(NestId, String)> = Vec::new();
 
     for &nest_id in &order {
-        let nest = &analysis.nests()[nest_id.index()];
+        let nest = analysis.nest(nest_id);
         // The best loop order so far, its score and the layouts it fixes.
         let (mut best, mut best_score, mut best_fixed) = (0, None, Vec::new());
         // Orders that put the same loop innermost fix the same layouts and
@@ -70,7 +70,7 @@ pub fn heuristic_assignment(program: &Program) -> HeuristicResult {
         for (array, layout) in best_fixed {
             assignment.set(array, analysis.layout(layout).clone());
         }
-        chosen_transforms.push((nest_id, nest.orders()[best].describe()));
+        chosen_transforms.push((nest_id, nest.transform(best).describe()));
     }
 
     // Complete the assignment with row-major defaults.

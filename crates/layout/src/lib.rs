@@ -11,14 +11,17 @@
 //! * [`locality`] — deriving the *preferred* layout of an array from the
 //!   direction its references move per innermost-loop iteration (the
 //!   `(y1 y2) · d1 = (y1 y2) · d2` condition of Section 2),
-//! * [`analysis`] — [`NestAnalysis`]: one nest's legal loop orders and each
-//!   reference's innermost movement, kept once per innermost loop (every
-//!   legal order is a permutation, so orders that put the same loop
-//!   innermost move every reference alike); locality scores derive from it.
-//!   [`ProgramAnalysis`] holds every nest's analysis and the preferred
-//!   layouts, derived once per distinct set of movement directions and
-//!   interned in a table indexed by (nest, innermost loop, array); candidate
-//!   enumeration, the heuristic and dynamic plans read that table,
+//! * [`analysis`] — [`ProgramAnalysis`]: every nest's legal loop orders, as
+//!   index permutations, and each reference's innermost movement, read from
+//!   the access-matrix column of the innermost loop once per distinct
+//!   innermost loop (every legal order is a permutation, so orders that put
+//!   the same loop innermost move every reference alike), all in a few
+//!   vectors shared by the program; and the preferred layouts, derived once
+//!   per distinct set of movement directions and interned in a table
+//!   indexed by (nest, innermost loop, array).  [`NestAnalysis`] views one
+//!   nest: its orders, locality scores and, on demand, an order's
+//!   [`LoopTransform`](mlo_ir::LoopTransform).  Candidate enumeration, the
+//!   heuristic, best-order scoring and dynamic plans read these tables,
 //! * [`candidates`] — enumerating each array's candidate layouts across all
 //!   nests and legal loop restructurings (the domains `M_i`),
 //! * [`constraints`] — building the binary constraint network `S` whose

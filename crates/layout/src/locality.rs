@@ -19,7 +19,7 @@ pub(crate) fn layout_for_directions<'a>(
     directions: impl IntoIterator<Item = &'a IntVec>,
 ) -> Option<Layout> {
     let mut moving = Vec::new();
-    moving_directions(directions, &mut moving);
+    moving_directions(directions.into_iter().map(IntVec::as_slice), &mut moving);
     layout_for_moving(&moving)
 }
 
@@ -27,12 +27,13 @@ pub(crate) fn layout_for_directions<'a>(
 /// one dimension, in first-appearance order: the whole input of
 /// [`layout_for_moving`].
 pub(crate) fn moving_directions<'a>(
-    directions: impl IntoIterator<Item = &'a IntVec>,
-    moving: &mut Vec<&'a IntVec>,
+    directions: impl IntoIterator<Item = &'a [i64]>,
+    moving: &mut Vec<&'a [i64]>,
 ) {
     moving.clear();
     for direction in directions {
-        if direction.dim() > 1 && !direction.is_zero() && !moving.contains(&direction) {
+        if direction.len() > 1 && direction.iter().any(|&x| x != 0) && !moving.contains(&direction)
+        {
             moving.push(direction);
         }
     }
@@ -41,8 +42,8 @@ pub(crate) fn moving_directions<'a>(
 /// The layout keeping all of `moving` (see [`moving_directions`]) in one
 /// hyperplane block, else the longest prefix of it that one layout can
 /// keep; `None` when nothing moves.
-pub(crate) fn layout_for_moving(moving: &[&IntVec]) -> Option<Layout> {
-    let moving: Vec<IntVec> = moving.iter().map(|&direction| direction.clone()).collect();
+pub(crate) fn layout_for_moving(moving: &[&[i64]]) -> Option<Layout> {
+    let moving: Vec<IntVec> = moving.iter().map(|&direction| direction.into()).collect();
     (1..=moving.len())
         .rev()
         .find_map(|take| layout_orthogonal_to(&moving[..take]))

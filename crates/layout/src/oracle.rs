@@ -472,7 +472,7 @@ fn schedule_array(
 
 mod tests {
     use super::*;
-    use crate::analysis::NestAnalysis;
+    use crate::analysis::LoopOrders;
     use mlo_ir::{AccessBuilder, ProgramBuilder};
     use proptest::prelude::*;
 
@@ -666,11 +666,13 @@ mod tests {
                     "best order of {}: {case}",
                     nest.name()
                 );
-                let analysis = NestAnalysis::new(nest);
-                for (order, transform) in analysis.orders().iter().enumerate() {
+                let orders = LoopOrders::new(std::slice::from_ref(nest));
+                let analysis = orders.nest(0);
+                for order in 0..analysis.order_count() {
+                    let transform = analysis.transform(order);
                     assert_eq!(
                         analysis.score(order, |array| assignment.layout_of(array)),
-                        nest_score(nest, transform, assignment),
+                        nest_score(nest, &transform, assignment),
                         "score of {} under {transform}: {case}",
                         nest.name()
                     );

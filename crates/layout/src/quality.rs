@@ -6,16 +6,18 @@
 //! layout keeps its innermost-loop movement inside one hyperplane block
 //! (spatial or temporal locality), and zero otherwise.
 
-use crate::analysis::NestAnalysis;
+use crate::analysis::LoopOrders;
 use crate::apply::LayoutAssignment;
 use mlo_ir::{LoopNest, LoopTransform, Program};
 
 /// The best achievable locality score of a nest over its legal
-/// restructurings (see [`NestAnalysis::score`]), together with the first
-/// transform achieving it.  References to arrays without an assigned layout
-/// count as having no locality (the conservative choice).
+/// restructurings (see [`NestAnalysis::score`](crate::NestAnalysis::score)),
+/// together with the first transform achieving it.  References to arrays
+/// without an assigned layout count as having no locality (the conservative
+/// choice).
 pub fn best_nest_score(nest: &LoopNest, assignment: &LayoutAssignment) -> (LoopTransform, i64) {
-    let analysis = NestAnalysis::new(nest);
+    let orders = LoopOrders::new(std::slice::from_ref(nest));
+    let analysis = orders.nest(0);
     let layout_of = |array| assignment.layout_of(array);
     let mut best = (0, analysis.score(0, layout_of));
     // The identity comes first; orders sharing an innermost loop with an
@@ -26,7 +28,7 @@ pub fn best_nest_score(nest: &LoopNest, assignment: &LayoutAssignment) -> (LoopT
             best = (order, score);
         }
     }
-    (analysis.orders()[best.0].clone(), best.1)
+    (analysis.transform(best.0), best.1)
 }
 
 /// The program-wide locality score of a layout assignment: the sum over all
@@ -121,7 +123,9 @@ mod tests {
         let mut asg = LayoutAssignment::new();
         asg.set(ArrayId::new(0), Layout::column_major(2));
         asg.set(ArrayId::new(1), Layout::diagonal());
-        let identity_score = NestAnalysis::new(nest).score(0, |array| asg.layout_of(array));
+        let identity_score = LoopOrders::new(std::slice::from_ref(nest))
+            .nest(0)
+            .score(0, |array| asg.layout_of(array));
         let (best_transform, best) = best_nest_score(nest, &asg);
         assert!(best > identity_score);
         assert!(!best_transform.is_identity());

@@ -325,3 +325,54 @@ fn malformed_references_fail_typed_on_the_first_rung() {
     assert_eq!(stats.panicked, 0);
     assert_eq!(stats.degraded, 0);
 }
+
+/// One dependence-free nest of ten loops with 2 trips each, writing
+/// `C[i8][i9]` and reading `A[i9][i0]`: 10! legal orders, of which the
+/// analysis examines the first 8!.
+fn depth_ten_program() -> Program {
+    const LOOPS: [&str; 10] = ["i0", "i1", "i2", "i3", "i4", "i5", "i6", "i7", "i8", "i9"];
+    let mut b = ProgramBuilder::new("depth_ten");
+    let a = b.array("A", vec![2, 2], 4);
+    let c = b.array("C", vec![2, 2], 4);
+    let loops = LOOPS.iter().map(|&name| (name, 0, 2)).collect();
+    b.nest("deep", loops, |nest| {
+        nest.write(
+            c,
+            AccessBuilder::new(2, 10)
+                .coeff(0, 8, 1)
+                .coeff(1, 9, 1)
+                .build(),
+        );
+        nest.read(
+            a,
+            AccessBuilder::new(2, 10)
+                .coeff(0, 9, 1)
+                .coeff(1, 0, 1)
+                .build(),
+        );
+    });
+    b.build()
+}
+
+#[test]
+fn a_depth_ten_nest_is_served_on_the_first_rung() {
+    let _plan = fault::scoped(FaultPlan::new());
+    let service = service();
+    let program = depth_ten_program();
+    let requests = [
+        OptimizeRequest::strategy("heuristic").evaluate(EvaluationOptions::date05()),
+        OptimizeRequest::strategy("enhanced"),
+    ];
+    for request in &requests {
+        let result = service
+            .submit(&program, request)
+            .unwrap()
+            .wait_timeout(NO_HANG)
+            .expect("waiter hung");
+        let report = result.as_ref().as_ref().expect("the deep nest is served");
+        assert!(!report.degraded, "{}", report.strategy);
+    }
+    let stats = service.stats();
+    assert_eq!(stats.panicked, 0);
+    assert_eq!(stats.degraded, 0);
+}
